@@ -8,7 +8,8 @@ exact hindsight optimum), `theory` (numeric distribution checks), `cli`
 (operator entry point).
 """
 
-from .engine import RUNNERS, DeliveryTrace, RunConfig, run_dmd, run_rcpacing, run_seed
+from .engine import (RUNNERS, DeliveryTrace, RunConfig, run_dmd, run_rcpacing, run_seed,
+                     run_smart_baseline)
 from .metrics import (
     HindsightOptimum,
     MetricsReport,
@@ -62,6 +63,7 @@ __all__ = [
     "run_experiment",
     "run_rcpacing",
     "run_seed",
+    "run_smart_baseline",
     "save_stream_csv",
     "synth_campaigns",
     "unsmoothness",

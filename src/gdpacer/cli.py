@@ -136,7 +136,7 @@ def _resolve_seed(args, raw_config: dict | None) -> int | None:
     if args.seed is not None:
         return args.seed
     if raw_config is not None and "seed" in raw_config:
-        return int(raw_config["seed"])
+        return raw_config["seed"]       # checked with the rest of the config
     env = os.environ.get("GDPACER_SEED")
     if env is not None:
         try:
@@ -157,7 +157,7 @@ def _load_config(args) -> ScenarioConfig:
     seed = _resolve_seed(args, raw)
     if raw is not None:
         if seed is not None:
-            raw = dict(raw, seed=int(seed))
+            raw = dict(raw, seed=seed)
         cfg = scenario_from_dict(raw)
     else:
         cfg = default_scenario(seed=seed if seed is not None else 0)

@@ -1,10 +1,13 @@
-"""Delivery loops for the three allocation policies.
+"""Delivery loop for the three allocation policies.
 
 `run_dmd` paces with plain dual mirror descent in quality space, `run_rcpacing`
 with percentile-space duals plus probabilistic throttling, and
-`run_smart_baseline` with layered quality throttling and no duals.
+`run_smart_baseline` with layered quality throttling and no duals.  All three
+run the same period loop, `_drive`, over one struct-of-arrays campaign state;
+a policy supplies only its per-edge score and throttle step and its
+end-of-period update.
 
-The loops are vectorized per period.  Budget feasibility is still resolved
+The loop is vectorized per period.  Budget feasibility is still resolved
 with sequential semantics: winners are computed optimistically for the whole
 period, then campaigns that would overshoot their remaining budget are cut
 at the exact request where they exhaust and the period is re-resolved.  A
@@ -18,19 +21,18 @@ configurations differing only in formulas consume identical draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pacing import (CampaignState, PacingHyperParams, PeriodStats, apply_dual_clip,
-                     compute_ptr, dual_step, fp, fv, init_base_ptr, init_dual_percentile,
-                     init_expected_ptr, psi_speed_bound, update_eptr)
+from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
+                     init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
 from .quality import (BoxCoxFit, DegenerateSampleError, DomainError,
-                      backward_transform_clipped, boxcox, fit_boxcox, forward_transform,
-                      normal_cdf)
-from .streams import ImpressionRequest, ImpressionStream
+                      backward_transform_clipped, fit_boxcox, normal_cdf)
+from .streams import ImpressionStream
 
 _TAG_RUN = 2
 _TAG_PRIOR = 4
@@ -61,14 +63,6 @@ class RunConfig:
         if self.gradient_mode not in ("relative", "absolute"):
             raise DomainError(
                 f"gradient_mode must be 'relative' or 'absolute', got {self.gradient_mode!r}")
-
-
-@dataclass(frozen=True)
-class AllocationDecision:
-    request_id: int
-    winner: int | None              # campaign id
-    bid: float | None               # winning premium v - alpha
-    throttled: frozenset[int]       # campaigns that failed their throttle draw
 
 
 @dataclass
@@ -103,6 +97,29 @@ class DeliveryTrace:
         return b"|".join(parts)
 
 
+@dataclass
+class CampaignArrays:
+    """Delivery and control state of all campaigns of a run, one entry per
+    campaign in ascending-id order."""
+
+    ids: np.ndarray                 # (M,) campaign ids
+    budget: np.ndarray
+    remaining: np.ndarray
+    rho: np.ndarray                 # per-period impression target = budget / periods
+    audience: np.ndarray            # expected recalled requests over the horizon
+    ptr_exp: np.ndarray
+    ptr_base: np.ndarray
+    alpha_bar: np.ndarray           # dual in percentile space
+    alpha: np.ndarray               # dual in quality space
+    eptr: np.ndarray
+    exhausted: np.ndarray           # bool
+    # current transform fit: Box-Cox lambda, mean and normal scale
+    # sigma * (1 + epsilon); NaN until the first refit
+    lam: np.ndarray
+    mu: np.ndarray
+    scale: np.ndarray
+
+
 def _substream(*keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(keys))))
 
@@ -114,173 +131,93 @@ def run_seed(scenario_seed: int, algorithm: str, round_index: int = 0) -> int:
 
 
 def init_campaign_states(specs, stream: ImpressionStream,
-                         params: PacingHyperParams) -> list[CampaignState]:
-    """Fresh states in ascending campaign-id order."""
+                         params: PacingHyperParams) -> CampaignArrays:
+    """Fresh state in ascending campaign-id order."""
     specs = sorted(specs, key=lambda s: s.id)
-    ids = [s.id for s in specs]
-    if len(set(ids)) != len(ids):
+    ids = np.array([s.id for s in specs], dtype=np.int64)
+    if np.unique(ids).size != ids.size:
         raise DomainError("campaign ids must be unique")
-    total = stream.total_requests
     T = max(1, stream.n_periods)
-    states = []
-    for spec in specs:
-        budget = float(spec.budget)
-        audience = float(spec.recall_prob) * total
-        ptr_exp = init_expected_ptr(budget, audience, params.p_ub) if audience > 0 else 1.0
-        states.append(CampaignState(
-            id=spec.id,
-            budget=budget,
-            remaining=budget,
-            rho=budget / T,
-            audience=audience,
-            fit=None,
-            ptr_exp=ptr_exp,
-            ptr_base=init_base_ptr(ptr_exp, params.wr_glb),
-            alpha_bar=init_dual_percentile(ptr_exp, params.p_ub),
-            alpha=0.0,
-            eptr=params.initial_trial_rate,
-            exhausted=budget < 1.0,
-            period_cost=0.0,
-            period_ecost=budget / T,
-        ))
-    return states
-
-
-# --- per-request decision operations -----------------------------------------
-
-def dmd_decide(request: ImpressionRequest, states: list[CampaignState],
-               eta: float | None = None) -> AllocationDecision:
-    """Highest premium v - alpha among non-exhausted recalled campaigns wins;
-    no positivity requirement; ties break to the lowest campaign id.  The
-    step size is not used by the decision rule and is accepted only so call
-    sites mirror the period update."""
-    best = None
-    best_bid = -np.inf
-    for s in sorted(states, key=lambda s: s.id):
-        v = request.qualities.get(s.id)
-        if v is None or s.exhausted or s.remaining < 1.0:
-            continue
-        bid = v - s.alpha
-        if bid > best_bid:
-            best, best_bid = s, bid
-    if best is None:
-        return AllocationDecision(request.request_id, None, None, frozenset())
-    best.remaining -= 1.0
-    best.period_cost += 1.0
-    if best.remaining < 1.0:
-        best.exhausted = True
-    return AllocationDecision(request.request_id, best.id, float(best_bid), frozenset())
-
-
-def rcp_decide(request: ImpressionRequest, states: list[CampaignState],
-               params: PacingHyperParams, rng: np.random.Generator) -> AllocationDecision:
-    """Throttled premium auction.
-
-    One uniform draw is consumed per recalled campaign in ascending-id order,
-    whether or not the campaign is exhausted, keeping draw consumption aligned
-    with the vectorized loop.  Winner is the highest strictly positive premium
-    among campaigns that passed their draw; ties break to the lowest id.
-    """
-    throttled: set[int] = set()
-    best = None
-    best_bid = -np.inf
-    for s in sorted(states, key=lambda s: s.id):
-        v = request.qualities.get(s.id)
-        if v is None:
-            continue
-        u = float(rng.random())
-        if s.exhausted or s.remaining < 1.0:
-            continue
-        v_bar = forward_transform(s.fit, v)
-        if u >= compute_ptr(s, params, v_bar):
-            throttled.add(s.id)
-            continue
-        bid = v - s.alpha
-        if bid > 0.0 and bid > best_bid:
-            best, best_bid = s, bid
-    if best is None:
-        return AllocationDecision(request.request_id, None, None, frozenset(throttled))
-    best.remaining -= 1.0
-    best.period_cost += 1.0
-    if best.remaining < 1.0:
-        best.exhausted = True
-    return AllocationDecision(request.request_id, best.id, float(best_bid), frozenset(throttled))
+    M = ids.size
+    budget = np.array([float(s.budget) for s in specs])
+    audience = np.array([float(s.recall_prob) for s in specs]) * stream.total_requests
+    ptr_exp = np.array([init_expected_ptr(b, a, params.p_ub) if a > 0 else 1.0
+                        for b, a in zip(budget, audience)])
+    return CampaignArrays(
+        ids=ids,
+        budget=budget,
+        remaining=budget.copy(),
+        rho=budget / T,
+        audience=audience,
+        ptr_exp=ptr_exp,
+        ptr_base=np.array([init_base_ptr(p, params.wr_glb) for p in ptr_exp]),
+        alpha_bar=np.array([init_dual_percentile(p, params.p_ub) for p in ptr_exp]),
+        alpha=np.zeros(M),
+        eptr=np.full(M, params.initial_trial_rate),
+        exhausted=budget < 1.0,
+        lam=np.full(M, np.nan),
+        mu=np.full(M, np.nan),
+        scale=np.full(M, np.nan),
+    )
 
 
 # --- per-period dual updates --------------------------------------------------
 
-def dmd_period_update(states: list[CampaignState], period_stats: PeriodStats,
-                      eta: float, gradient_mode: str = "relative") -> None:
+def _period_gradient(rho: np.ndarray, cost: np.ndarray, n_requests: int,
+                     avg_requests: float, gradient_mode: str) -> np.ndarray:
+    """Per-request deficit rho_bar - x_bar, divided by rho_bar in relative
+    mode (0 where rho_bar is 0)."""
+    rho_bar = rho / avg_requests
+    g = rho_bar - cost / max(1, n_requests)
+    if gradient_mode == "relative":
+        g = np.where(rho_bar > 0.0, g / np.where(rho_bar > 0.0, rho_bar, 1.0), 0.0)
+    return g
+
+
+def dmd_period_update(camps: CampaignArrays, cost: np.ndarray, n_requests: int,
+                      avg_requests: float, eta: float, gradient_mode: str = "relative") -> None:
     """alpha <- max{0, alpha - eta * g} with g the per-request deficit
-    rho_bar - x_bar, divided by rho_bar in relative mode."""
-    n = max(1, period_stats.n_requests)
-    for i, s in enumerate(states):
-        if s.period_ecost <= 0.0:
-            continue
-        x_bar = float(period_stats.cost[i]) / n
-        rho_bar = s.rho / period_stats.avg_requests
-        g = rho_bar - x_bar
-        if gradient_mode == "relative":
-            g /= rho_bar
-        s.alpha = max(0.0, s.alpha - eta * g)
-        s.period_cost = 0.0
+    rho_bar - x_bar, divided by rho_bar in relative mode.  Campaigns with a
+    zero per-period target keep their dual."""
+    g = _period_gradient(camps.rho, cost, n_requests, avg_requests, gradient_mode)
+    camps.alpha = np.where(camps.rho > 0.0, np.maximum(0.0, camps.alpha - eta * g), camps.alpha)
 
 
-def rcp_period_update(states: list[CampaignState], period_stats: PeriodStats,
-                      params: PacingHyperParams, gradient_mode: str = "relative",
-                      period_scale: bool = True) -> None:
-    """Divergence step on the percentile dual, clipped, mapped back to quality
-    space, followed by the emergency-rate update.  Campaigns with a zero
-    per-period target are left untouched.
+def rcp_period_update(camps: CampaignArrays, cost: np.ndarray, n_requests: int,
+                      avg_requests: float, params: PacingHyperParams,
+                      gradient_mode: str = "relative", period_scale: bool = True) -> None:
+    """Divergence step on the percentile dual, clipped, followed by the
+    emergency-rate update.  Campaigns with a zero per-period target are left
+    untouched.  The quality-space dual is derived from the new percentile
+    dual at the start of the next period, once its transform is refit.
 
     `period_scale=False` (single-request periods) freezes the emergency rate
     and the speed-based clip bound: both act on the cost/expected-cost ratio,
     which degenerates to {0, 1/rho} when a period holds one request."""
-    M = len(states)
-    a = np.array([s.alpha_bar for s in states])
-    base = np.array([s.ptr_base for s in states])
-    eptr = np.array([s.eptr for s in states])
-    rho = np.array([s.rho for s in states])
-    ecost = np.array([s.period_ecost for s in states])
-    cost = np.asarray(period_stats.cost, dtype=float)
-
-    active = ecost > 0.0
-    n = max(1, period_stats.n_requests)
-    x_bar = cost / n
-    rho_bar = rho / period_stats.avg_requests
-    g = rho_bar - x_bar
-    if gradient_mode == "relative":
-        g = np.where(rho_bar > 0.0, g / np.where(rho_bar > 0.0, rho_bar, 1.0), 0.0)
+    a = camps.alpha_bar
+    active = camps.rho > 0.0
+    g = _period_gradient(camps.rho, cost, n_requests, avg_requests, gradient_mode)
     a_tilde = dual_step(a, g, params)
-    spd = np.where(active, cost / np.where(active, ecost, 1.0), 1.0)
+    spd = np.where(active, cost / np.where(active, camps.rho, 1.0), 1.0)
 
+    a_new = a_tilde                 # dual_step already clamps to [0, 1]
     if params.clip_enabled:
         adaptive = params.adaptive_clip_enabled and period_scale
-        bound = psi_speed_bound(a, base, spd, params) if adaptive else None
+        bound = psi_speed_bound(a, camps.ptr_base, spd, params) if adaptive else None
         a_new = apply_dual_clip(a, a_tilde, g, params.alpha_hat, bound)
-    else:
-        a_new = np.clip(np.asarray(a_tilde, dtype=float), 0.0, 1.0)
-    e_new = update_eptr(eptr, spd, params.eptr_speed_cap) if period_scale else eptr
-
-    a_new = np.atleast_1d(a_new)
-    e_new = np.atleast_1d(e_new)
-    for i, s in enumerate(states):
-        if not active[i]:
-            continue
-        s.alpha_bar = float(a_new[i])
-        if s.fit is not None:
-            s.alpha = float(backward_transform_clipped(s.fit, s.alpha_bar))
-        s.eptr = float(e_new[i])
-        s.period_cost = 0.0
+    camps.alpha_bar = np.where(active, a_new, a)
+    if period_scale:
+        camps.eptr = np.where(active, update_eptr(camps.eptr, spd, params.eptr_speed_cap),
+                              camps.eptr)
 
 
-# --- vectorized run loops ------------------------------------------------------
+# --- the period loop -----------------------------------------------------------
 
 @dataclass
 class _DensePeriod:
     n_requests: int
     req: np.ndarray
-    camp: np.ndarray            # dense campaign index into the states list
+    camp: np.ndarray            # dense campaign index into the campaign arrays
     v: np.ndarray
     starts: np.ndarray          # first edge per request present in this period
     seg_idx: np.ndarray         # per-edge segment index
@@ -290,17 +227,12 @@ def _densify(stream: ImpressionStream, spec_ids: list[int]) -> list[_DensePeriod
     id_arr = np.asarray(spec_ids, dtype=np.int64)
     out = []
     for p in stream.periods:
-        if p.n_edges:
-            pos = np.searchsorted(id_arr, p.camp)
-            pos = np.clip(pos, 0, id_arr.size - 1)
-            keep = id_arr[pos] == p.camp
-            req = p.req[keep]
-            camp = pos[keep].astype(np.int64)
-            v = p.v[keep]
-        else:
-            req = np.empty(0, dtype=np.int64)
-            camp = np.empty(0, dtype=np.int64)
-            v = np.empty(0, dtype=np.float64)
+        pos = np.searchsorted(id_arr, p.camp)
+        pos = np.clip(pos, 0, id_arr.size - 1)
+        keep = id_arr[pos] == p.camp
+        req = p.req[keep]
+        camp = pos[keep].astype(np.int64)
+        v = p.v[keep]
         present, starts = np.unique(req, return_index=True)
         seg_idx = np.searchsorted(present, req)
         out.append(_DensePeriod(p.n_requests, req, camp, v, starts, seg_idx))
@@ -343,20 +275,6 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
         cut[best_j] = best_pos
 
 
-def _apply_wins(dp: _DensePeriod, winner_edges: np.ndarray, states, M: int):
-    cost = np.bincount(dp.camp[winner_edges], minlength=M).astype(float)
-    qual = np.bincount(dp.camp[winner_edges], weights=dp.v[winner_edges], minlength=M)
-    for i, s in enumerate(states):
-        if cost[i]:
-            s.remaining -= cost[i]
-            s.period_cost = cost[i]
-            if s.remaining < 1.0:
-                s.exhausted = True
-        else:
-            s.period_cost = 0.0
-    return cost, qual
-
-
 def _boxcox_edges(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Box-Cox with a per-edge lambda."""
     log_branch = np.abs(lam) < 1e-9
@@ -364,53 +282,65 @@ def _boxcox_edges(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
 
 
-def _new_trace(algorithm: str, states, stream: ImpressionStream, T: int,
-               seed: int, capture: bool) -> DeliveryTrace:
-    M = len(states)
-    return DeliveryTrace(
-        algorithm=algorithm,
-        campaign_ids=[s.id for s in states],
-        budgets=np.array([s.budget for s in states]),
-        wins=np.zeros((M, T), dtype=np.int64),
-        quality_sum=np.zeros((M, T)),
-        remaining=np.zeros(M),
-        duals=np.zeros((M, T)),
-        eptr=np.ones((M, T)),
-        stream_id=stream.fingerprint(),
-        seed=seed,
-        transforms=[] if capture else None,
-    )
+def _drive(stream: ImpressionStream, specs, config: RunConfig, policy) -> DeliveryTrace:
+    """The period loop of every policy.
 
-
-def run_dmd(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+    Per period: `policy.score(dp)` gives each recalled edge its auction score
+    and its throttle outcome (True where the policy does not throttle),
+    non-exhausted passers compete in the budget-feasible auction, wins are
+    charged and recorded, and `policy.update(dp, cost)` moves the policy's
+    controls from the period's spend.  The trace records the campaign-array
+    field named by `policy.dual` as each period's dual.
+    """
     if config.per_impression:
         stream = stream.per_impression()
-    states = init_campaign_states(specs, stream, config.params)
-    for s in states:
-        s.alpha = 0.0
-        s.eptr = 1.0
-    M = len(states)
-    periods = _densify(stream, [s.id for s in states])
-    T = len(periods)
-    trace = _new_trace("dmd", states, stream, T, config.seed, False)
-    avg_req = stream.avg_requests_per_period
+    camps = init_campaign_states(specs, stream, config.params)
+    periods = _densify(stream, camps.ids.tolist())
+    M, T = camps.ids.size, len(periods)
+    pol = policy(camps, sorted(specs, key=lambda s: s.id), config,
+                 stream.avg_requests_per_period)
+    wins = np.zeros((M, T), dtype=np.int64)
+    quality_sum = np.zeros((M, T))
+    duals = np.zeros((M, T))
+    eptr = np.ones((M, T))
 
     for t, dp in enumerate(periods):
-        alpha = np.array([s.alpha for s in states])
-        live = np.array([not s.exhausted for s in states])
-        remaining = np.array([int(s.remaining) for s in states], dtype=np.int64)
-        bid = dp.v - alpha[dp.camp]
-        elig = live[dp.camp]
-        winner_edges = _resolve_winners(dp, bid, elig, remaining)
-        cost, qual = _apply_wins(dp, winner_edges, states, M)
-        trace.wins[:, t] = cost
-        trace.quality_sum[:, t] = qual
-        trace.duals[:, t] = alpha
-        stats = PeriodStats(cost=cost, n_requests=dp.n_requests, avg_requests=avg_req)
-        dmd_period_update(states, stats, config.params.eta, config.gradient_mode)
+        score, passed = pol.score(dp)
+        elig = passed & ~camps.exhausted[dp.camp]
+        winner_edges = _resolve_winners(dp, score, elig, camps.remaining.astype(np.int64))
+        won = dp.camp[winner_edges]
+        cost = np.bincount(won, minlength=M).astype(float)
+        wins[:, t] = cost
+        quality_sum[:, t] = np.bincount(won, weights=dp.v[winner_edges], minlength=M)
+        duals[:, t] = getattr(camps, pol.dual)
+        eptr[:, t] = camps.eptr
+        camps.remaining -= cost
+        camps.exhausted |= camps.remaining < 1.0
+        pol.update(dp, cost)
 
-    trace.remaining = np.array([s.remaining for s in states])
-    return trace
+    return DeliveryTrace(pol.name, camps.ids.tolist(), camps.budget, wins, quality_sum,
+                         camps.remaining, duals, eptr, stream.fingerprint(), config.seed,
+                         pol.transforms)
+
+
+class _Dmd:
+    """Highest premium v - alpha among live recalled campaigns wins; no
+    throttle and no positivity requirement."""
+
+    name = "dmd"
+    dual = "alpha"
+    transforms = None
+
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
+        self.camps, self.config, self.avg_requests = camps, config, avg_requests
+        camps.eptr[:] = 1.0
+
+    def score(self, dp: _DensePeriod):
+        return dp.v - self.camps.alpha[dp.camp], True
+
+    def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
+        dmd_period_update(self.camps, cost, dp.n_requests, self.avg_requests,
+                          self.config.params.eta, self.config.gradient_mode)
 
 
 class _FitManager:
@@ -431,7 +361,6 @@ class _FitManager:
         self.window: deque[list[np.ndarray]] = deque(maxlen=config.refit_window)
         self._prior: dict[int, BoxCoxFit] = {}
         self._neutral = BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, self.eps)
-        self._global_fit: BoxCoxFit | None = None
 
     def log_period(self, camp: np.ndarray, v: np.ndarray, M: int) -> None:
         order = np.argsort(camp, kind="stable")
@@ -455,139 +384,109 @@ class _FitManager:
         except (DegenerateSampleError, DomainError):
             return None
 
-    def assign_fits(self, states: list[CampaignState]) -> None:
+    def assign_fits(self, camps: CampaignArrays) -> None:
         min_n = self.config.min_fit_samples
-        own = None
-        if self.window:
-            own = [np.concatenate([period[i] for period in self.window])
-                   for i in range(len(states))]
-        self._global_fit = None
-        pooled = np.concatenate([np.concatenate(p) for p in self.window]) if self.window else np.empty(0)
-
-        for i, s in enumerate(states):
-            fit = None
-            if own is not None and own[i].size >= min_n:
-                fit = self._try_fit(own[i])
+        window = list(self.window) or [[np.empty(0)] * camps.ids.size]
+        pooled = np.concatenate([np.concatenate(p) for p in window])
+        pooled_fit = functools.cache(lambda: self._try_fit(pooled))     # fit on first need
+        for i in range(camps.ids.size):
+            own = np.concatenate([period[i] for period in window])
+            fit = self._try_fit(own) if own.size >= min_n else None
             if fit is None and pooled.size >= min_n:
-                if self._global_fit is None:
-                    self._global_fit = self._try_fit(pooled) or self._prior_fit(i)
-                fit = self._global_fit
-            if fit is None:
-                fit = self._prior_fit(i)
-            s.fit = fit
+                fit = pooled_fit()
+            fit = fit or self._prior_fit(i)
+            camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
 
 
-def run_rcpacing(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
-    if config.per_impression:
-        stream = stream.per_impression()
-    states = init_campaign_states(specs, stream, config.params)
-    params = config.params
-    M = len(states)
-    periods = _densify(stream, [s.id for s in states])
-    T = len(periods)
-    trace = _new_trace("rcpacing", states, stream, T, config.seed, config.log_transforms)
-    avg_req = stream.avg_requests_per_period
-    fitman = _FitManager(states_specs := sorted(specs, key=lambda s: s.id), config)
-    rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
+class _RCPacing:
+    """Throttled premium auction: an edge enters only after passing its
+    throttle draw, and bids its strictly positive premium v - alpha."""
 
-    for t, dp in enumerate(periods):
-        fitman.assign_fits(states)
-        for s in states:
-            s.alpha = float(backward_transform_clipped(s.fit, s.alpha_bar))
+    name = "rcpacing"
+    dual = "alpha_bar"
 
-        alpha_bar = np.array([s.alpha_bar for s in states])
-        alpha = np.array([s.alpha for s in states])
-        ptr_base = np.array([s.ptr_base for s in states])
-        eptr = np.array([s.eptr for s in states])
-        live = np.array([not s.exhausted for s in states])
-        remaining = np.array([int(s.remaining) for s in states], dtype=np.int64)
-        lam = np.array([s.fit.lambda_star for s in states])
-        mu = np.array([s.fit.mu for s in states])
-        scale = np.array([s.fit.scale for s in states])
-        fp_c = np.atleast_1d(fp(alpha_bar, params.p_ub))
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
+        self.camps, self.config, self.avg_requests = camps, config, avg_requests
+        self.fits = _FitManager(specs, config)
+        self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
+        self.transforms = [] if config.log_transforms else None
 
+    def score(self, dp: _DensePeriod):
+        camps, params = self.camps, self.config.params
+        self.fits.assign_fits(camps)
+        camps.alpha = backward_transform_clipped(camps.lam, camps.mu, camps.scale,
+                                                 camps.alpha_bar)
         c = dp.camp
-        v_bar = normal_cdf((_boxcox_edges(lam[c], dp.v) - mu[c]) / scale[c])
-        raw = ptr_base[c] * fp_c[c] * fv(alpha_bar[c], v_bar, params.slope_k)
-        ptr = np.minimum(1.0, raw) * eptr[c]
-        u = rng.random(dp.v.size)
-        passed = u < ptr
+        v_bar = normal_cdf((_boxcox_edges(camps.lam[c], dp.v) - camps.mu[c]) / camps.scale[c])
+        raw = camps.ptr_base[c] * fp(camps.alpha_bar, params.p_ub)[c] \
+            * fv(camps.alpha_bar[c], v_bar, params.slope_k)
+        ptr = np.minimum(1.0, raw) * camps.eptr[c]
+        passed = self.rng.random(dp.v.size) < ptr
+        if self.transforms is not None:
+            self.transforms.append(v_bar)
+        bid = dp.v - camps.alpha[c]
+        return bid, passed & (bid > 0.0)
 
-        bid = dp.v - alpha[c]
-        elig = passed & live[c] & (bid > 0.0)
-        winner_edges = _resolve_winners(dp, bid, elig, remaining)
-        cost, qual = _apply_wins(dp, winner_edges, states, M)
-
-        trace.wins[:, t] = cost
-        trace.quality_sum[:, t] = qual
-        trace.duals[:, t] = alpha_bar
-        trace.eptr[:, t] = eptr
-        if trace.transforms is not None:
-            trace.transforms.append(v_bar.copy())
-
-        fitman.log_period(c, dp.v, M)
-        stats = PeriodStats(cost=cost, n_requests=dp.n_requests, avg_requests=avg_req)
-        rcp_period_update(states, stats, params, config.gradient_mode,
-                          period_scale=not config.per_impression)
-
-    trace.remaining = np.array([s.remaining for s in states])
-    return trace
+    def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
+        self.fits.log_period(dp.camp, dp.v, self.camps.ids.size)
+        rcp_period_update(self.camps, cost, dp.n_requests, self.avg_requests,
+                          self.config.params, self.config.gradient_mode,
+                          period_scale=not self.config.per_impression)
 
 
-def run_smart_baseline(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+class _Smart:
     """Layered throttling baseline: L equal-width quality layers per campaign,
     multiplicative per-period feedback that opens high-quality layers first
     when underspending and closes low-quality layers first when overspending.
     Winner among throttle-passers is the highest raw quality."""
-    if config.per_impression:
-        stream = stream.per_impression()
-    states = init_campaign_states(specs, stream, config.params)
-    M = len(states)
-    L = config.smart_layers
-    periods = _densify(stream, [s.id for s in states])
-    T = len(periods)
-    trace = _new_trace("smart", states, stream, T, config.seed, False)
-    avg_req = stream.avg_requests_per_period
-    rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["smart"])
 
-    layer_ptr = np.empty((M, L))
-    for i, s in enumerate(states):
-        init = min(1.0, s.budget / (s.audience * config.params.wr_glb)) if s.audience > 0 else 1.0
-        layer_ptr[i, :] = init
-    ptr_floor = 0.01
+    name = "smart"
+    dual = "alpha"              # stays 0: smart keeps no dual
+    transforms = None
+    PTR_FLOOR = 0.01
 
-    for t, dp in enumerate(periods):
-        live = np.array([not s.exhausted for s in states])
-        remaining = np.array([int(s.remaining) for s in states], dtype=np.int64)
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
+        self.camps = camps
+        camps.eptr[:] = 1.0
+        aud = camps.audience
+        init = np.where(aud > 0, np.minimum(
+            1.0, camps.budget / np.where(aud > 0, aud * config.params.wr_glb, 1.0)), 1.0)
+        self.layer_ptr = np.repeat(init[:, None], config.smart_layers, axis=1)
+        self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["smart"])
+
+    def score(self, dp: _DensePeriod):
+        L = self.layer_ptr.shape[1]
         layer = np.minimum((dp.v * L).astype(np.int64), L - 1)
-        ptr = layer_ptr[dp.camp, layer]
-        u = rng.random(dp.v.size)
-        elig = (u < ptr) & live[dp.camp]
-        winner_edges = _resolve_winners(dp, dp.v, elig, remaining)
-        cost, qual = _apply_wins(dp, winner_edges, states, M)
-        trace.wins[:, t] = cost
-        trace.quality_sum[:, t] = qual
+        passed = self.rng.random(dp.v.size) < self.layer_ptr[dp.camp, layer]
+        return dp.v, passed
 
-        for i, s in enumerate(states):
-            if s.rho <= 0.0 or s.exhausted:
-                continue
-            spd = cost[i] / s.rho
-            if spd < 1.0:
-                boost = 2.0 if spd <= 0.0 else min(2.0, 1.0 / spd)
-                for l in range(L - 1, -1, -1):
-                    if layer_ptr[i, l] < 1.0:
-                        layer_ptr[i, l] = min(1.0, layer_ptr[i, l] * boost)
-                        break
-            elif spd > 1.0:
-                shrink = max(0.5, 1.0 / spd)
-                for l in range(L):
-                    if layer_ptr[i, l] > ptr_floor:
-                        layer_ptr[i, l] = max(ptr_floor, layer_ptr[i, l] * shrink)
-                        break
-            s.period_cost = 0.0
+    def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
+        camps, lp, floor = self.camps, self.layer_ptr, self.PTR_FLOOR
+        L = lp.shape[1]
+        active = (camps.rho > 0.0) & ~camps.exhausted
+        spd = cost / np.where(active, camps.rho, 1.0)
+        # underspending: boost the highest layer that is not fully open
+        rows = np.flatnonzero(active & (spd < 1.0) & (lp < 1.0).any(axis=1))
+        cols = L - 1 - np.argmax(lp[rows, ::-1] < 1.0, axis=1)
+        s = spd[rows]
+        boost = np.where(s <= 0.0, 2.0, np.minimum(2.0, 1.0 / np.where(s > 0.0, s, 1.0)))
+        lp[rows, cols] = np.minimum(1.0, lp[rows, cols] * boost)
+        # overspending: shrink the lowest layer still above the floor
+        rows = np.flatnonzero(active & (spd > 1.0) & (lp > floor).any(axis=1))
+        cols = np.argmax(lp[rows] > floor, axis=1)
+        lp[rows, cols] = np.maximum(floor, lp[rows, cols] * np.maximum(0.5, 1.0 / spd[rows]))
 
-    trace.remaining = np.array([s.remaining for s in states])
-    return trace
+
+def run_dmd(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+    return _drive(stream, specs, config, _Dmd)
+
+
+def run_rcpacing(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+    return _drive(stream, specs, config, _RCPacing)
+
+
+def run_smart_baseline(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+    return _drive(stream, specs, config, _Smart)
 
 
 RUNNERS = {

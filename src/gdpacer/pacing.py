@@ -1,4 +1,4 @@
-"""Per-campaign pacing state and control formulas.
+"""Pacing control formulas.
 
 Covers the probabilistic-throttling machinery (expected/base pass-through
 rates, percentile-gap factors, emergency trial rate), the mirror-descent
@@ -11,11 +11,12 @@ apply them to whole campaign vectors; scalars map to scalars.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .quality import BoxCoxFit, DomainError
+from .quality import DomainError
 
 # Percentile-gap pass factor endpoints: fp(0) = 50 at full underspend
 # pressure, fp(1) = 0.2 at full overspend pressure, fp(p_ub) = 1.
@@ -25,10 +26,6 @@ FP_DECAY = 0.2
 SPEED_FLOOR = 1e-3
 
 _DIVERGENCES = ("euclidean", "itakura")
-
-
-class ZeroTargetError(ValueError):
-    """Spending speed requested for a campaign with no per-period target."""
 
 
 @dataclass
@@ -48,6 +45,10 @@ class PacingHyperParams:
     initial_trial_rate: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value}")
         if self.divergence not in _DIVERGENCES:
             raise DomainError(f"divergence must be one of {_DIVERGENCES}, got {self.divergence!r}")
         if not 0.0 < self.p_ub < 1.0:
@@ -58,35 +59,6 @@ class PacingHyperParams:
             raise DomainError("wr_glb must be > 0 and slope_k >= 0")
         if self.eptr_speed_cap <= 1.0 or not 0.0 < self.initial_trial_rate <= 1.0:
             raise DomainError("eptr_speed_cap must exceed 1 and initial_trial_rate lie in (0, 1]")
-
-
-@dataclass
-class CampaignState:
-    """Mutable per-campaign delivery and control state."""
-
-    id: int
-    budget: float
-    remaining: float
-    rho: float                      # per-period impression target = budget / periods
-    audience: float                 # expected recalled requests over the horizon
-    fit: BoxCoxFit | None
-    ptr_exp: float
-    ptr_base: float
-    alpha_bar: float                # dual in percentile space
-    alpha: float                    # dual in quality space
-    eptr: float
-    exhausted: bool = False
-    period_cost: float = 0.0
-    period_ecost: float = 0.0       # per-period expected cost; equals rho
-
-
-@dataclass
-class PeriodStats:
-    """One period's realized spend, aligned with the campaign-state order."""
-
-    cost: np.ndarray
-    n_requests: int
-    avg_requests: float             # horizon-average requests per period
 
 
 def init_expected_ptr(budget: float, audience: float, p_ub: float) -> float:
@@ -127,19 +99,6 @@ def fv(alpha_bar, v_bar, slope_k: float):
     """Quality-gap pass factor k*(v_bar - alpha_bar) + 1, floored at 0."""
     out = np.maximum(0.0, slope_k * (np.asarray(v_bar, dtype=float) - np.asarray(alpha_bar, dtype=float)) + 1.0)
     return out if out.ndim else float(out)
-
-
-def compute_ptr(state: CampaignState, params: PacingHyperParams, v_bar: float) -> float:
-    """Pass-through rate for one request: min{1, base * fp * fv} * ePTR."""
-    raw = state.ptr_base * fp(state.alpha_bar, params.p_ub) * fv(state.alpha_bar, v_bar, params.slope_k)
-    return float(min(1.0, raw) * state.eptr)
-
-
-def spending_speed(period_cost: float, period_ecost: float) -> float:
-    """Realized over expected spend for the period."""
-    if period_ecost <= 0.0:
-        raise ZeroTargetError("period_ecost must be positive (zero-budget campaign)")
-    return period_cost / period_ecost
 
 
 def update_eptr(eptr, spd, cap: float = 2.0):
@@ -271,13 +230,3 @@ def apply_dual_clip(alpha_bar, alpha_tilde, g_tilde, alpha_hat: float, psi_bound
     out = np.clip(np.where(g >= 0.0, down, up), 0.0, 1.0)
     return out if out.ndim else float(out)
 
-
-def clip_dual(state: CampaignState, alpha_tilde_next: float, g_tilde: float,
-              spd: float, params: PacingHyperParams) -> float:
-    """Static clip of the divergence step, tightened by the participation
-    bound when adaptive clipping is enabled."""
-    bound = None
-    if params.adaptive_clip_enabled:
-        bound = psi_speed_bound(state.alpha_bar, state.ptr_base, spd, params)
-    return float(apply_dual_clip(state.alpha_bar, alpha_tilde_next, g_tilde,
-                                 params.alpha_hat, bound))

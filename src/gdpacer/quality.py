@@ -50,11 +50,6 @@ class BetaQualityModel:
         return self.m / (self.m + self.n)
 
 
-def sample_quality(model: BetaQualityModel, rng: np.random.Generator) -> float:
-    """Draw one quality value in (0, 1) from the campaign's beta law."""
-    return float(rng.beta(model.m, model.n))
-
-
 def boxcox(lmbda: float, v):
     """Box-Cox power transform; the log branch is taken for |lambda| < 1e-9."""
     arr = np.asarray(v, dtype=float)
@@ -244,19 +239,21 @@ def backward_transform(fit: BoxCoxFit, alpha_bar):
     return inverse_boxcox(fit.lambda_star, y)
 
 
-def backward_transform_clipped(fit: BoxCoxFit, alpha_bar):
+def backward_transform_clipped(lmbda, mu, scale, alpha_bar):
     """Backward transform that saturates instead of raising.
 
+    Takes the fit as its parts (Box-Cox lambda, mean, and normal scale
+    sigma * (1 + epsilon)), so one call broadcasts over per-campaign fits.
     Inside the delivery loop a clamped percentile near 0 or 1 can land
     outside the Box-Cox image for the fitted lambda; the correct threshold
     semantics there is the edge of the representable quality range, so the
     inverse power base is floored at a tiny positive value.
     """
     a = np.clip(np.asarray(alpha_bar, dtype=float), PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
-    y = fit.mu + normal_quantile(a) * fit.scale
-    lam = fit.lambda_star
-    if abs(lam) < _LOG_BRANCH_EPS:
-        out = np.exp(y)
-    else:
-        out = np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / lam)
+    y = mu + normal_quantile(a) * scale
+    lam = np.asarray(lmbda, dtype=float)
+    log_branch = np.abs(lam) < _LOG_BRANCH_EPS
+    safe_lam = np.where(log_branch, 1.0, lam)
+    out = np.where(log_branch, np.exp(y),
+                   np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / safe_lam))
     return out if out.ndim else float(out)

@@ -200,9 +200,11 @@ def _run_round(config: ScenarioConfig, stream: ImpressionStream | None,
     return reports, traces
 
 
-def _round_worker(args) -> list[MetricsReport]:
+def _round_worker(args) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
+    """One round's reports, plus its traces for round 0 only."""
     config, round_index = args
-    return _run_round(config, None, round_index)[0]
+    reports, traces = _run_round(config, None, round_index)
+    return reports, traces if round_index == 0 else {}
 
 
 def run_experiment(config: ScenarioConfig, jobs: int = 1) -> list[MetricsReport]:
@@ -219,9 +221,7 @@ def run_experiment_detailed(config: ScenarioConfig, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             chunks = list(pool.map(_round_worker,
                                    [(config, r) for r in range(config.rounds)]))
-        reports = [rep for chunk in chunks for rep in chunk]
-        _, traces0 = _run_round(config, None, 0)
-        return reports, traces0
+        return [rep for reps, _ in chunks for rep in reps], chunks[0][1]
 
     stream = None
     if not config.regenerate_stream_per_round:
@@ -240,6 +240,14 @@ def run_experiment_detailed(config: ScenarioConfig, jobs: int = 1,
 
 _HYPER_FIELDS = {f.name for f in fields(PacingHyperParams)}
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
+
+
+def _as_int(value, where: str) -> int:
+    """An integer config value; a non-integral number is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _parse_model(obj, where: str) -> BetaQualityModel:
@@ -265,7 +273,8 @@ def _parse_campaigns(obj, total_requests: int, seed: int) -> list[CampaignSpec]:
             kwargs["recall_range"] = tuple(obj["recall_range"])
         if "supply_margin" in obj:
             kwargs["supply_margin"] = float(obj["supply_margin"])
-        return synth_campaigns(int(obj["count"]), total_requests, seed=seed, **kwargs)
+        return synth_campaigns(_as_int(obj["count"], "campaigns.count"), total_requests,
+                               seed=seed, **kwargs)
     if not isinstance(obj, list):
         raise ConfigError("campaigns must be a list of campaign objects or a generator object")
     specs = []
@@ -280,8 +289,8 @@ def _parse_campaigns(obj, total_requests: int, seed: int) -> list[CampaignSpec]:
         if missing:
             raise ConfigError(f"{where}: missing keys {sorted(missing)}")
         specs.append(CampaignSpec(
-            id=int(entry["id"]),
-            budget=int(entry["budget"]),
+            id=_as_int(entry["id"], f"{where}.id"),
+            budget=_as_int(entry["budget"], f"{where}.budget"),
             recall_prob=float(entry["recall_prob"]),
             quality_model=_parse_model(entry["quality_model"], where),
         ))
@@ -298,7 +307,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     cfg = ScenarioConfig()
     for key in ("num_periods", "requests_per_period", "seed", "rounds"):
         if key in data:
-            setattr(cfg, key, int(data[key]))
+            setattr(cfg, key, _as_int(data[key], key))
     if "algorithms" in data:
         cfg.algorithms = tuple(data["algorithms"])
     if "budget_scale_range" in data:
@@ -320,7 +329,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
     if "drift_period" in data and data["drift_period"] is not None:
-        cfg.drift_period = int(data["drift_period"])
+        cfg.drift_period = _as_int(data["drift_period"], "drift_period")
     if "drift_models" in data and data["drift_models"] is not None:
         models = data["drift_models"]
         if not isinstance(models, dict):
@@ -338,10 +347,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if "campaigns" in data:
         cfg.campaigns = _parse_campaigns(data["campaigns"], cfg.total_requests, cfg.seed)
 
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
+    cfg.validate()
     return cfg
 
 

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .quality import BetaQualityModel
+
+
+_CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
 
 
 class StreamFormatError(ValueError):
@@ -130,17 +134,10 @@ class ImpressionStream:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ImpressionStream):
             return NotImplemented
-        if self.n_periods != other.n_periods:
-            return False
-        for a, b in zip(self.periods, other.periods):
-            if a.n_requests != b.n_requests or a.n_edges != b.n_edges:
-                return False
-            if not (np.array_equal(a.request_ids, b.request_ids)
-                    and np.array_equal(a.req, b.req)
-                    and np.array_equal(a.camp, b.camp)
-                    and np.array_equal(a.v, b.v)):
-                return False
-        return True
+        return self.n_periods == other.n_periods and all(
+            np.array_equal(getattr(a, key), getattr(b, key))
+            for a, b in zip(self.periods, other.periods)
+            for key in ("request_ids", "req", "camp", "v"))
 
 
 def from_requests(requests: list[ImpressionRequest],
@@ -227,6 +224,9 @@ def load_stream_csv(path) -> ImpressionStream:
                 raise StreamFormatError(f"line {line}: {exc}") from None
             if not 0.0 < ctr < 1.0:
                 raise StreamFormatError(f"line {line}: ctr must lie strictly in (0, 1), got {ctr}")
+            if not _CTR_DECIMAL.fullmatch(row[3].strip()):
+                raise StreamFormatError(f"line {line}: ctr must be a decimal with at most "
+                                        f"6 fractional digits, got {row[3]!r}")
             if last_period is not None and period < last_period:
                 raise StreamFormatError(f"line {line}: period {period} after period {last_period}; "
                                         "periods must be grouped in non-decreasing order")

@@ -1,0 +1,273 @@
+"""Sequential scalar reference implementations of the three delivery policies.
+
+The engine runs each policy vectorized over a whole period.  The functions
+here decide one request at a time and update one campaign at a time, over
+the same `CampaignArrays` state, so a replay with them pins the engine's
+sequential budget semantics, its draw-consumption order and its array
+period updates.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gdpacer.engine import (_ALGO_TAGS, _TAG_RUN, CampaignArrays, RunConfig, _FitManager,
+                            _substream, init_campaign_states)
+from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv,
+                            psi_speed_bound, update_eptr)
+from gdpacer.quality import backward_transform_clipped, boxcox, normal_cdf
+
+SMART_PTR_FLOOR = 0.01
+
+
+def campaigns(n: int = 1, **fields) -> CampaignArrays:
+    """Hand-made state for n campaigns with ids 0..n-1; each field is a
+    scalar broadcast to all campaigns or a per-campaign sequence."""
+    base = dict(budget=100.0, rho=10.0, audience=1000.0, ptr_exp=1.0, ptr_base=1.0,
+                alpha_bar=0.9, alpha=0.0, eptr=1.0, exhausted=False,
+                lam=np.nan, mu=np.nan, scale=np.nan)
+    base.update(fields)
+    base.setdefault("remaining", base["budget"])
+    arrays = {k: np.array(np.broadcast_to(v, n), dtype=bool if k == "exhausted" else float)
+              for k, v in base.items()}
+    return CampaignArrays(ids=np.arange(n, dtype=np.int64), **arrays)
+
+
+@dataclass(frozen=True)
+class Decision:
+    request_id: int
+    winner: int | None              # campaign id
+    bid: float | None               # winning score
+    throttled: frozenset[int]       # campaigns that failed their throttle draw
+
+
+def _live(camps: CampaignArrays, i: int) -> bool:
+    return not camps.exhausted[i] and camps.remaining[i] >= 1.0
+
+
+def _award(request, camps: CampaignArrays, best, best_bid, throttled=()) -> Decision:
+    if best is None:
+        return Decision(request.request_id, None, None, frozenset(throttled))
+    camps.remaining[best] -= 1.0
+    if camps.remaining[best] < 1.0:
+        camps.exhausted[best] = True
+    return Decision(request.request_id, int(camps.ids[best]), float(best_bid),
+                    frozenset(throttled))
+
+
+def _recalled(request, camps: CampaignArrays):
+    """(index, quality) of the campaigns the request recalls, ascending id."""
+    for i, cid in enumerate(camps.ids):
+        v = request.qualities.get(int(cid))
+        if v is not None:
+            yield i, v
+
+
+def compute_ptr(camps: CampaignArrays, i: int, params: PacingHyperParams,
+                v_bar: float) -> float:
+    """Pass-through rate for one request: min{1, base * fp * fv} * ePTR."""
+    a = camps.alpha_bar[i]
+    raw = camps.ptr_base[i] * fp(a, params.p_ub) * fv(a, v_bar, params.slope_k)
+    return float(min(1.0, raw) * camps.eptr[i])
+
+
+def dmd_decide(request, camps: CampaignArrays) -> Decision:
+    """Highest premium v - alpha among non-exhausted recalled campaigns wins;
+    no positivity requirement; ties break to the lowest campaign id."""
+    best, best_bid = None, -np.inf
+    for i, v in _recalled(request, camps):
+        if not _live(camps, i):
+            continue
+        bid = v - camps.alpha[i]
+        if bid > best_bid:
+            best, best_bid = i, bid
+    return _award(request, camps, best, best_bid)
+
+
+def rcp_decide(request, camps: CampaignArrays, params: PacingHyperParams,
+               rng: np.random.Generator) -> Decision:
+    """Throttled premium auction.
+
+    One uniform draw is consumed per recalled campaign in ascending-id order,
+    whether or not the campaign is exhausted.  Winner is the highest strictly
+    positive premium among campaigns that passed their draw; ties break to
+    the lowest id.
+    """
+    throttled = set()
+    best, best_bid = None, -np.inf
+    for i, v in _recalled(request, camps):
+        u = float(rng.random())
+        if not _live(camps, i):
+            continue
+        v_bar = normal_cdf((boxcox(camps.lam[i], v) - camps.mu[i]) / camps.scale[i])
+        if u >= compute_ptr(camps, i, params, v_bar):
+            throttled.add(int(camps.ids[i]))
+            continue
+        bid = v - camps.alpha[i]
+        if bid > 0.0 and bid > best_bid:
+            best, best_bid = i, bid
+    return _award(request, camps, best, best_bid, throttled)
+
+
+def smart_decide(request, camps: CampaignArrays, layer_ptr: np.ndarray,
+                 rng: np.random.Generator) -> Decision:
+    """Layer throttle, then the highest raw quality among passers wins.
+
+    One draw per recalled campaign, as in `rcp_decide`; a campaign passes
+    with the pass rate of the equal-width quality layer its quality falls in.
+    """
+    L = layer_ptr.shape[1]
+    throttled = set()
+    best, best_bid = None, -np.inf
+    for i, v in _recalled(request, camps):
+        u = float(rng.random())
+        if not _live(camps, i):
+            continue
+        if u >= layer_ptr[i, min(int(v * L), L - 1)]:
+            throttled.add(int(camps.ids[i]))
+            continue
+        if v > best_bid:
+            best, best_bid = i, v
+    return _award(request, camps, best, best_bid, throttled)
+
+
+# --- per-campaign period updates ----------------------------------------------
+
+def _deficit(camps, i, cost, n_requests, avg_requests, gradient_mode) -> float:
+    rho_bar = camps.rho[i] / avg_requests
+    g = rho_bar - cost[i] / max(1, n_requests)
+    return g / rho_bar if gradient_mode == "relative" else g
+
+
+def dmd_update(camps: CampaignArrays, cost, n_requests: int, avg_requests: float,
+               eta: float, gradient_mode: str = "relative") -> None:
+    for i in range(camps.ids.size):
+        if camps.rho[i] > 0.0:
+            g = _deficit(camps, i, cost, n_requests, avg_requests, gradient_mode)
+            camps.alpha[i] = max(0.0, camps.alpha[i] - eta * g)
+
+
+def clip_dual(camps: CampaignArrays, i: int, alpha_tilde_next: float, g_tilde: float,
+              spd: float, params: PacingHyperParams, period_scale: bool = True) -> float:
+    """Static clip of the divergence step, tightened by the participation
+    bound when adaptive clipping is enabled and periods hold many requests."""
+    a = camps.alpha_bar[i]
+    bound = None
+    if params.adaptive_clip_enabled and period_scale:
+        bound = psi_speed_bound(a, camps.ptr_base[i], spd, params)
+    return float(apply_dual_clip(a, alpha_tilde_next, g_tilde, params.alpha_hat, bound))
+
+
+def rcp_update(camps: CampaignArrays, cost, n_requests: int, avg_requests: float,
+               params: PacingHyperParams, gradient_mode: str = "relative",
+               period_scale: bool = True) -> None:
+    for i in range(camps.ids.size):
+        if camps.rho[i] <= 0.0:
+            continue
+        a = camps.alpha_bar[i]
+        g = _deficit(camps, i, cost, n_requests, avg_requests, gradient_mode)
+        spd = cost[i] / camps.rho[i]
+        a_tilde = dual_step(a, g, params)
+        if params.clip_enabled:
+            camps.alpha_bar[i] = clip_dual(camps, i, a_tilde, g, spd, params, period_scale)
+        else:
+            camps.alpha_bar[i] = min(1.0, max(0.0, a_tilde))
+        if period_scale:
+            camps.eptr[i] = update_eptr(camps.eptr[i], spd, params.eptr_speed_cap)
+
+
+def smart_init(camps: CampaignArrays, params: PacingHyperParams, layers: int) -> np.ndarray:
+    layer_ptr = np.empty((camps.ids.size, layers))
+    for i in range(camps.ids.size):
+        aud = camps.audience[i]
+        layer_ptr[i, :] = min(1.0, camps.budget[i] / (aud * params.wr_glb)) if aud > 0 else 1.0
+    return layer_ptr
+
+
+def smart_update(camps: CampaignArrays, layer_ptr: np.ndarray, cost) -> None:
+    """Open the highest closed layer when underspending, shrink the lowest
+    open layer when overspending; exhausted campaigns are left alone."""
+    L = layer_ptr.shape[1]
+    for i in range(camps.ids.size):
+        if camps.rho[i] <= 0.0 or camps.exhausted[i]:
+            continue
+        spd = cost[i] / camps.rho[i]
+        if spd < 1.0:
+            boost = 2.0 if spd <= 0.0 else min(2.0, 1.0 / spd)
+            for l in range(L - 1, -1, -1):
+                if layer_ptr[i, l] < 1.0:
+                    layer_ptr[i, l] = min(1.0, layer_ptr[i, l] * boost)
+                    break
+        elif spd > 1.0:
+            shrink = max(0.5, 1.0 / spd)
+            for l in range(L):
+                if layer_ptr[i, l] > SMART_PTR_FLOOR:
+                    layer_ptr[i, l] = max(SMART_PTR_FLOOR, layer_ptr[i, l] * shrink)
+                    break
+
+
+# --- whole-run replay -----------------------------------------------------------
+
+@dataclass
+class Replay:
+    wins: np.ndarray                # (M, T)
+    quality_sum: np.ndarray         # (M, T)
+    duals: np.ndarray               # (M, T) dual in effect during each period
+    eptr: np.ndarray                # (M, T)
+    remaining: np.ndarray           # (M,)
+
+
+def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
+    """Run one policy request by request with the scalar functions above."""
+    if config.per_impression:
+        stream = stream.per_impression()
+    params = config.params
+    camps = init_campaign_states(specs, stream, params)
+    M, T = camps.ids.size, stream.n_periods
+    index = {int(c): i for i, c in enumerate(camps.ids)}
+    avg = stream.avg_requests_per_period
+    rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS[algorithm])
+    out = Replay(np.zeros((M, T), dtype=np.int64), np.zeros((M, T)), np.zeros((M, T)),
+                 np.ones((M, T)), camps.remaining)
+    if algorithm == "rcpacing":
+        fits = _FitManager(sorted(specs, key=lambda s: s.id), config)
+    else:
+        camps.eptr[:] = 1.0
+    if algorithm == "smart":
+        layer_ptr = smart_init(camps, params, config.smart_layers)
+
+    requests = [[] for _ in range(T)]
+    for r in stream.iter_requests():
+        requests[r.period].append(r)
+
+    for t, p in enumerate(stream.periods):
+        if algorithm == "rcpacing":
+            fits.assign_fits(camps)
+            for i in range(M):
+                camps.alpha[i] = backward_transform_clipped(
+                    camps.lam[i], camps.mu[i], camps.scale[i], camps.alpha_bar[i])
+        out.duals[:, t] = camps.alpha_bar if algorithm == "rcpacing" else camps.alpha
+        out.eptr[:, t] = camps.eptr
+        for r in requests[t]:
+            if algorithm == "dmd":
+                d = dmd_decide(r, camps)
+            elif algorithm == "rcpacing":
+                d = rcp_decide(r, camps, params, rng)
+            else:
+                d = smart_decide(r, camps, layer_ptr, rng)
+            if d.winner is not None:
+                out.wins[index[d.winner], t] += 1
+                out.quality_sum[index[d.winner], t] += r.qualities[d.winner]
+        cost = out.wins[:, t].astype(float)
+        if algorithm == "dmd":
+            dmd_update(camps, cost, p.n_requests, avg, params.eta, config.gradient_mode)
+        elif algorithm == "rcpacing":
+            known = np.isin(p.camp, camps.ids)
+            fits.log_period(np.searchsorted(camps.ids, p.camp[known]), p.v[known], M)
+            rcp_update(camps, cost, p.n_requests, avg, params, config.gradient_mode,
+                       period_scale=not config.per_impression)
+        else:
+            smart_update(camps, layer_ptr, cost)
+    return out

@@ -143,6 +143,24 @@ def test_run_malformed_config(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_run_rejects_non_finite_hyperparameter(tmp_path, literal, capsys):
+    path = tmp_path / "nan.json"
+    text = json.dumps(dict(_config_dict(), hyperparams={"eta": 0.2}))
+    path.write_text(text.replace('"eta": 0.2', f'"eta": {literal}'))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "eta must be finite" in capsys.readouterr().err
+
+
+def test_run_rejects_fractional_config_seed(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(_config_dict(seed=2.9)))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "seed must be an integer" in capsys.readouterr().err
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")])

@@ -1,25 +1,28 @@
 """Delivery-loop tests.
 
 The heavyweight checks here are scalar-vs-vectorized differentials: each
-period loop is replayed with the one-request-at-a-time decision functions
-(`dmd_decide`, `rcp_decide`) against the same generator, and per-period win
-counts must match the vectorized runners exactly.  That pins both the
-sequential budget semantics and the edge-order draw-consumption contract.
+run is replayed with the one-request-at-a-time decision functions and
+one-campaign-at-a-time period updates of `oracle.py` against the same
+generator, and per-period win counts must match the vectorized runners
+exactly.  That pins both the sequential budget semantics and the edge-order
+draw-consumption contract.
 """
-
-from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from gdpacer.engine import (_ALGO_TAGS, _TAG_RUN, _FitManager, DeliveryTrace,
-                            RunConfig, _substream, dmd_decide, dmd_period_update,
-                            init_campaign_states, rcp_decide, rcp_period_update,
+import oracle
+from gdpacer.engine import (_ALGO_TAGS, _FitManager, RUNNERS, RunConfig, _substream,
+                            dmd_period_update, init_campaign_states, rcp_period_update,
                             run_dmd, run_rcpacing, run_seed, run_smart_baseline)
-from gdpacer.pacing import CampaignState, PacingHyperParams, PeriodStats
-from gdpacer.quality import BetaQualityModel, DomainError, backward_transform_clipped
+from gdpacer.metrics import hindsight_optimum
+from gdpacer.pacing import PacingHyperParams
+from gdpacer.quality import BetaQualityModel, DomainError
 from gdpacer.simulate import CampaignSpec
-from gdpacer.streams import ImpressionRequest, from_requests
+from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch, from_requests
+from oracle import campaigns, dmd_decide, rcp_decide
 
 
 def _spec(j, budget, recall=1.0, m=2.0, n=5.0):
@@ -27,7 +30,8 @@ def _spec(j, budget, recall=1.0, m=2.0, n=5.0):
                         quality_model=BetaQualityModel(m, n))
 
 
-def _rand_stream(n_campaigns, n_periods, requests_per_period, seed, recall=0.7):
+def _rand_stream(n_campaigns, n_periods, requests_per_period, seed, recall=0.7, shapes=None):
+    shapes = shapes or [(2.0, 5.0)] * n_campaigns
     rng = np.random.default_rng(seed)
     reqs, rid = [], 0
     for t in range(n_periods):
@@ -35,58 +39,48 @@ def _rand_stream(n_campaigns, n_periods, requests_per_period, seed, recall=0.7):
             quals = {}
             for j in range(n_campaigns):
                 if rng.random() < recall:
-                    quals[j] = float(np.clip(rng.beta(2.0, 5.0), 1e-6, 1.0 - 1e-6))
+                    quals[j] = float(np.clip(rng.beta(*shapes[j]), 1e-6, 1.0 - 1e-6))
             reqs.append(ImpressionRequest(rid, t, quals))
             rid += 1
     return from_requests(reqs)
 
 
-def _state(j=0, budget=100.0, alpha=0.0, remaining=None, exhausted=False):
-    return CampaignState(id=j, budget=budget,
-                         remaining=budget if remaining is None else remaining,
-                         rho=budget / 10.0, audience=1000.0, fit=None, ptr_exp=1.0,
-                         ptr_base=1.0, alpha_bar=0.9, alpha=alpha, eptr=1.0,
-                         exhausted=exhausted, period_cost=0.0, period_ecost=budget / 10.0)
-
-
 # --- scalar decision rules ----------------------------------------------------
 
 def test_dmd_decide_singleton():
-    s = _state(0)
-    d = dmd_decide(ImpressionRequest(5, 0, {0: 0.3}), [s])
+    c = campaigns(1)
+    d = dmd_decide(ImpressionRequest(5, 0, {0: 0.3}), c)
     assert d.winner == 0 and d.bid == pytest.approx(0.3)
-    assert s.remaining == 99.0 and s.period_cost == 1.0
+    assert c.remaining[0] == 99.0
 
 
 def test_dmd_decide_argmax_premium():
-    sts = [_state(0, alpha=0.0), _state(1, alpha=0.25)]
+    c = campaigns(2, alpha=[0.0, 0.25])
     # premiums 0.3 vs 0.15: raw quality does not decide, premium does
-    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.3, 1: 0.4}), sts)
+    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.3, 1: 0.4}), c)
     assert d.winner == 0
 
 
 def test_dmd_decide_allocates_at_negative_premium():
-    s = _state(0, alpha=0.9)
-    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.3}), [s])
+    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.3}), campaigns(1, alpha=0.9))
     assert d.winner == 0 and d.bid == pytest.approx(-0.6)
 
 
 def test_dmd_decide_tie_breaks_to_lowest_id():
-    sts = [_state(0), _state(1)]
-    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.4, 1: 0.4}), sts)
+    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.4, 1: 0.4}), campaigns(2))
     assert d.winner == 0
 
 
 def test_dmd_decide_skips_exhausted():
-    sts = [_state(0, exhausted=True), _state(1, remaining=0.5)]
-    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.9, 1: 0.9}), sts)
+    c = campaigns(2, exhausted=[True, False], remaining=[100.0, 0.5])
+    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.9, 1: 0.9}), c)
     assert d.winner is None and d.bid is None
 
 
 def test_dmd_decide_exhausts_on_last_unit():
-    s = _state(0, remaining=1.0)
-    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.2}), [s])
-    assert d.winner == 0 and s.exhausted
+    c = campaigns(1, remaining=1.0)
+    d = dmd_decide(ImpressionRequest(0, 0, {0: 0.2}), c)
+    assert d.winner == 0 and c.exhausted[0]
 
 
 def test_dmd_decide_shift_invariance():
@@ -95,23 +89,20 @@ def test_dmd_decide_shift_invariance():
         quals = {j: float(rng.uniform(0.01, 0.99)) for j in range(4)}
         alphas = rng.uniform(0.0, 0.8, size=4)
         winners = []
-        for c in (0.0, 0.37):
-            sts = [_state(j, alpha=float(alphas[j] + c)) for j in range(4)]
-            winners.append(dmd_decide(ImpressionRequest(0, 0, quals), sts).winner)
+        for shift in (0.0, 0.37):
+            c = campaigns(4, alpha=alphas + shift)
+            winners.append(dmd_decide(ImpressionRequest(0, 0, quals), c).winner)
         assert winners[0] == winners[1]
 
 
-def _neutral_fit():
-    from gdpacer.quality import BoxCoxFit
-    return BoxCoxFit(1.0, -0.5, 0.3, 0.0)
+NEUTRAL_FIT = dict(lam=1.0, mu=-0.5, scale=0.3)
 
 
 def test_rcp_decide_requires_positive_premium():
-    s = _state(0, alpha=0.5)
-    s.fit = _neutral_fit()
+    c = campaigns(1, alpha=0.5, **NEUTRAL_FIT)
     rng = _substream(0)
     # quality below the dual: campaign may pass the throttle but must not win
-    d = rcp_decide(ImpressionRequest(0, 0, {0: 0.4}), [s], PacingHyperParams(), rng)
+    d = rcp_decide(ImpressionRequest(0, 0, {0: 0.4}), c, PacingHyperParams(), rng)
     assert d.winner is None
 
 
@@ -120,12 +111,9 @@ def test_rcp_decide_draw_consumed_even_when_exhausted():
     req = ImpressionRequest(0, 0, {0: 0.6, 1: 0.6})
     outcomes = []
     for exhausted in (False, True):
-        sts = [_state(0, alpha=0.1, exhausted=exhausted), _state(1, alpha=0.1)]
-        for s in sts:
-            s.alpha_bar = 0.5
-            s.fit = _neutral_fit()
+        c = campaigns(2, alpha=0.1, alpha_bar=0.5, exhausted=[exhausted, False], **NEUTRAL_FIT)
         rng = _substream(123)
-        rcp_decide(req, sts, params, rng)
+        rcp_decide(req, c, params, rng)
         outcomes.append(float(rng.random()))
     # generator position after the call is identical either way
     assert outcomes[0] == outcomes[1]
@@ -133,81 +121,122 @@ def test_rcp_decide_draw_consumed_even_when_exhausted():
 
 # --- period updates -------------------------------------------------------------
 
-def _stats(cost, n=20, avg=20.0):
-    return PeriodStats(cost=np.asarray(cost, dtype=float), n_requests=n, avg_requests=avg)
+def _cost(*values):
+    return np.array(values, dtype=float)
+
+
+# 20 requests in the period and on average, so rho = 10 targets x_bar = 0.5
+N, AVG = 20, 20.0
 
 
 def test_dmd_update_on_target_is_fixed_point():
     for mode in ("relative", "absolute"):
-        s = _state(0, budget=100.0, alpha=0.3)    # rho = 10, target x_bar = 0.5
-        dmd_period_update([s], _stats([10.0]), eta=0.2, gradient_mode=mode)
-        assert s.alpha == pytest.approx(0.3)
+        c = campaigns(1, alpha=0.3)
+        dmd_period_update(c, _cost(10.0), N, AVG, eta=0.2, gradient_mode=mode)
+        assert c.alpha[0] == pytest.approx(0.3)
 
 
 def test_dmd_update_overspend_raises_dual():
-    s = _state(0, budget=100.0, alpha=0.3)
-    dmd_period_update([s], _stats([15.0]), eta=0.2, gradient_mode="relative")
+    c = campaigns(1, alpha=0.3)
+    dmd_period_update(c, _cost(15.0), N, AVG, eta=0.2, gradient_mode="relative")
     # g = (0.5 - 0.75) / 0.5 = -0.5, alpha <- 0.3 + 0.2 * 0.5
-    assert s.alpha == pytest.approx(0.4)
-    s = _state(0, budget=100.0, alpha=0.3)
-    dmd_period_update([s], _stats([15.0]), eta=0.2, gradient_mode="absolute")
+    assert c.alpha[0] == pytest.approx(0.4)
+    c = campaigns(1, alpha=0.3)
+    dmd_period_update(c, _cost(15.0), N, AVG, eta=0.2, gradient_mode="absolute")
     # g = 0.5 - 0.75 = -0.25, alpha <- 0.3 + 0.2 * 0.25
-    assert s.alpha == pytest.approx(0.35)
+    assert c.alpha[0] == pytest.approx(0.35)
 
 
 def test_dmd_update_underspend_clamps_at_zero():
-    s = _state(0, budget=100.0, alpha=0.05)
-    dmd_period_update([s], _stats([2.0]), eta=0.5, gradient_mode="relative")
-    assert s.alpha == 0.0
+    c = campaigns(1, alpha=0.05)
+    dmd_period_update(c, _cost(2.0), N, AVG, eta=0.5, gradient_mode="relative")
+    assert c.alpha[0] == 0.0
 
 
 def test_dmd_update_skips_zero_target():
-    s = _state(0, alpha=0.3)
-    s.period_ecost = 0.0
-    dmd_period_update([s], _stats([5.0]), eta=0.2)
-    assert s.alpha == pytest.approx(0.3)
+    c = campaigns(1, alpha=0.3, rho=0.0)
+    dmd_period_update(c, _cost(5.0), N, AVG, eta=0.2)
+    assert c.alpha[0] == pytest.approx(0.3)
 
 
 def test_rcp_update_zero_target_identity():
-    s = _state(0)
-    s.period_ecost = 0.0
-    before = (s.alpha_bar, s.eptr)
-    rcp_period_update([s], _stats([0.0]), PacingHyperParams())
-    assert (s.alpha_bar, s.eptr) == before
+    c = campaigns(1, rho=0.0)
+    before = (c.alpha_bar[0], c.eptr[0])
+    rcp_period_update(c, _cost(0.0), N, AVG, PacingHyperParams())
+    assert (c.alpha_bar[0], c.eptr[0]) == before
 
 
 def test_rcp_update_on_target_fixes_dual():
-    # cost == ecost == rho: g = 0 and spd = 1, so the dual must not move
-    s = _state(0, budget=100.0)
-    s.alpha_bar = 0.62
-    s.eptr = 1.0
-    rcp_period_update([s], _stats([10.0]), PacingHyperParams())
-    assert s.alpha_bar == pytest.approx(0.62, abs=1e-12)
-    assert s.eptr == 1.0
+    # cost == rho: g = 0 and spd = 1, so the dual must not move
+    c = campaigns(1, alpha_bar=0.62, eptr=1.0)
+    rcp_period_update(c, _cost(10.0), N, AVG, PacingHyperParams())
+    assert c.alpha_bar[0] == pytest.approx(0.62, abs=1e-12)
+    assert c.eptr[0] == 1.0
 
 
 def test_rcp_update_underspend_lowers_dual():
-    s = _state(0, budget=100.0)
-    s.alpha_bar = 0.62
-    rcp_period_update([s], _stats([4.0]), PacingHyperParams())
-    assert s.alpha_bar < 0.62
+    c = campaigns(1, alpha_bar=0.62)
+    rcp_period_update(c, _cost(4.0), N, AVG, PacingHyperParams())
+    assert c.alpha_bar[0] < 0.62
 
 
 def test_rcp_update_period_scale_false_freezes_eptr():
-    s = _state(0, budget=100.0)
-    s.alpha_bar = 0.62
-    s.eptr = 0.25
-    rcp_period_update([s], _stats([4.0]), PacingHyperParams(), period_scale=False)
-    assert s.eptr == 0.25           # would grow toward 1 if the update ran
+    c = campaigns(1, alpha_bar=0.62, eptr=0.25)
+    rcp_period_update(c, _cost(4.0), N, AVG, PacingHyperParams(), period_scale=False)
+    assert c.eptr[0] == 0.25           # would grow toward 1 if the update ran
 
 
-def test_rcp_update_maps_dual_back_to_quality_space():
-    from gdpacer.quality import BoxCoxFit
-    s = _state(0, budget=100.0)
-    s.alpha_bar = 0.62
-    s.fit = BoxCoxFit(1.0, -0.5, 0.2, 0.0)
-    rcp_period_update([s], _stats([10.0]), PacingHyperParams())
-    assert s.alpha == pytest.approx(backward_transform_clipped(s.fit, s.alpha_bar))
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+@pytest.mark.parametrize("params", [PacingHyperParams(), PacingHyperParams(eta=3.0),
+                                    PacingHyperParams(divergence="euclidean"),
+                                    PacingHyperParams(clip_enabled=False),
+                                    PacingHyperParams(adaptive_clip_enabled=False)])
+def test_array_updates_match_per_campaign_updates(params, mode):
+    rng = np.random.default_rng(17)
+    fields = dict(rho=[0.0, 2.0, 10.0, 10.0, 30.0], alpha=rng.uniform(0.0, 0.8, 5),
+                  alpha_bar=rng.uniform(0.0, 1.0, 5), ptr_base=rng.uniform(0.1, 1.0, 5),
+                  eptr=rng.uniform(0.1, 1.0, 5))
+    cost = _cost(3.0, 0.0, 10.0, 25.0, 7.0)
+    for period_scale in (True, False):
+        vec, ref = campaigns(5, **fields), campaigns(5, **fields)
+        rcp_period_update(vec, cost, N, AVG, params, mode, period_scale)
+        oracle.rcp_update(ref, cost, N, AVG, params, mode, period_scale)
+        assert np.array_equal(vec.alpha_bar, ref.alpha_bar)
+        assert np.array_equal(vec.eptr, ref.eptr)
+    vec, ref = campaigns(5, **fields), campaigns(5, **fields)
+    dmd_period_update(vec, cost, N, AVG, params.eta, mode)
+    oracle.dmd_update(ref, cost, N, AVG, params.eta, mode)
+    assert np.array_equal(vec.alpha, ref.alpha)
+
+
+# --- transform fits ----------------------------------------------------------------
+
+def test_fit_fallback_keeps_each_campaigns_own_prior():
+    # own windows too small, pooled window degenerate (all one value): each
+    # campaign must fall back to the prior of its own quality model
+    specs = [_spec(0, 10, m=2, n=5), _spec(1, 10, m=6, n=2)]
+    cfg = RunConfig(min_fit_samples=30)
+    fits = _FitManager(specs, cfg)
+    fits.log_period(np.repeat([0, 1], 20), np.full(40, 0.5), 2)
+    c = campaigns(2)
+    fits.assign_fits(c)
+    for i in range(2):
+        prior = fits._prior_fit(i)
+        assert (c.lam[i], c.mu[i], c.scale[i]) == (prior.lambda_star, prior.mu, prior.scale)
+    assert c.lam[0] != c.lam[1]
+
+
+def test_fit_prefers_own_then_pooled_window():
+    rng = np.random.default_rng(5)
+    specs = [_spec(0, 10), _spec(1, 10)]
+    fits = _FitManager(specs, RunConfig(min_fit_samples=30))
+    v = np.concatenate([rng.beta(2, 5, 40), rng.beta(5, 2, 10)])
+    fits.log_period(np.repeat([0, 1], [40, 10]), v, 2)
+    c = campaigns(2)
+    fits.assign_fits(c)
+    own, pooled = fits._try_fit(v[:40]), fits._try_fit(v)
+    assert (c.lam[0], c.mu[0]) == (own.lambda_star, own.mu)
+    assert (c.lam[1], c.mu[1]) == (pooled.lambda_star, pooled.mu)
 
 
 # --- config / seeding ------------------------------------------------------------
@@ -228,14 +257,15 @@ def test_run_seed_stable_and_distinct():
 def test_init_campaign_states_values():
     stream = _rand_stream(1, 10, 200, seed=0, recall=1.0)   # 2000 requests
     specs = [_spec(0, budget=100, recall=0.5)]
-    (s,) = init_campaign_states(specs, stream, PacingHyperParams())
+    c = init_campaign_states(specs, stream, PacingHyperParams())
+    assert c.ids.size == 1
     # audience 1000, ptr_exp = 100 / (1000 * (1 - 0.9)) = 1.0
-    assert s.ptr_exp == pytest.approx(1.0)
-    assert s.alpha_bar == pytest.approx(0.9)
-    assert s.ptr_base == pytest.approx(1.0)     # min{1, 1.0 / 0.15}
-    assert s.rho == pytest.approx(10.0)
-    assert s.eptr == PacingHyperParams().initial_trial_rate
-    assert not s.exhausted
+    assert c.ptr_exp[0] == pytest.approx(1.0)
+    assert c.alpha_bar[0] == pytest.approx(0.9)
+    assert c.ptr_base[0] == pytest.approx(1.0)     # min{1, 1.0 / 0.15}
+    assert c.rho[0] == pytest.approx(10.0)
+    assert c.eptr[0] == PacingHyperParams().initial_trial_rate
+    assert not c.exhausted[0]
 
 
 def test_init_campaign_states_rejects_duplicate_ids():
@@ -336,67 +366,83 @@ def test_epsilon_pulls_transforms_toward_half():
 
 # --- scalar vs vectorized differentials -------------------------------------------
 
-def _group_requests(stream):
-    by_period = defaultdict(list)
-    for r in stream.iter_requests():
-        by_period[r.period].append(r)
-    return by_period
+def _assert_matches_replay(trace, ref):
+    for t in range(trace.wins.shape[1]):
+        assert np.array_equal(trace.wins[:, t], ref.wins[:, t]), f"period {t}"
+    np.testing.assert_allclose(trace.quality_sum, ref.quality_sum, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.duals, ref.duals, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trace.eptr, ref.eptr, rtol=0, atol=1e-12)
+    assert np.array_equal(trace.remaining, ref.remaining)
 
 
 def test_run_dmd_matches_scalar_replay():
     stream = _rand_stream(3, 6, 40, seed=10)
     specs = [_spec(0, 15), _spec(1, 25), _spec(2, 200)]
     cfg = RunConfig()
-    trace = run_dmd(stream, specs, cfg)
-
-    states = init_campaign_states(specs, stream, cfg.params)
-    for s in states:
-        s.alpha, s.eptr = 0.0, 1.0
-    idx = {s.id: i for i, s in enumerate(states)}
-    by_period = _group_requests(stream)
-    avg = stream.avg_requests_per_period
-    for t, p in enumerate(stream.periods):
-        cost = np.zeros(3)
-        for r in by_period[t]:
-            d = dmd_decide(r, states)
-            if d.winner is not None:
-                cost[idx[d.winner]] += 1.0
-        assert np.array_equal(trace.wins[:, t], cost.astype(np.int64)), f"period {t}"
-        stats = PeriodStats(cost=cost, n_requests=p.n_requests, avg_requests=avg)
-        dmd_period_update(states, stats, cfg.params.eta, cfg.gradient_mode)
-        if t + 1 < trace.duals.shape[1]:
-            np.testing.assert_allclose([s.alpha for s in states],
-                                       trace.duals[:, t + 1], atol=1e-12)
+    _assert_matches_replay(run_dmd(stream, specs, cfg), oracle.replay("dmd", stream, specs, cfg))
 
 
 def test_run_rcpacing_matches_scalar_replay():
     stream = _rand_stream(3, 6, 40, seed=12)
     specs = [_spec(0, 15, m=2, n=5), _spec(1, 25, m=3, n=3), _spec(2, 200, m=5, n=2)]
     cfg = RunConfig(seed=13)
-    trace = run_rcpacing(stream, specs, cfg)
+    _assert_matches_replay(run_rcpacing(stream, specs, cfg),
+                           oracle.replay("rcpacing", stream, specs, cfg))
 
-    params = cfg.params
-    states = init_campaign_states(specs, stream, params)
-    fitman = _FitManager(sorted(specs, key=lambda s: s.id), cfg)
-    rng = _substream(cfg.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
-    idx = {s.id: i for i, s in enumerate(states)}
-    by_period = _group_requests(stream)
-    avg = stream.avg_requests_per_period
 
-    for t, p in enumerate(stream.periods):
-        fitman.assign_fits(states)
-        for s in states:
-            s.alpha = float(backward_transform_clipped(s.fit, s.alpha_bar))
-        assert np.allclose([s.alpha_bar for s in states], trace.duals[:, t]), f"period {t}"
-        cost = np.zeros(3)
-        for r in by_period[t]:
-            d = rcp_decide(r, states, params, rng)
-            if d.winner is not None:
-                cost[idx[d.winner]] += 1.0
-        assert np.array_equal(trace.wins[:, t], cost.astype(np.int64)), f"period {t}"
-        fitman.log_period(p.camp, p.v, 3)
-        stats = PeriodStats(cost=cost, n_requests=p.n_requests, avg_requests=avg)
-        rcp_period_update(states, stats, params, cfg.gradient_mode)
+def test_run_smart_matches_scalar_replay():
+    # a low-quality campaign that loses most auctions to two high-quality
+    # ones underspends from a pass rate well below 1, so the feedback keeps
+    # opening its layers while the others overspend and shut theirs
+    stream = _rand_stream(3, 20, 40, seed=17, shapes=[(2, 8), (5, 2), (5, 2)])
+    specs = [_spec(0, 40, recall=0.7, m=2, n=8), _spec(1, 200, recall=0.7, m=5, n=2),
+             _spec(2, 300, recall=0.7, m=5, n=2)]
+    cfg = RunConfig(seed=17)
+    _assert_matches_replay(run_smart_baseline(stream, specs, cfg),
+                           oracle.replay("smart", stream, specs, cfg))
+
+
+@st.composite
+def _instances(draw):
+    """Small instances: tight budgets so campaigns run out mid-period,
+    qualities on a coarse grid so bids tie, and periods with no requests
+    or with requests that recall no campaign."""
+    M = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6)
+                 .filter(lambda xs: sum(xs) > 0))
+    levels = draw(st.sampled_from([3, 5, 1000]))
+    recall = draw(st.floats(0.2, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    periods, next_id = [], 0
+    for n in sizes:
+        mask = rng.random((n, M)) < recall
+        rows, cols = np.nonzero(mask)
+        v = rng.integers(1, levels, size=rows.size) / levels
+        periods.append(PeriodBatch(np.arange(next_id, next_id + n, dtype=np.int64),
+                                   rows.astype(np.int64), cols.astype(np.int64), v))
+        next_id += n
+    budgets = draw(st.lists(st.integers(1, 8), min_size=M, max_size=M))
+    specs = [_spec(j, b, recall=recall, m=2.0 + j, n=5.0) for j, b in enumerate(budgets)]
+    cfg = RunConfig(seed=draw(st.integers(0, 2**32 - 1)),
+                    per_impression=draw(st.booleans()),
+                    gradient_mode=draw(st.sampled_from(["relative", "absolute"])),
+                    min_fit_samples=draw(st.sampled_from([4, 30])),
+                    prior_fit_samples=256,
+                    params=PacingHyperParams(eta=draw(st.sampled_from([0.2, 2.0])),
+                                             initial_trial_rate=draw(st.sampled_from([0.3, 1.0]))))
+    return ImpressionStream(periods), specs, cfg
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=_instances())
+def test_runners_match_scalar_oracles(inst):
+    stream, specs, cfg = inst
+    opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
+    for algo, runner in RUNNERS.items():
+        trace = runner(stream, specs, cfg)
+        _assert_matches_replay(trace, oracle.replay(algo, stream, specs, cfg))
+        assert np.all(trace.wins.sum(axis=1) <= trace.budgets)
+        assert trace.total_quality <= opt.value + 1e-9
 
 
 def test_generator_array_fill_matches_sequential_draws():

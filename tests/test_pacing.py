@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gdpacer.pacing import (CampaignState, PacingHyperParams, ZeroTargetError,
-                            apply_dual_clip, clip_dual, compute_ptr, dual_step,
+from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step,
                             dual_step_euclidean, dual_step_itakura, fp, fv,
                             init_base_ptr, init_dual_percentile,
                             init_expected_ptr, psi, psi_inverse,
-                            psi_speed_bound, spending_speed, update_eptr)
+                            psi_speed_bound, update_eptr)
 from gdpacer.quality import DomainError
+from oracle import campaigns, clip_dual, compute_ptr
 
 DEFAULTS = PacingHyperParams()
 
@@ -33,12 +33,11 @@ def psi_oracle(alpha_bar: float, ptr_base: float, params: PacingHyperParams,
     return float(integrand.mean() * (1.0 - alpha_bar))
 
 
-def _state(**kw) -> CampaignState:
-    base = dict(id=0, budget=100.0, remaining=100.0, rho=2.0, audience=1000.0,
-                fit=None, ptr_exp=0.5, ptr_base=1.0, alpha_bar=0.9, alpha=0.5,
-                eptr=1.0)
+def _state(**kw):
+    base = dict(budget=100.0, rho=2.0, audience=1000.0, ptr_exp=0.5, ptr_base=1.0,
+                alpha_bar=0.9, alpha=0.5, eptr=1.0)
     base.update(kw)
-    return CampaignState(**base)
+    return campaigns(1, **base)
 
 
 # --- initialization formulas ----------------------------------------------------
@@ -89,6 +88,15 @@ def test_hyperparam_validation():
         PacingHyperParams(initial_trial_rate=0.0)
 
 
+@pytest.mark.parametrize("name", ["epsilon", "eta", "alpha_hat", "p_ub", "wr_glb", "slope_k",
+                                  "eptr_speed_cap", "initial_trial_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_non_finite(name, value):
+    # every comparison with NaN is false, so range checks alone let it through
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        PacingHyperParams(**{name: value})
+
+
 # --- throttle factors ------------------------------------------------------------
 
 def test_fp_endpoints_and_anchor():
@@ -112,31 +120,23 @@ def test_fv_values():
 
 def test_compute_ptr_examples():
     p = PacingHyperParams(slope_k=10.0)
-    assert compute_ptr(_state(ptr_base=1.0, alpha_bar=0.9, eptr=1.0), p, 0.9) \
+    assert compute_ptr(_state(ptr_base=1.0, alpha_bar=0.9, eptr=1.0), 0, p, 0.9) \
         == pytest.approx(1.0)
     s = _state(ptr_base=0.667, alpha_bar=0.9, eptr=1.0)
-    assert compute_ptr(s, p, 0.95) == pytest.approx(1.0)   # 0.667*1*1.5 capped
-    s.eptr = 0.5
-    assert compute_ptr(s, p, 0.95) == pytest.approx(0.5)
+    assert compute_ptr(s, 0, p, 0.95) == pytest.approx(1.0)   # 0.667*1*1.5 capped
+    s.eptr[0] = 0.5
+    assert compute_ptr(s, 0, p, 0.95) == pytest.approx(0.5)
 
 
 def test_compute_ptr_range_and_monotone_in_quality():
     p = PacingHyperParams()
     s = _state(ptr_base=0.4, alpha_bar=0.55, eptr=0.8)
-    vals = [compute_ptr(s, p, v) for v in np.linspace(0.0, 1.0, 101)]
+    vals = [compute_ptr(s, 0, p, v) for v in np.linspace(0.0, 1.0, 101)]
     assert all(0.0 <= x <= 1.0 for x in vals)
     assert np.all(np.diff(vals) >= 0.0)
 
 
 # --- spend speed and emergency throttle -------------------------------------------
-
-def test_spending_speed():
-    assert spending_speed(100.0, 100.0) == pytest.approx(1.0)
-    assert spending_speed(300.0, 100.0) == pytest.approx(3.0)
-    assert spending_speed(0.0, 100.0) == pytest.approx(0.0)
-    with pytest.raises(ZeroTargetError):
-        spending_speed(10.0, 0.0)
-
 
 def test_update_eptr_values():
     assert update_eptr(1.0, 4.0) == pytest.approx(0.5)
@@ -298,14 +298,14 @@ def test_clip_dual_speed_semantics():
     p = PacingHyperParams(alpha_hat=0.05)
     s = _state(alpha_bar=0.5, ptr_base=0.4)
     # on-pace: the participation bound pins the dual in place
-    assert clip_dual(s, 0.4, 1.0, 1.0, p) == pytest.approx(0.5, abs=1e-7)
+    assert clip_dual(s, 0, 0.4, 1.0, 1.0, p) == pytest.approx(0.5, abs=1e-7)
     # underspend halves the speed: bound drops below alpha_bar, step allowed
-    out = clip_dual(s, 0.4, 1.0, 0.5, p)
+    out = clip_dual(s, 0, 0.4, 1.0, 0.5, p)
     assert out < 0.5
     bound = psi_speed_bound(0.5, 0.4, 0.5, p)
     assert out == pytest.approx(max(0.4, 0.5 - 0.05, bound))
     # overspend: upward move capped by the tighter of radius and bound
-    out = clip_dual(s, 0.9, -1.0, 4.0, p)
+    out = clip_dual(s, 0, 0.9, -1.0, 4.0, p)
     bound = psi_speed_bound(0.5, 0.4, 4.0, p)
     assert out == pytest.approx(min(0.9, 0.5 + 0.05, bound))
 
@@ -313,8 +313,8 @@ def test_clip_dual_speed_semantics():
 def test_clip_dual_static_only_when_adaptive_disabled():
     p = PacingHyperParams(alpha_hat=0.05, adaptive_clip_enabled=False)
     s = _state(alpha_bar=0.5)
-    assert clip_dual(s, 0.2, 1.0, 0.1, p) == pytest.approx(0.45)
-    assert clip_dual(s, 0.9, -1.0, 9.0, p) == pytest.approx(0.55)
+    assert clip_dual(s, 0, 0.2, 1.0, 0.1, p) == pytest.approx(0.45)
+    assert clip_dual(s, 0, 0.9, -1.0, 9.0, p) == pytest.approx(0.55)
 
 
 def test_psi_speed_bound_direction():
@@ -330,6 +330,6 @@ def test_static_clip_radius_property(a, g):
     p = PacingHyperParams(alpha_hat=0.05, adaptive_clip_enabled=False)
     proposed = dual_step(a, g, p)
     s = _state(alpha_bar=a)
-    out = clip_dual(s, proposed, g, 1.0, p)
+    out = clip_dual(s, 0, proposed, g, 1.0, p)
     assert 0.0 <= out <= 1.0
     assert abs(out - a) <= 0.05 + 1e-12

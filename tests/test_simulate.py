@@ -169,6 +169,24 @@ def test_run_experiment_detailed_returns_round0_traces():
     assert len(reports) == 4
 
 
+def test_jobs_take_round0_traces_from_the_pool(monkeypatch):
+    import gdpacer.simulate as simulate
+    cfg = _tiny_config(rounds=3)
+    serial_reports, serial_traces = run_experiment_detailed(cfg, jobs=1)
+    parent_calls = []
+    real = simulate._run_round
+    monkeypatch.setattr(simulate, "_run_round",
+                        lambda *a: parent_calls.append(a[2]) or real(*a))
+    reports, traces = run_experiment_detailed(cfg, jobs=2)
+    assert parent_calls == []       # every round ran in a worker, round 0 once
+    def key(r):
+        return (r.round_index, r.algorithm, r.delivery_rate, r.unsmoothness, r.avg_ctr,
+                r.regret, r.per_period_spend.tobytes())
+    assert [key(r) for r in reports] == [key(r) for r in serial_reports]
+    assert {a: t.tobytes() for a, t in traces.items()} == \
+        {a: t.tobytes() for a, t in serial_traces.items()}
+
+
 def test_run_experiment_validates_config():
     with pytest.raises(ConfigError):
         run_experiment(ScenarioConfig())
@@ -241,6 +259,31 @@ def test_scenario_from_dict_rejects_malformed(mutate, msg):
     mutate(data)
     with pytest.raises(ConfigError, match=msg):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("mutate,field", [
+    (lambda d: d.update(num_periods=5.7), "num_periods"),
+    (lambda d: d.update(requests_per_period=40.5), "requests_per_period"),
+    (lambda d: d.update(seed=2.9), "seed"),
+    (lambda d: d.update(rounds=1.5), "rounds"),
+    (lambda d: d.update(rounds=float("nan")), "rounds"),
+    (lambda d: d.update(seed=True), "seed"),
+    (lambda d: d["campaigns"][0].update(budget=2.9), r"campaigns\[0\]\.budget"),
+    (lambda d: d["campaigns"][1].update(id=1.5), r"campaigns\[1\]\.id"),
+])
+def test_scenario_from_dict_rejects_non_integral_counts(mutate, field):
+    data = _valid_dict()
+    mutate(data)
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        scenario_from_dict(data)
+
+
+def test_scenario_from_dict_accepts_integral_floats():
+    data = _valid_dict()
+    data.update(num_periods=6.0)
+    data["campaigns"][0]["budget"] = 20.0
+    cfg = scenario_from_dict(data)
+    assert cfg.num_periods == 6 and cfg.campaigns[0].budget == 20
 
 
 def test_load_scenario_config_file(tmp_path):

@@ -78,6 +78,8 @@ def test_three_row_single_request(tmp_path):
     ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n2,0,2,0.0\n", 3),
     ("request_id,period,campaign_id,ctr\n1,0,2,abc\n", 2),
     ("request_id,period,campaign_id,ctr\n1,1,2,0.5\n2,0,2,0.5\n", 3),
+    ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n1,0,3,0.123456789\n", 3),
+    ("request_id,period,campaign_id,ctr\n1,0,2,5e-1\n", 2),
 ])
 def test_loader_errors_carry_line_numbers(tmp_path, body, line):
     path = tmp_path / "bad.csv"
