@@ -30,8 +30,9 @@ import numpy as np
 
 from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
-from .quality import (BoxCoxFit, DegenerateSampleError, DomainError,
-                      backward_transform_clipped, fit_boxcox, normal_cdf)
+from .quality import (MIN_LAMBDA_SAMPLES, BoxCoxFit, DegenerateSampleError, DomainError,
+                      backward_transform_clipped, fit_boxcox, fit_boxcox_lambdas,
+                      fit_moments, normal_cdf)
 from .streams import ImpressionStream
 
 _TAG_RUN = 2
@@ -351,7 +352,8 @@ class _FitManager:
     else the pooled logs of all campaigns over the same window, else a fit
     sampled once from the campaign's generating quality model.  Degenerate
     samples fall through the same chain; the last resort is a fixed neutral
-    fit (lambda=1 around a uniform quality prior).
+    fit (lambda=1 around a uniform quality prior).  The lambdas of all
+    campaigns that fit their own window are searched in one batch.
     """
 
     def __init__(self, specs, config: RunConfig):
@@ -384,15 +386,37 @@ class _FitManager:
         except (DegenerateSampleError, DomainError):
             return None
 
+    def _own_fits(self, sizes: np.ndarray) -> list[BoxCoxFit | None]:
+        """Each campaign's fit of its own window, None where the window is
+        too small, holds a sample <= 0, is constant, or has degenerate
+        transformed moments."""
+        fits: list[BoxCoxFit | None] = [None] * sizes.size
+        cand = np.flatnonzero(sizes >= max(self.config.min_fit_samples, MIN_LAMBDA_SAMPLES))
+        if cand.size == 0:
+            return fits
+        own = np.concatenate([period[i] for i in cand for period in self.window])
+        ends = np.cumsum(sizes[cand])
+        starts = ends - sizes[cand]
+        lo = np.minimum.reduceat(own, starts)
+        keep = np.flatnonzero((lo > 0.0) & (np.maximum.reduceat(own, starts) > lo))
+        segs = [own[starts[k]:ends[k]] for k in keep]
+        for k, seg, lam in zip(keep, segs, fit_boxcox_lambdas(segs).tolist()):
+            try:
+                mu, sigma = fit_moments(seg, lam)
+            except DegenerateSampleError:
+                continue
+            fits[cand[k]] = BoxCoxFit(lam, mu, sigma, self.eps)
+        return fits
+
     def assign_fits(self, camps: CampaignArrays) -> None:
-        min_n = self.config.min_fit_samples
-        window = list(self.window) or [[np.empty(0)] * camps.ids.size]
-        pooled = np.concatenate([np.concatenate(p) for p in window])
-        pooled_fit = functools.cache(lambda: self._try_fit(pooled))     # fit on first need
-        for i in range(camps.ids.size):
-            own = np.concatenate([period[i] for period in window])
-            fit = self._try_fit(own) if own.size >= min_n else None
-            if fit is None and pooled.size >= min_n:
+        sizes = np.zeros(camps.ids.size, dtype=np.int64)
+        for period in self.window:
+            sizes += [p.size for p in period]
+        pooled_fit = functools.cache(        # fit on first need
+            lambda: self._try_fit(np.concatenate([np.concatenate(p) for p in self.window])))
+        pooled = sizes.sum() >= self.config.min_fit_samples
+        for i, fit in enumerate(self._own_fits(sizes)):
+            if fit is None and pooled:
                 fit = pooled_fit()
             fit = fit or self._prior_fit(i)
             camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import product
 
 import numpy as np
 
@@ -326,7 +327,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)}")
         try:
             cfg.hyperparams = PacingHyperParams(**hp)
-        except DomainError as exc:
+        except (DomainError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
     if "drift_period" in data and data["drift_period"] is not None:
         cfg.drift_period = _as_int(data["drift_period"], "drift_period")
@@ -338,12 +339,18 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
                             for cid, m in models.items()}
     if "ablation" in data and data["ablation"] is not None:
         ab = data["ablation"]
-        if not isinstance(ab, dict):
+        if not (isinstance(ab, dict) and all(isinstance(vs, list) for vs in ab.values())):
             raise ConfigError("ablation must map hyperparameter name -> list of values")
         unknown = set(ab) - _HYPER_FIELDS
         if unknown:
             raise ConfigError(f"ablation: unknown hyperparameter keys {sorted(unknown)}")
         cfg.ablation = {k: list(vs) for k, vs in ab.items()}
+        for cell in product(*cfg.ablation.values()):
+            overrides = dict(zip(cfg.ablation, cell))
+            try:
+                replace(cfg.hyperparams, **overrides)
+            except (DomainError, TypeError) as exc:
+                raise ConfigError(f"ablation cell {overrides}: {exc}") from None
     if "campaigns" in data:
         cfg.campaigns = _parse_campaigns(data["campaigns"], cfg.total_requests, cfg.seed)
 

@@ -1,23 +1,28 @@
-"""Sequential scalar reference implementations of the three delivery policies.
+"""Sequential scalar reference implementations of the three delivery policies
+and of the Box-Cox lambda search.
 
 The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
 the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
-period updates.
+period updates.  `fit_boxcox_lambda` runs the golden-section search on one
+sample with scalar bookkeeping and `np.var`, against which the batched
+search of `gdpacer.quality.fit_boxcox_lambdas` is checked.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from gdpacer.engine import (_ALGO_TAGS, _TAG_RUN, CampaignArrays, RunConfig, _FitManager,
-                            _substream, init_campaign_states)
+from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _TAG_PRIOR, _TAG_RUN, CampaignArrays,
+                            RunConfig, _FitManager, _substream, init_campaign_states)
 from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv,
                             psi_speed_bound, update_eptr)
-from gdpacer.quality import backward_transform_clipped, boxcox, normal_cdf
+from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
+                             backward_transform_clipped, boxcox, fit_moments, normal_cdf)
 
 SMART_PTR_FLOOR = 0.01
 
@@ -133,6 +138,80 @@ def smart_decide(request, camps: CampaignArrays, layer_ptr: np.ndarray,
     return _award(request, camps, best, best_bid, throttled)
 
 
+# --- Box-Cox lambda search ---------------------------------------------------------
+
+def _profile_loglik(lmbda: float, v: np.ndarray, log_sum: float) -> float:
+    t = boxcox(lmbda, v)
+    var = float(np.var(t))
+    if not np.isfinite(var) or var <= 0.0:
+        return -np.inf
+    return -0.5 * v.size * math.log(var) + (lmbda - 1.0) * log_sum
+
+
+def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
+                      tol: float = 1e-4, widths: list[float] | None = None) -> float:
+    """Golden-section search for the profile-likelihood lambda of one sample;
+    `widths`, when given, receives the bracket width before each step."""
+    v = np.asarray(samples, dtype=float)
+    if v.size < 30:
+        raise DegenerateSampleError(f"need at least 30 samples to fit lambda, got {v.size}")
+    if np.any(v <= 0.0):
+        raise DomainError("Box-Cox samples must be strictly positive")
+    if np.all(v == v[0]):
+        raise DegenerateSampleError("all samples identical; lambda is unidentifiable")
+
+    log_sum = float(np.sum(np.log(v)))
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = float(low), float(high)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc = _profile_loglik(c, v, log_sum)
+    fd = _profile_loglik(d, v, log_sum)
+    while b - a > tol:
+        if widths is not None:
+            widths.append(b - a)
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = _profile_loglik(c, v, log_sum)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = _profile_loglik(d, v, log_sum)
+    return 0.5 * (a + b)
+
+
+def _scalar_fit(samples: np.ndarray, eps: float) -> BoxCoxFit | None:
+    try:
+        lam = fit_boxcox_lambda(samples)
+        mu, sigma = fit_moments(samples, lam)
+        return BoxCoxFit(lam, mu, sigma, eps)
+    except (DegenerateSampleError, DomainError):
+        return None
+
+
+def assign_fits(fits: _FitManager, camps: CampaignArrays) -> None:
+    """The fit chain of `_FitManager.assign_fits` one campaign at a time, with
+    the scalar search: the campaign's own window when it holds
+    `min_fit_samples` samples, else the pooled window, else a fit of samples
+    drawn from the campaign's quality model, else the neutral fit."""
+    config, eps = fits.config, fits.eps
+    M = camps.ids.size
+    window = list(fits.window) or [[np.empty(0)] * M]
+    pooled = np.concatenate([np.concatenate(p) for p in window])
+    for i in range(M):
+        own = np.concatenate([period[i] for period in window])
+        fit = _scalar_fit(own, eps) if own.size >= config.min_fit_samples else None
+        if fit is None and pooled.size >= config.min_fit_samples:
+            fit = _scalar_fit(pooled, eps)
+        model = fits.specs[i].quality_model
+        if fit is None and model is not None:
+            rng = _substream(config.seed, _TAG_PRIOR, i)
+            fit = _scalar_fit(rng.beta(model.m, model.n, size=config.prior_fit_samples), eps)
+        fit = fit or BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, eps)
+        camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
+
+
 # --- per-campaign period updates ----------------------------------------------
 
 def _deficit(camps, i, cost, n_requests, avg_requests, gradient_mode) -> float:
@@ -244,7 +323,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
 
     for t, p in enumerate(stream.periods):
         if algorithm == "rcpacing":
-            fits.assign_fits(camps)
+            assign_fits(fits, camps)
             for i in range(M):
                 camps.alpha[i] = backward_transform_clipped(
                     camps.lam[i], camps.mu[i], camps.scale[i], camps.alpha_bar[i])

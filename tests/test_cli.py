@@ -209,6 +209,33 @@ def test_ablate_grid(tmp_path, capsys):
     assert "[slope_k=0.0]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("extra, needle", [
+    ({"hyperparams": {"eta": "fast"}}, "not supported"),
+    ({"ablation": {"eta": 0.2}}, "list of values"),
+    ({"ablation": {"eta": [0.2, "fast"]}}, "ablation cell"),
+])
+def test_ablate_rejects_mistyped_values(tmp_path, capsys, extra, needle):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(dict(_config_dict(), **extra)))
+    code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and needle in err
+
+
+def test_ablate_rejects_bad_grid_cell_before_running(tmp_path, capsys):
+    # the second cell is invalid: no cell may run, and the exit is a config error
+    path = tmp_path / "ab.json"
+    text = json.dumps(dict(_config_dict(), ablation={"eta": [0.2, 0.3]}))
+    path.write_text(text.replace("0.3]", "NaN]"))
+    code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "eta must be finite" in captured.err
+    assert "[eta=0.2]" not in captured.out
+    assert not (tmp_path / "ab" / "ablation.csv").exists()
+
+
 def test_ablate_requires_grid(tmp_path, config_path, capsys):
     code = main(["ablate", "--config", config_path, "--out", str(tmp_path / "x")])
     assert code == 1

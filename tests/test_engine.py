@@ -239,6 +239,46 @@ def test_fit_prefers_own_then_pooled_window():
     assert (c.lam[1], c.mu[1]) == (pooled.lambda_star, pooled.mu)
 
 
+@pytest.mark.parametrize("min_fit_samples", [10, 30, 60])
+@pytest.mark.parametrize("nonpositive", [False, True])
+def test_assign_fits_matches_per_campaign_chain(nonpositive, min_fit_samples):
+    # healthy windows next to too-small, constant, empty and (optionally)
+    # non-positive ones, logged over two periods; a sample <= 0 also spoils
+    # the pooled window, so every campaign without its own fit goes on to its
+    # prior, or to the neutral fit when it has no quality model
+    rng = np.random.default_rng(23)
+    windows = [rng.beta(2, 5, 45), rng.beta(5, 2, 12), np.full(50, 0.4), rng.beta(3, 3, 70),
+               np.empty(0), rng.beta(2, 2, 8), rng.beta(4, 2, 200)]
+    if nonpositive:
+        windows[3][7] = 0.0
+    specs = [_spec(j, 10, m=2.0 + j, n=5.0) for j in range(7)]
+    specs[5] = CampaignSpec(id=5, budget=10, recall_prob=1.0, quality_model=None)
+    fits = _FitManager(specs, RunConfig(min_fit_samples=min_fit_samples, seed=4))
+    for half in (0, 1):
+        parts = [np.array_split(w, 2)[half] for w in windows]
+        fits.log_period(np.repeat(np.arange(7), [p.size for p in parts]),
+                        np.concatenate(parts), 7)
+    got, ref = campaigns(7), campaigns(7)
+    fits.assign_fits(got)
+    oracle.assign_fits(fits, ref)
+    for name in ("lam", "mu", "scale"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+
+    own = {0, 3, 6} - ({3} if nonpositive else set())
+    own = {j for j in own if windows[j].size >= min_fit_samples}
+    pooled = fits._try_fit(np.concatenate([np.concatenate(p) for p in fits.window]))
+    assert (pooled is None) == nonpositive
+    for j in range(7):
+        if j in own:
+            assert got.lam[j] == fits._try_fit(windows[j]).lambda_star
+        elif pooled is not None:
+            assert got.lam[j] == pooled.lambda_star
+        elif j == 5:
+            assert (got.lam[j], got.mu[j]) == (1.0, -0.5)
+        else:
+            assert got.lam[j] == fits._prior_fit(j).lambda_star
+
+
 # --- config / seeding ------------------------------------------------------------
 
 def test_gradient_mode_validated():

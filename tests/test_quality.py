@@ -1,9 +1,10 @@
 """Quality-law and percentile-transform tests.
 
 Derived expectations are frozen from independent oracles computed here:
-dense-grid likelihood scans for the lambda search, scipy's erf/ndtr pair
-and direct density quadrature for the normal helpers, and beta-moment
-quadrature for the sampling checks.
+dense-grid likelihood scans and the scalar golden-section search of
+`oracle.py` for the lambda search, scipy's erf/ndtr pair and direct density
+quadrature for the normal helpers, and beta-moment quadrature for the
+sampling checks.
 """
 
 import math
@@ -14,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+import oracle
 from gdpacer.quality import (BetaQualityModel, BoxCoxFit, DegenerateSampleError,
                              DomainError, backward_transform,
                              backward_transform_clipped, boxcox, fit_boxcox,
-                             fit_boxcox_lambda, fit_moments, forward_transform,
-                             inverse_boxcox, normal_cdf, normal_quantile)
+                             fit_boxcox_lambda, fit_boxcox_lambdas, fit_moments,
+                             forward_transform, inverse_boxcox, normal_cdf,
+                             normal_quantile)
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
 RT_EPSILONS = (0.0, 0.1, 1.0)
@@ -113,9 +116,12 @@ def test_fit_lambda_lognormal_samples_near_zero():
 
 
 def test_fit_lambda_two_point_sample_in_range():
+    # the profile likelihood peaks at 0 and is flat there down to rounding;
+    # lambda is any point within tol of 0
     v = np.array([0.2, 0.6] * 20)
     lam = fit_boxcox_lambda(v)
     assert -2.0 <= lam <= 2.0
+    assert abs(lam) <= 1e-4 and abs(oracle.fit_boxcox_lambda(v)) <= 1e-4
 
 
 def test_fit_lambda_rejects_degenerate_and_small():
@@ -125,6 +131,63 @@ def test_fit_lambda_rejects_degenerate_and_small():
         fit_boxcox_lambda(np.linspace(0.1, 0.9, 29))
     with pytest.raises(DomainError):
         fit_boxcox_lambda(np.linspace(-0.1, 0.9, 40))
+
+
+def test_fit_lambdas_rejects_any_bad_segment():
+    good = np.linspace(0.1, 0.9, 40)
+    assert fit_boxcox_lambdas([]).shape == (0,)
+    with pytest.raises(DegenerateSampleError):
+        fit_boxcox_lambdas([good, np.full(40, 0.25)])
+    with pytest.raises(DegenerateSampleError):
+        fit_boxcox_lambdas([good, good[:29]])
+    with pytest.raises(DomainError):
+        fit_boxcox_lambdas([np.linspace(-0.1, 0.9, 40), good])
+
+
+def test_fit_lambdas_segments_stop_on_their_own():
+    # bracket widths after the same number of steps differ by rounding
+    # between searches that branch differently; with tol set to the smaller
+    # width, those segments stop one step before the others
+    rng = np.random.default_rng(3)
+    segs = [rng.beta(rng.uniform(2, 8), rng.uniform(2, 8), 300) for _ in range(40)]
+    widths = [[] for _ in segs]
+    for seg, w in zip(segs, widths):
+        oracle.fit_boxcox_lambda(seg, widths=w)
+    step = next(k for k in range(1, 20) if len({w[k] for w in widths}) > 1)
+    tol = min(w[step] for w in widths)
+    assert 0 < sum(w[step] <= tol for w in widths) < len(segs)
+    ref = [oracle.fit_boxcox_lambda(seg, tol=tol) for seg in segs]
+    assert fit_boxcox_lambdas(segs, tol=tol).tolist() == ref
+
+
+def _segment(kind: str, size: int, p: float, q: float, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "lognormal":
+        return np.exp(rng.normal(-3.0 * p / 8.0, q / 8.0, size))
+    v = rng.beta(p, q, size)
+    if kind == "quantized":
+        v = np.clip(np.round(v, 6), 1e-6, 1.0 - 1e-6)
+    return v
+
+
+_SEGMENT = st.tuples(st.sampled_from(["beta", "lognormal", "quantized"]),
+                     st.integers(30, 3000), st.floats(2.0, 8.0), st.floats(2.0, 8.0),
+                     st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(_SEGMENT, min_size=1, max_size=40))
+def test_fit_lambdas_matches_scalar_search(specs):
+    segs = [_segment(*spec) for spec in specs]
+    lams = fit_boxcox_lambdas(segs)
+    assert lams.shape == (len(segs),)
+    for (kind, *_), seg, lam in zip(specs, segs, lams):
+        # batching does not couple segments
+        assert lam == fit_boxcox_lambdas([seg])[0]
+        ref = oracle.fit_boxcox_lambda(seg)
+        assert abs(lam - ref) <= 1e-4
+        if kind == "beta":
+            assert lam == ref
 
 
 def test_fit_moments_two_point_symmetric():
