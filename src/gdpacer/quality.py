@@ -21,7 +21,6 @@ from scipy import special
 PERCENTILE_FLOOR = 1e-6
 _LOG_BRANCH_EPS = 1e-9
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class DomainError(ValueError):
@@ -229,56 +228,12 @@ def normal_cdf(x):
     return out if out.ndim else float(out)
 
 
-# Acklam's rational approximation to the standard normal quantile.
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_ACK_SPLIT = 0.02425
-
-
-def _acklam(p: np.ndarray) -> np.ndarray:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    out = np.empty_like(p)
-
-    lo = p < _ACK_SPLIT
-    hi = p > 1.0 - _ACK_SPLIT
-    mid = ~(lo | hi)
-
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[mid] = num * q / den
-    if np.any(lo):
-        q = np.sqrt(-2.0 * np.log(p[lo]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        out[lo] = num / den
-    if np.any(hi):
-        q = np.sqrt(-2.0 * np.log(1.0 - p[hi]))
-        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        out[hi] = -num / den
-    return out
-
-
 def normal_quantile(p):
-    """Standard normal quantile: rational approximation plus one Newton step."""
+    """Standard normal quantile on the open interval (0, 1)."""
     arr = np.asarray(p, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0)):
         raise DomainError("normal quantile defined on the open interval (0, 1)")
-    x = _acklam(np.atleast_1d(arr).astype(float))
-    pdf = np.exp(-0.5 * x * x) / _SQRT_2PI
-    err = 0.5 * (1.0 + special.erf(x / _SQRT2)) - np.atleast_1d(arr)
-    # skip refinement where the density underflows (|x| > ~38)
-    x = np.where(pdf > 1e-300, x - err / np.where(pdf > 1e-300, pdf, 1.0), x)
-    x = x.reshape(np.shape(arr))
+    x = special.ndtri(arr)
     return x if x.ndim else float(x)
 
 

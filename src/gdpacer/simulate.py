@@ -85,6 +85,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown algorithms {unknown}; choose from {sorted(RUNNERS)}")
         if self.drift_period is not None and not 0 <= self.drift_period < self.num_periods:
             raise ConfigError(f"drift_period {self.drift_period} outside the horizon")
+        unknown = sorted(set(self.drift_models or ()) - set(ids))
+        if unknown:
+            raise ConfigError(f"drift_models names unknown campaigns {unknown}")
 
     @property
     def total_requests(self) -> int:
@@ -251,6 +254,14 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _drift_id(key) -> int:
+    """A `drift_models` key: a campaign id, as a JSON object key string."""
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise ConfigError(f"drift_models key {key!r} is not a campaign id") from None
+
+
 def _parse_model(obj, where: str) -> BetaQualityModel:
     if not isinstance(obj, dict) or set(obj) != {"m", "n"}:
         raise ConfigError(f"{where}: quality model must be an object with keys m, n")
@@ -335,7 +346,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         models = data["drift_models"]
         if not isinstance(models, dict):
             raise ConfigError("drift_models must map campaign id -> quality model")
-        cfg.drift_models = {int(cid): _parse_model(m, f"drift_models[{cid}]")
+        cfg.drift_models = {_drift_id(cid): _parse_model(m, f"drift_models[{cid}]")
                             for cid, m in models.items()}
     if "ablation" in data and data["ablation"] is not None:
         ab = data["ablation"]

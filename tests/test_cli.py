@@ -161,6 +161,18 @@ def test_run_rejects_fractional_config_seed(tmp_path, capsys):
     assert "seed must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, needle", [("x", "is not a campaign id"),
+                                         ("7", "unknown campaigns [7]")],
+                         ids=["non-integer", "unknown-campaign"])
+def test_run_rejects_bad_drift_models_key(tmp_path, key, needle, capsys):
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(dict(_config_dict(), drift_period=2,
+                                    drift_models={key: {"m": 5, "n": 2}})))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert needle in capsys.readouterr().err
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")])

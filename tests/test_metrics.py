@@ -2,10 +2,14 @@
 
 The flow solver gets an independent oracle: exhaustive dynamic programming
 over (request prefix, remaining budget vector), exact for any instance small
-enough to enumerate.  Random micro-instances must agree to 1e-9.
+enough to enumerate.  Random micro-instances must agree to 1e-9.  Larger
+instances are checked against scipy's HiGHS LP.
 """
 
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +21,7 @@ from gdpacer.metrics import (ALGORITHM_ORDER, HindsightOptimum, InstanceMismatch
                              average_ctr, build_report, delivery_rate,
                              hindsight_optimum, regret, unsmoothness)
 from gdpacer.quality import BetaQualityModel
-from gdpacer.simulate import CampaignSpec
+from gdpacer.simulate import CampaignSpec, ScenarioConfig, generate_stream
 from gdpacer.streams import ImpressionRequest, from_requests
 
 
@@ -148,21 +152,63 @@ def test_hindsight_edge_cap():
 
 
 def _micro_instance(seed):
+    """1-3 campaigns over 20 requests; every other seed quantizes qualities
+    to a 0.1 grid (ties), budgets may be zero, and about a quarter of the
+    requests are recalled by no campaign."""
     rng = np.random.default_rng(seed)
+    M = int(rng.integers(1, 4))
     reqs = []
     for i in range(20):
-        quals = {j: float(rng.uniform(0.01, 0.99))
-                 for j in range(3) if rng.random() < 0.6}
+        recall = rng.random(M) < 0.6 * (rng.random() < 0.75)
+        quals = {j: float(rng.uniform(0.01, 0.99)) for j in range(M) if recall[j]}
+        if seed % 2:
+            quals = {j: round(max(q, 0.1), 1) for j, q in quals.items()}
         reqs.append(ImpressionRequest(i, i // 10, quals))
-    budgets = {j: int(rng.integers(1, 5)) for j in range(3)}
+    budgets = {j: int(rng.integers(0, 5)) for j in range(M)}
     return from_requests(reqs), budgets
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(40))
 def test_hindsight_matches_brute_force(seed):
     stream, budgets = _micro_instance(seed)
     opt = hindsight_optimum(stream, budgets)
     assert opt.value == pytest.approx(brute_force_opt(stream, budgets), abs=1e-9)
+
+
+@pytest.mark.parametrize("T", [1000, 4000])
+def test_hindsight_matches_lp_at_regret_scaling_size(T):
+    # the transportation LP is totally unimodular, so HiGHS's optimum is the
+    # integral one; this checks the flow solver far beyond brute-force size
+    from scipy import sparse
+    from scipy.optimize import linprog
+    specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=0.4,
+                          quality_model=BetaQualityModel(m, n))
+             for j, (sh, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12),
+                                                  ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))))]
+    stream = generate_stream(ScenarioConfig(num_periods=50, requests_per_period=T // 50,
+                                            campaigns=specs, seed=T))
+    budgets = {s.id: s.budget for s in specs}
+    offsets = np.cumsum([0] + [p.n_requests for p in stream.periods])
+    req = np.concatenate([p.req + o for p, o in zip(stream.periods, offsets)])
+    camp = np.concatenate([p.camp for p in stream.periods])
+    v = np.concatenate([p.v for p in stream.periods])
+    n, R = v.size, int(req.max()) + 1
+    A = sparse.csr_matrix((np.ones(2 * n), (np.concatenate([req, R + camp]),
+                                            np.tile(np.arange(n), 2))), shape=(R + 5, n))
+    b = np.concatenate([np.ones(R), [budgets[j] for j in range(5)]])
+    lp = linprog(-v, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert lp.status == 0
+    assert hindsight_optimum(stream, budgets).value == pytest.approx(-lp.fun, rel=1e-9)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 23 MB of resident memory and 80 ms to any
+    # process that imports it; the package itself must not need it
+    import gdpacer
+    src = str(Path(gdpacer.__file__).resolve().parents[1])
+    code = "import sys, gdpacer; sys.exit('scipy.optimize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_hindsight_dominates_every_policy():
