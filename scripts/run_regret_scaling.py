@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gdpacer.engine import RunConfig, run_dmd, run_rcpacing, run_seed
+from gdpacer.engine import RunConfig, prepare, run_dmd, run_rcpacing, run_seed
 from gdpacer.metrics import hindsight_optimum, regret
 from gdpacer.pacing import PacingHyperParams
 from gdpacer.quality import BetaQualityModel
@@ -36,12 +36,13 @@ def run_once(T: int, seed: int, eta_coeff: float) -> dict[str, float]:
                          campaigns=specs, seed=seed)
     stream = generate_stream(cfg)
     opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
+    prepared = prepare(stream, [s.id for s in specs], per_impression=True)
     hyper = PacingHyperParams(eta=eta_coeff / np.sqrt(T), initial_trial_rate=1.0)
     out = {}
     for algo, runner in RUNNERS:
         rc = RunConfig(params=hyper, seed=run_seed(seed, algo, 0),
                        per_impression=True, gradient_mode="absolute")
-        out[algo] = regret(runner(stream, specs, rc), opt)
+        out[algo] = regret(runner(prepared, specs, rc), opt)
     return out
 
 

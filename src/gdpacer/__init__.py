@@ -8,8 +8,8 @@ exact hindsight optimum), `theory` (numeric distribution checks), `cli`
 (operator entry point).
 """
 
-from .engine import (RUNNERS, DeliveryTrace, RunConfig, run_dmd, run_rcpacing, run_seed,
-                     run_smart_baseline)
+from .engine import (RUNNERS, DeliveryTrace, PreparedStream, RunConfig, prepare, run_dmd,
+                     run_rcpacing, run_seed, run_smart_baseline)
 from .metrics import (
     HindsightOptimum,
     MetricsReport,
@@ -45,6 +45,7 @@ __all__ = [
     "ImpressionStream",
     "MetricsReport",
     "PacingHyperParams",
+    "PreparedStream",
     "RunConfig",
     "RUNNERS",
     "ScenarioConfig",
@@ -58,6 +59,7 @@ __all__ = [
     "hindsight_optimum",
     "load_scenario_config",
     "load_stream_csv",
+    "prepare",
     "regret",
     "run_dmd",
     "run_experiment",

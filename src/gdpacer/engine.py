@@ -5,7 +5,9 @@ with percentile-space duals plus probabilistic throttling, and
 `run_smart_baseline` with layered quality throttling and no duals.  All three
 run the same period loop, `_drive`, over one struct-of-arrays campaign state;
 a policy supplies only its per-edge score and throttle step and its
-end-of-period update.
+end-of-period update.  The work that depends on the stream alone (the
+densified periods, the fingerprint and the per-period transform fits) is
+done once by `prepare` and shared by every run on the prepared stream.
 
 The loop is vectorized per period.  Budget feasibility is still resolved
 with sequential semantics: winners are computed optimistically for the whole
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,7 @@ from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
 from .quality import (MIN_LAMBDA_SAMPLES, BoxCoxFit, DegenerateSampleError, DomainError,
                       backward_transform_clipped, fit_boxcox, fit_boxcox_lambdas,
-                      fit_moments, normal_cdf)
+                      fit_moments_batch, normal_cdf)
 from .streams import ImpressionStream
 
 _TAG_RUN = 2
@@ -40,6 +41,7 @@ _TAG_PRIOR = 4
 _ALGO_TAGS = {"dmd": 0, "rcpacing": 1, "smart": 2}
 
 _NEUTRAL_SIGMA = 1.0 / math.sqrt(12.0)  # std of a uniform quality prior under lambda=1
+_NEUTRAL_FIT = BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA)
 
 
 @dataclass
@@ -131,7 +133,7 @@ def run_seed(scenario_seed: int, algorithm: str, round_index: int = 0) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def init_campaign_states(specs, stream: ImpressionStream,
+def init_campaign_states(specs, stream: ImpressionStream | PreparedStream,
                          params: PacingHyperParams) -> CampaignArrays:
     """Fresh state in ascending campaign-id order."""
     specs = sorted(specs, key=lambda s: s.id)
@@ -212,7 +214,7 @@ def rcp_period_update(camps: CampaignArrays, cost: np.ndarray, n_requests: int,
                               camps.eptr)
 
 
-# --- the period loop -----------------------------------------------------------
+# --- the prepared stream ---------------------------------------------------------
 
 @dataclass
 class _DensePeriod:
@@ -223,22 +225,133 @@ class _DensePeriod:
     starts: np.ndarray          # first edge per request present in this period
     seg_idx: np.ndarray         # per-edge segment index
 
+    @functools.cached_property
+    def by_camp(self) -> np.ndarray:
+        """The qualities in stable campaign order, the layout of the fit
+        windows; made when a fit first needs it."""
+        return self.v[np.argsort(self.camp, kind="stable")]
+
 
 def _densify(stream: ImpressionStream, spec_ids: list[int]) -> list[_DensePeriod]:
     id_arr = np.asarray(spec_ids, dtype=np.int64)
     out = []
     for p in stream.periods:
-        pos = np.searchsorted(id_arr, p.camp)
-        pos = np.clip(pos, 0, id_arr.size - 1)
+        pos = np.clip(np.searchsorted(id_arr, p.camp), 0, id_arr.size - 1)
         keep = id_arr[pos] == p.camp
-        req = p.req[keep]
-        camp = pos[keep].astype(np.int64)
-        v = p.v[keep]
+        req, camp, v = p.req, pos.astype(np.int64, copy=False), p.v
+        if not keep.all():
+            req, camp, v = req[keep], camp[keep], v[keep]
         present, starts = np.unique(req, return_index=True)
         seg_idx = np.searchsorted(present, req)
         out.append(_DensePeriod(p.n_requests, req, camp, v, starts, seg_idx))
     return out
 
+
+@dataclass
+class _WindowFits:
+    """The fits of one period that depend on the stream alone."""
+
+    lam: np.ndarray             # (M,) own-window fit; NaN where a campaign has none
+    mu: np.ndarray
+    sigma: np.ndarray
+    pooled: BoxCoxFit | None    # pooled-window fit, when some campaign lacks its own
+
+
+def _try_fit(samples: np.ndarray) -> BoxCoxFit | None:
+    try:
+        return fit_boxcox(samples)
+    except (DegenerateSampleError, DomainError):
+        return None
+
+
+def _fit_window(window: list[_DensePeriod], M: int, min_fit_samples: int) -> _WindowFits:
+    """Each campaign's fit of its own qualities in `window`, where it has at
+    least max(`min_fit_samples`, 30) of them, all > 0, not all equal, and
+    non-degenerate transformed moments; the lambdas and moments of all such
+    campaigns are fitted in one batch.  The pooled window of all campaigns is
+    fitted only when some campaign has no own fit and it holds at least
+    max(`min_fit_samples`, 30) qualities: no fit takes fewer than 30."""
+    lam, mu, sigma = np.full(M, np.nan), np.full(M, np.nan), np.full(M, np.nan)
+    if sum(p.v.size for p in window) < max(min_fit_samples, MIN_LAMBDA_SAMPLES):
+        return _WindowFits(lam, mu, sigma, None)
+    counts = [np.bincount(p.camp, minlength=M) for p in window]
+    sizes = np.sum(counts, axis=0)
+    cand = np.flatnonzero(sizes >= max(min_fit_samples, MIN_LAMBDA_SAMPLES))
+    if cand.size:
+        bounds = [np.cumsum(c) - c for c in counts]
+        own = np.concatenate([p.by_camp[b[i]:b[i] + c[i]]
+                              for i in cand for p, b, c in zip(window, bounds, counts)])
+        ends = np.cumsum(sizes[cand])
+        starts = ends - sizes[cand]
+        lo = np.minimum.reduceat(own, starts)
+        keep = np.flatnonzero((lo > 0.0) & (np.maximum.reduceat(own, starts) > lo))
+        segs = [own[starts[k]:ends[k]] for k in keep]
+        lams = fit_boxcox_lambdas(segs)
+        mus, sigmas = fit_moments_batch(segs, lams)
+        ok = np.isfinite(sigmas) & (sigmas > 0.0)
+        fitted = cand[keep[ok]]
+        lam[fitted], mu[fitted], sigma[fitted] = lams[ok], mus[ok], sigmas[ok]
+    pooled = None
+    if np.isnan(sigma).any():
+        pooled = _try_fit(np.concatenate([p.by_camp for p in window]))
+    return _WindowFits(lam, mu, sigma, pooled)
+
+
+@dataclass(eq=False)
+class PreparedStream:
+    """The run-invariant work on one stream for one set of campaigns, done
+    once by :func:`prepare` and shared by every run on it, whatever its
+    policy, budgets, seed or hyperparameters.
+
+    It holds the densified periods (re-chunked into single-request periods
+    when `per_impression`), the stream's fingerprint and sizes, and a memo of
+    each period's own-window and pooled transform fits.  Those fits depend
+    on the stream alone: a fit window logs every recalled edge, not only the
+    wins.  The memo keeps only their lambda, mu and sigma, never samples;
+    epsilon and the seed-dependent prior fallback are applied per run.
+    """
+
+    campaign_ids: list[int]         # ascending
+    per_impression: bool
+    periods: list[_DensePeriod]
+    stream_id: str                  # `ImpressionStream.fingerprint()`
+    total_requests: int
+    total_edges: int
+    avg_requests_per_period: float
+    _fits: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n_periods(self) -> int:
+        return len(self.periods)
+
+    def window_fits(self, t: int, refit_window: int, min_fit_samples: int) -> _WindowFits:
+        """Period t's fits over periods t - refit_window .. t - 1, computed on
+        first use."""
+        memo = self._fits.setdefault((refit_window, min_fit_samples), [None] * self.n_periods)
+        if memo[t] is None:
+            memo[t] = _fit_window(self.periods[max(0, t - refit_window):t],
+                                  len(self.campaign_ids), min_fit_samples)
+        return memo[t]
+
+
+def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False,
+            ) -> PreparedStream:
+    """Prepare `stream` for runs on the campaigns `campaign_ids`.
+
+    Any runner accepts the result in place of the stream when its specs have
+    exactly these ids and its config has this `per_impression`; it raises
+    DomainError otherwise.
+    """
+    ids = sorted(int(c) for c in campaign_ids)
+    if len(set(ids)) != len(ids):
+        raise DomainError("campaign ids must be unique")
+    chunks = stream.per_impression() if per_impression else stream
+    return PreparedStream(ids, per_impression, _densify(chunks, ids), stream.fingerprint(),
+                          chunks.total_requests, stream.total_edges,
+                          chunks.avg_requests_per_period)
+
+
+# --- the period loop -----------------------------------------------------------
 
 def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
                      remaining: np.ndarray) -> np.ndarray:
@@ -283,30 +396,36 @@ def _boxcox_edges(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
 
 
-def _drive(stream: ImpressionStream, specs, config: RunConfig, policy) -> DeliveryTrace:
+def _drive(stream: ImpressionStream | PreparedStream, specs, config: RunConfig,
+           policy) -> DeliveryTrace:
     """The period loop of every policy.
 
-    Per period: `policy.score(dp)` gives each recalled edge its auction score
-    and its throttle outcome (True where the policy does not throttle),
-    non-exhausted passers compete in the budget-feasible auction, wins are
-    charged and recorded, and `policy.update(dp, cost)` moves the policy's
-    controls from the period's spend.  The trace records the campaign-array
-    field named by `policy.dual` as each period's dual.
+    `stream` is raw or prepared; a raw one is prepared here for this run
+    alone.  Per period t: `policy.score(t, dp)` gives each recalled edge its
+    auction score and its throttle outcome (True where the policy does not
+    throttle), non-exhausted passers compete in the budget-feasible auction,
+    wins are charged and recorded, and `policy.update(dp, cost)` moves the
+    policy's controls from the period's spend.  The trace records the
+    campaign-array field named by `policy.dual` as each period's dual.
     """
-    if config.per_impression:
-        stream = stream.per_impression()
+    specs = sorted(specs, key=lambda s: s.id)
+    ids = [s.id for s in specs]
+    if not isinstance(stream, PreparedStream):
+        stream = prepare(stream, ids, config.per_impression)
+    elif stream.campaign_ids != ids or stream.per_impression != config.per_impression:
+        raise DomainError(
+            f"stream prepared for campaigns {stream.campaign_ids} with per_impression="
+            f"{stream.per_impression}, run has {ids} with per_impression={config.per_impression}")
     camps = init_campaign_states(specs, stream, config.params)
-    periods = _densify(stream, camps.ids.tolist())
-    M, T = camps.ids.size, len(periods)
-    pol = policy(camps, sorted(specs, key=lambda s: s.id), config,
-                 stream.avg_requests_per_period)
+    M, T = camps.ids.size, stream.n_periods
+    pol = policy(camps, specs, config, stream)
     wins = np.zeros((M, T), dtype=np.int64)
     quality_sum = np.zeros((M, T))
     duals = np.zeros((M, T))
     eptr = np.ones((M, T))
 
-    for t, dp in enumerate(periods):
-        score, passed = pol.score(dp)
+    for t, dp in enumerate(stream.periods):
+        score, passed = pol.score(t, dp)
         elig = passed & ~camps.exhausted[dp.camp]
         winner_edges = _resolve_winners(dp, score, elig, camps.remaining.astype(np.int64))
         won = dp.camp[winner_edges]
@@ -320,7 +439,7 @@ def _drive(stream: ImpressionStream, specs, config: RunConfig, policy) -> Delive
         pol.update(dp, cost)
 
     return DeliveryTrace(pol.name, camps.ids.tolist(), camps.budget, wins, quality_sum,
-                         camps.remaining, duals, eptr, stream.fingerprint(), config.seed,
+                         camps.remaining, duals, eptr, stream.stream_id, config.seed,
                          pol.transforms)
 
 
@@ -332,11 +451,12 @@ class _Dmd:
     dual = "alpha"
     transforms = None
 
-    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
-        self.camps, self.config, self.avg_requests = camps, config, avg_requests
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
+        self.camps, self.config = camps, config
+        self.avg_requests = stream.avg_requests_per_period
         camps.eptr[:] = 1.0
 
-    def score(self, dp: _DensePeriod):
+    def score(self, t: int, dp: _DensePeriod):
         return dp.v - self.camps.alpha[dp.camp], True
 
     def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
@@ -345,81 +465,42 @@ class _Dmd:
 
 
 class _FitManager:
-    """Rolling-window Box-Cox fits with prior fallback.
+    """Per-period Box-Cox fits with prior fallback.
 
-    Per refit, a campaign uses its own logged qualities from the last
+    At period t, a campaign uses its own logged qualities from the last
     `refit_window` periods when there are at least `min_fit_samples` of them,
     else the pooled logs of all campaigns over the same window, else a fit
     sampled once from the campaign's generating quality model.  Degenerate
     samples fall through the same chain; the last resort is a fixed neutral
-    fit (lambda=1 around a uniform quality prior).  The lambdas of all
-    campaigns that fit their own window are searched in one batch.
+    fit (lambda=1 around a uniform quality prior).  The own and pooled fits
+    come from the prepared stream's memo; the prior fits depend on the run
+    seed and are made here, and epsilon widens every fit's scale here.
     """
 
-    def __init__(self, specs, config: RunConfig):
+    def __init__(self, specs, config: RunConfig, stream: PreparedStream):
         self.specs = specs
         self.config = config
+        self.stream = stream
         self.eps = config.params.epsilon
-        self.window: deque[list[np.ndarray]] = deque(maxlen=config.refit_window)
         self._prior: dict[int, BoxCoxFit] = {}
-        self._neutral = BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, self.eps)
-
-    def log_period(self, camp: np.ndarray, v: np.ndarray, M: int) -> None:
-        order = np.argsort(camp, kind="stable")
-        counts = np.bincount(camp, minlength=M)
-        self.window.append(np.split(v[order], np.cumsum(counts)[:-1]))
 
     def _prior_fit(self, i: int) -> BoxCoxFit:
         if i not in self._prior:
             model = getattr(self.specs[i], "quality_model", None)
-            if model is None:
-                self._prior[i] = self._neutral
-            else:
+            fit = None
+            if model is not None:
                 rng = _substream(self.config.seed, _TAG_PRIOR, i)
-                samples = rng.beta(model.m, model.n, size=self.config.prior_fit_samples)
-                self._prior[i] = self._try_fit(samples) or self._neutral
+                fit = _try_fit(rng.beta(model.m, model.n, size=self.config.prior_fit_samples))
+            self._prior[i] = fit or _NEUTRAL_FIT
         return self._prior[i]
 
-    def _try_fit(self, samples: np.ndarray) -> BoxCoxFit | None:
-        try:
-            return fit_boxcox(samples, self.eps)
-        except (DegenerateSampleError, DomainError):
-            return None
-
-    def _own_fits(self, sizes: np.ndarray) -> list[BoxCoxFit | None]:
-        """Each campaign's fit of its own window, None where the window is
-        too small, holds a sample <= 0, is constant, or has degenerate
-        transformed moments."""
-        fits: list[BoxCoxFit | None] = [None] * sizes.size
-        cand = np.flatnonzero(sizes >= max(self.config.min_fit_samples, MIN_LAMBDA_SAMPLES))
-        if cand.size == 0:
-            return fits
-        own = np.concatenate([period[i] for i in cand for period in self.window])
-        ends = np.cumsum(sizes[cand])
-        starts = ends - sizes[cand]
-        lo = np.minimum.reduceat(own, starts)
-        keep = np.flatnonzero((lo > 0.0) & (np.maximum.reduceat(own, starts) > lo))
-        segs = [own[starts[k]:ends[k]] for k in keep]
-        for k, seg, lam in zip(keep, segs, fit_boxcox_lambdas(segs).tolist()):
-            try:
-                mu, sigma = fit_moments(seg, lam)
-            except DegenerateSampleError:
-                continue
-            fits[cand[k]] = BoxCoxFit(lam, mu, sigma, self.eps)
-        return fits
-
-    def assign_fits(self, camps: CampaignArrays) -> None:
-        sizes = np.zeros(camps.ids.size, dtype=np.int64)
-        for period in self.window:
-            sizes += [p.size for p in period]
-        pooled_fit = functools.cache(        # fit on first need
-            lambda: self._try_fit(np.concatenate([np.concatenate(p) for p in self.window])))
-        pooled = sizes.sum() >= self.config.min_fit_samples
-        for i, fit in enumerate(self._own_fits(sizes)):
-            if fit is None and pooled:
-                fit = pooled_fit()
-            fit = fit or self._prior_fit(i)
-            camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
+    def assign_fits(self, camps: CampaignArrays, t: int) -> None:
+        fits = self.stream.window_fits(t, self.config.refit_window, self.config.min_fit_samples)
+        camps.lam[:], camps.mu[:], camps.scale[:] = fits.lam, fits.mu, fits.sigma
+        for i in np.flatnonzero(np.isnan(fits.sigma)):
+            fit = fits.pooled or self._prior_fit(i)
+            camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.sigma
+        camps.scale *= 1.0 + self.eps
 
 
 class _RCPacing:
@@ -429,15 +510,16 @@ class _RCPacing:
     name = "rcpacing"
     dual = "alpha_bar"
 
-    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
-        self.camps, self.config, self.avg_requests = camps, config, avg_requests
-        self.fits = _FitManager(specs, config)
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
+        self.camps, self.config = camps, config
+        self.avg_requests = stream.avg_requests_per_period
+        self.fits = _FitManager(specs, config, stream)
         self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
         self.transforms = [] if config.log_transforms else None
 
-    def score(self, dp: _DensePeriod):
+    def score(self, t: int, dp: _DensePeriod):
         camps, params = self.camps, self.config.params
-        self.fits.assign_fits(camps)
+        self.fits.assign_fits(camps, t)
         camps.alpha = backward_transform_clipped(camps.lam, camps.mu, camps.scale,
                                                  camps.alpha_bar)
         c = dp.camp
@@ -452,7 +534,6 @@ class _RCPacing:
         return bid, passed & (bid > 0.0)
 
     def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
-        self.fits.log_period(dp.camp, dp.v, self.camps.ids.size)
         rcp_period_update(self.camps, cost, dp.n_requests, self.avg_requests,
                           self.config.params, self.config.gradient_mode,
                           period_scale=not self.config.per_impression)
@@ -469,7 +550,7 @@ class _Smart:
     transforms = None
     PTR_FLOOR = 0.01
 
-    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, avg_requests: float):
+    def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
         self.camps = camps
         camps.eptr[:] = 1.0
         aud = camps.audience
@@ -478,7 +559,7 @@ class _Smart:
         self.layer_ptr = np.repeat(init[:, None], config.smart_layers, axis=1)
         self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["smart"])
 
-    def score(self, dp: _DensePeriod):
+    def score(self, t: int, dp: _DensePeriod):
         L = self.layer_ptr.shape[1]
         layer = np.minimum((dp.v * L).astype(np.int64), L - 1)
         passed = self.rng.random(dp.v.size) < self.layer_ptr[dp.camp, layer]
@@ -501,15 +582,18 @@ class _Smart:
         lp[rows, cols] = np.maximum(floor, lp[rows, cols] * np.maximum(0.5, 1.0 / spd[rows]))
 
 
-def run_dmd(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+def run_dmd(stream: ImpressionStream | PreparedStream, specs,
+            config: RunConfig) -> DeliveryTrace:
     return _drive(stream, specs, config, _Dmd)
 
 
-def run_rcpacing(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+def run_rcpacing(stream: ImpressionStream | PreparedStream, specs,
+                 config: RunConfig) -> DeliveryTrace:
     return _drive(stream, specs, config, _RCPacing)
 
 
-def run_smart_baseline(stream: ImpressionStream, specs, config: RunConfig) -> DeliveryTrace:
+def run_smart_baseline(stream: ImpressionStream | PreparedStream, specs,
+                       config: RunConfig) -> DeliveryTrace:
     return _drive(stream, specs, config, _Smart)
 
 

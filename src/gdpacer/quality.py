@@ -77,6 +77,7 @@ def inverse_boxcox(lmbda: float, y):
 
 MIN_LAMBDA_SAMPLES = 30
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_ONE = np.ones(1)
 
 
 def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
@@ -187,6 +188,42 @@ def fit_moments(samples, lmbda: float) -> tuple[float, float]:
     sigma = float(np.std(t))  # population (N) divisor
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise DegenerateSampleError("transformed samples have zero variance")
+    return mu, sigma
+
+
+def fit_moments_batch(segments, lambdas) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`fit_moments` of every segment at its own lambda, in one pass.
+
+    The segments take the layout of :func:`fit_boxcox_lambdas`, each behind
+    a slot holding 1.0 whose transform is 0, so each `np.add.reduceat` sum
+    adds the segment to 0 as `np.mean` and `np.std` do, and mu and sigma
+    equal `fit_moments` bit for bit.  The exception is a lambda of exactly
+    -1, 0.5 or 2, where numpy's scalar-exponent fast paths in `fit_moments`
+    can round a transform one ulp apart; a golden-section fit lands on
+    none of them.  A sigma that is 0 or not finite is returned where
+    `fit_moments` would raise; the caller checks it.  Every segment must be
+    non-empty and strictly positive.
+    """
+    segs = [np.asarray(s, dtype=float).ravel() for s in segments]
+    if not segs:
+        return np.empty(0), np.empty(0)
+    reps = np.array([s.size + 1 for s in segs], dtype=np.int64)
+    starts = np.cumsum(reps) - reps
+    n = reps - 1.0
+    v = np.concatenate([part for s in segs for part in (_ONE, s)])
+    lam = np.repeat(np.asarray(lambdas, dtype=float), reps)
+    with np.errstate(all="ignore"):
+        t = np.power(v, lam)
+        t -= 1.0
+        t /= lam
+        log_branch = np.abs(lam) < _LOG_BRANCH_EPS
+        if log_branch.any():
+            np.copyto(t, np.log(v), where=log_branch)
+        mu = np.add.reduceat(t, starts) / n
+        t -= np.repeat(mu, reps)
+        t *= t
+        t[starts] = 0.0
+        sigma = np.sqrt(np.add.reduceat(t, starts) / n)
     return mu, sigma
 
 

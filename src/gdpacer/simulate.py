@@ -17,7 +17,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import RUNNERS, DeliveryTrace, RunConfig, run_seed
+from .engine import RUNNERS, DeliveryTrace, PreparedStream, RunConfig, prepare, run_seed
 from .metrics import ALGORITHM_ORDER, MetricsReport, build_report
 from .pacing import PacingHyperParams
 from .quality import BetaQualityModel, DomainError
@@ -187,11 +187,15 @@ def scale_budgets(specs: list[CampaignSpec], round_index: int, seed: int,
     return out
 
 
-def _run_round(config: ScenarioConfig, stream: ImpressionStream | None,
+def _prepared_stream(config: ScenarioConfig, seed: int | None = None) -> PreparedStream:
+    return prepare(generate_stream(config, seed=seed), [c.id for c in config.campaigns])
+
+
+def _run_round(config: ScenarioConfig, stream: PreparedStream | None,
                round_index: int) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
     if stream is None:
         s = config.seed + round_index if config.regenerate_stream_per_round else None
-        stream = generate_stream(config, seed=s)
+        stream = _prepared_stream(config, seed=s)
     specs = scale_budgets(config.campaigns, round_index, config.seed,
                           config.budget_scale_range)
     reports, traces = [], {}
@@ -204,11 +208,21 @@ def _run_round(config: ScenarioConfig, stream: ImpressionStream | None,
     return reports, traces
 
 
-def _round_worker(args) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
-    """One round's reports, plus its traces for round 0 only."""
-    config, round_index = args
-    reports, traces = _run_round(config, None, round_index)
-    return reports, traces if round_index == 0 else {}
+def _run_rounds(config: ScenarioConfig, rounds: range,
+                ) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
+    """The reports of `rounds` in (round, algorithm) order, and round 0's
+    traces when it is one of them.  The shared stream is generated and
+    prepared once for all of them, so every policy and round reuses its
+    densified periods and transform fits."""
+    stream = None if config.regenerate_stream_per_round else _prepared_stream(config)
+    reports: list[MetricsReport] = []
+    traces0: dict[str, DeliveryTrace] = {}
+    for r in rounds:
+        chunk, traces = _run_round(config, stream, r)
+        reports.extend(chunk)
+        if r == 0:
+            traces0 = traces
+    return reports, traces0
 
 
 def run_experiment(config: ScenarioConfig, jobs: int = 1) -> list[MetricsReport]:
@@ -219,25 +233,19 @@ def run_experiment(config: ScenarioConfig, jobs: int = 1) -> list[MetricsReport]
 
 def run_experiment_detailed(config: ScenarioConfig, jobs: int = 1,
                             ) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
-    """As run_experiment, but also returns round 0's traces for series export."""
-    config.validate()
-    if jobs > 1 and config.rounds > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_round_worker,
-                                   [(config, r) for r in range(config.rounds)]))
-        return [rep for reps, _ in chunks for rep in reps], chunks[0][1]
+    """As run_experiment, but also returns round 0's traces for series export.
 
-    stream = None
-    if not config.regenerate_stream_per_round:
-        stream = generate_stream(config)
-    reports: list[MetricsReport] = []
-    traces0: dict[str, DeliveryTrace] = {}
-    for r in range(config.rounds):
-        chunk, traces = _run_round(config, stream, r)
-        reports.extend(chunk)
-        if r == 0:
-            traces0 = traces
-    return reports, traces0
+    With `jobs` > 1 the rounds are split into that many contiguous chunks,
+    one per worker process; each worker prepares its own stream."""
+    config.validate()
+    jobs = max(1, min(jobs, config.rounds))
+    if jobs == 1:
+        return _run_rounds(config, range(config.rounds))
+    chunks = [range(k * config.rounds // jobs, (k + 1) * config.rounds // jobs)
+              for k in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(_run_rounds, [config] * jobs, chunks))
+    return [rep for reps, _ in parts for rep in reps], parts[0][1]
 
 
 # --- config file IO -------------------------------------------------------------

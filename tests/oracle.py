@@ -13,12 +13,13 @@ search of `gdpacer.quality.fit_boxcox_lambdas` is checked.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _TAG_PRIOR, _TAG_RUN, CampaignArrays,
-                            RunConfig, _FitManager, _substream, init_campaign_states)
+                            RunConfig, _substream, init_campaign_states)
 from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv,
                             psi_speed_bound, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
@@ -190,21 +191,28 @@ def _scalar_fit(samples: np.ndarray, eps: float) -> BoxCoxFit | None:
         return None
 
 
-def assign_fits(fits: _FitManager, camps: CampaignArrays) -> None:
+def log_period(window, camp: np.ndarray, v: np.ndarray, M: int) -> None:
+    """Append one period's qualities to `window`, split by campaign index."""
+    order = np.argsort(camp, kind="stable")
+    window.append(np.split(v[order], np.cumsum(np.bincount(camp, minlength=M))[:-1]))
+
+
+def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None:
     """The fit chain of `_FitManager.assign_fits` one campaign at a time, with
-    the scalar search: the campaign's own window when it holds
+    the scalar search, over `window`, a list of periods each holding one
+    quality array per campaign: the campaign's own window when it holds
     `min_fit_samples` samples, else the pooled window, else a fit of samples
     drawn from the campaign's quality model, else the neutral fit."""
-    config, eps = fits.config, fits.eps
+    eps = config.params.epsilon
     M = camps.ids.size
-    window = list(fits.window) or [[np.empty(0)] * M]
+    window = list(window) or [[np.empty(0)] * M]
     pooled = np.concatenate([np.concatenate(p) for p in window])
     for i in range(M):
         own = np.concatenate([period[i] for period in window])
         fit = _scalar_fit(own, eps) if own.size >= config.min_fit_samples else None
         if fit is None and pooled.size >= config.min_fit_samples:
             fit = _scalar_fit(pooled, eps)
-        model = fits.specs[i].quality_model
+        model = specs[i].quality_model
         if fit is None and model is not None:
             rng = _substream(config.seed, _TAG_PRIOR, i)
             fit = _scalar_fit(rng.beta(model.m, model.n, size=config.prior_fit_samples), eps)
@@ -311,7 +319,8 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     out = Replay(np.zeros((M, T), dtype=np.int64), np.zeros((M, T)), np.zeros((M, T)),
                  np.ones((M, T)), camps.remaining)
     if algorithm == "rcpacing":
-        fits = _FitManager(sorted(specs, key=lambda s: s.id), config)
+        window = deque(maxlen=config.refit_window)
+        sorted_specs = sorted(specs, key=lambda s: s.id)
     else:
         camps.eptr[:] = 1.0
     if algorithm == "smart":
@@ -323,7 +332,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
 
     for t, p in enumerate(stream.periods):
         if algorithm == "rcpacing":
-            assign_fits(fits, camps)
+            assign_fits(window, sorted_specs, config, camps)
             for i in range(M):
                 camps.alpha[i] = backward_transform_clipped(
                     camps.lam[i], camps.mu[i], camps.scale[i], camps.alpha_bar[i])
@@ -344,7 +353,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
             dmd_update(camps, cost, p.n_requests, avg, params.eta, config.gradient_mode)
         elif algorithm == "rcpacing":
             known = np.isin(p.camp, camps.ids)
-            fits.log_period(np.searchsorted(camps.ids, p.camp[known]), p.v[known], M)
+            log_period(window, np.searchsorted(camps.ids, p.camp[known]), p.v[known], M)
             rcp_update(camps, cost, p.n_requests, avg, params, config.gradient_mode,
                        period_scale=not config.per_impression)
         else:

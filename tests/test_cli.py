@@ -1,6 +1,7 @@
 """Command-line behaviour: files written, exit codes, seed precedence."""
 
 import json
+import os
 
 import pytest
 
@@ -62,6 +63,26 @@ def test_run_reruns_byte_identical(tmp_path, config_path):
     _, o2 = _run(tmp_path, config_path, "o2")
     for name in ("rounds.csv", "series.csv", "aggregate.csv"):
         assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
+
+
+def test_run_force_writes_each_output_as_a_new_file(tmp_path, config_path):
+    # a --force rerun writes identical bytes to a new file rather than
+    # truncating the old one in place; a symlinked output is replaced
+    names = ("rounds.csv", "series.csv", "aggregate.csv")
+    _, out = _run(tmp_path, config_path, "o1")
+    for name in names:
+        os.link(out / name, tmp_path / name)      # keeps the old inode allocated
+    elsewhere = tmp_path / "elsewhere.csv"
+    elsewhere.write_text("keep\n")
+    (out / "series.csv").unlink()
+    (out / "series.csv").symlink_to(elsewhere)
+    code, _ = _run(tmp_path, config_path, "o1", "--force")
+    assert code == 0
+    for name in names:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert not (out / name).is_symlink()
+        assert not os.path.samefile(out / name, tmp_path / name)
+    assert elsewhere.read_text() == "keep\n"
 
 
 def test_run_json_format(tmp_path, config_path):

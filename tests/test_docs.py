@@ -27,6 +27,7 @@ def test_readme_names_the_public_api():
     import gdpacer
     text = README.read_text(encoding="utf-8")
     for name in ("load_stream_csv", "run_dmd", "run_rcpacing", "run_smart_baseline",
-                 "PacingHyperParams", "RunConfig", "hindsight_optimum", "generate_stream"):
+                 "PacingHyperParams", "RunConfig", "hindsight_optimum", "generate_stream",
+                 "prepare", "PreparedStream"):
         assert f"`{name}`" in text
         assert hasattr(gdpacer, name), name

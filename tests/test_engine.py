@@ -14,8 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from gdpacer.engine import (_ALGO_TAGS, _FitManager, RUNNERS, RunConfig, _substream,
-                            dmd_period_update, init_campaign_states, rcp_period_update,
+from gdpacer.engine import (_ALGO_TAGS, _FitManager, RUNNERS, RunConfig, _substream, _try_fit,
+                            dmd_period_update, init_campaign_states, prepare, rcp_period_update,
                             run_dmd, run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams
@@ -211,32 +211,53 @@ def test_array_updates_match_per_campaign_updates(params, mode):
 
 # --- transform fits ----------------------------------------------------------------
 
+def _logged(specs, cfg, periods):
+    """A fit manager at the period after `periods`, each a pair of campaign
+    index and quality arrays, so that its fit window holds them."""
+    batches, next_id = [], 0
+    for camp, v in periods + [((), ())]:
+        n = len(v)
+        batches.append(PeriodBatch(np.arange(next_id, next_id + max(n, 1)), np.arange(n),
+                                   np.asarray(camp, dtype=np.int64), np.asarray(v, dtype=float)))
+        next_id += max(n, 1)
+    stream = prepare(ImpressionStream(batches), [s.id for s in specs])
+    return _FitManager(sorted(specs, key=lambda s: s.id), cfg, stream), len(periods)
+
+
 def test_fit_fallback_keeps_each_campaigns_own_prior():
     # own windows too small, pooled window degenerate (all one value): each
     # campaign must fall back to the prior of its own quality model
     specs = [_spec(0, 10, m=2, n=5), _spec(1, 10, m=6, n=2)]
     cfg = RunConfig(min_fit_samples=30)
-    fits = _FitManager(specs, cfg)
-    fits.log_period(np.repeat([0, 1], 20), np.full(40, 0.5), 2)
+    fits, t = _logged(specs, cfg, [(np.repeat([0, 1], 20), np.full(40, 0.5))])
     c = campaigns(2)
-    fits.assign_fits(c)
+    fits.assign_fits(c, t)
     for i in range(2):
         prior = fits._prior_fit(i)
-        assert (c.lam[i], c.mu[i], c.scale[i]) == (prior.lambda_star, prior.mu, prior.scale)
+        assert (c.lam[i], c.mu[i], c.scale[i]) == \
+            (prior.lambda_star, prior.mu, prior.sigma * (1.0 + cfg.params.epsilon))
     assert c.lam[0] != c.lam[1]
 
 
 def test_fit_prefers_own_then_pooled_window():
     rng = np.random.default_rng(5)
     specs = [_spec(0, 10), _spec(1, 10)]
-    fits = _FitManager(specs, RunConfig(min_fit_samples=30))
     v = np.concatenate([rng.beta(2, 5, 40), rng.beta(5, 2, 10)])
-    fits.log_period(np.repeat([0, 1], [40, 10]), v, 2)
+    fits, t = _logged(specs, RunConfig(min_fit_samples=30), [(np.repeat([0, 1], [40, 10]), v)])
     c = campaigns(2)
-    fits.assign_fits(c)
-    own, pooled = fits._try_fit(v[:40]), fits._try_fit(v)
+    fits.assign_fits(c, t)
+    own, pooled = _try_fit(v[:40]), _try_fit(v)
     assert (c.lam[0], c.mu[0]) == (own.lambda_star, own.mu)
     assert (c.lam[1], c.mu[1]) == (pooled.lambda_star, pooled.mu)
+
+
+def test_min_fit_samples_zero_falls_back_at_the_empty_first_window():
+    # no fit takes fewer than 30 samples, so 0 and 1 behave alike; the empty
+    # window of period 0 used to end the run in np.concatenate([])
+    stream = _rand_stream(2, 4, 40, seed=24)
+    specs = [_spec(0, 30, m=2, n=5), _spec(1, 30, m=5, n=2)]
+    traces = [run_rcpacing(stream, specs, RunConfig(seed=3, min_fit_samples=k)) for k in (0, 1)]
+    assert traces[0].tobytes() == traces[1].tobytes()
 
 
 @pytest.mark.parametrize("min_fit_samples", [10, 30, 60])
@@ -253,24 +274,26 @@ def test_assign_fits_matches_per_campaign_chain(nonpositive, min_fit_samples):
         windows[3][7] = 0.0
     specs = [_spec(j, 10, m=2.0 + j, n=5.0) for j in range(7)]
     specs[5] = CampaignSpec(id=5, budget=10, recall_prob=1.0, quality_model=None)
-    fits = _FitManager(specs, RunConfig(min_fit_samples=min_fit_samples, seed=4))
+    cfg = RunConfig(min_fit_samples=min_fit_samples, seed=4)
+    logged, window = [], []
     for half in (0, 1):
         parts = [np.array_split(w, 2)[half] for w in windows]
-        fits.log_period(np.repeat(np.arange(7), [p.size for p in parts]),
-                        np.concatenate(parts), 7)
+        logged.append((np.repeat(np.arange(7), [p.size for p in parts]), np.concatenate(parts)))
+        oracle.log_period(window, *logged[-1], 7)
+    fits, t = _logged(specs, cfg, logged)
     got, ref = campaigns(7), campaigns(7)
-    fits.assign_fits(got)
-    oracle.assign_fits(fits, ref)
+    fits.assign_fits(got, t)
+    oracle.assign_fits(window, specs, cfg, ref)
     for name in ("lam", "mu", "scale"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
     own = {0, 3, 6} - ({3} if nonpositive else set())
     own = {j for j in own if windows[j].size >= min_fit_samples}
-    pooled = fits._try_fit(np.concatenate([np.concatenate(p) for p in fits.window]))
+    pooled = _try_fit(np.concatenate([np.concatenate(p) for p in window]))
     assert (pooled is None) == nonpositive
     for j in range(7):
         if j in own:
-            assert got.lam[j] == fits._try_fit(windows[j]).lambda_star
+            assert got.lam[j] == _try_fit(windows[j]).lambda_star
         elif pooled is not None:
             assert got.lam[j] == pooled.lambda_star
         elif j == 5:
@@ -402,6 +425,43 @@ def test_epsilon_pulls_transforms_toward_half():
     assert np.all(d1 <= d0 + 1e-12)
     off = d0 > 1e-3
     assert np.all(d1[off] < d0[off])
+
+
+# --- prepared streams ---------------------------------------------------------------
+
+@pytest.mark.parametrize("per_impression,refit_window", [(False, 2), (True, 60)])
+def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, refit_window):
+    # one prepared stream serves runs that differ in policy, epsilon and eta;
+    # each trace, and each captured transform, equals that of a run on a fresh
+    # stream.  The windows are wide enough for own-window fits in both modes.
+    specs = [_spec(0, 40, m=2, n=5), _spec(1, 60, m=3, n=3), _spec(2, 90, m=5, n=2)]
+    prepared = prepare(_rand_stream(3, 8, 40, seed=21), [2, 0, 1], per_impression)
+    for algo, runner in RUNNERS.items():
+        for eps, eta in ((0.0, 0.5), (0.5, 0.5), (0.1, 2.0)):
+            cfg = RunConfig(seed=5, per_impression=per_impression, refit_window=refit_window,
+                            log_transforms=True,
+                            params=PacingHyperParams(epsilon=eps, eta=eta))
+            shared = runner(prepared, specs, cfg)
+            fresh = runner(_rand_stream(3, 8, 40, seed=21), specs, cfg)
+            assert shared.tobytes() == fresh.tobytes(), (algo, eps, eta)
+            if algo == "rcpacing":
+                assert len(shared.transforms) == len(fresh.transforms) == prepared.n_periods
+                for a, b in zip(shared.transforms, fresh.transforms):
+                    assert np.array_equal(a, b)
+
+
+def test_prepared_stream_must_match_the_run():
+    stream = _rand_stream(2, 3, 20, seed=22)
+    specs = [_spec(0, 10), _spec(1, 10)]
+    prepared = prepare(stream, [0, 1])
+    with pytest.raises(DomainError, match="prepared for campaigns"):
+        run_dmd(prepared, specs[:1], RunConfig())
+    with pytest.raises(DomainError, match="prepared for campaigns"):
+        run_rcpacing(prepared, specs, RunConfig(per_impression=True))
+    with pytest.raises(DomainError, match="prepared for campaigns"):
+        run_smart_baseline(prepare(stream, [0, 1], per_impression=True), specs, RunConfig())
+    with pytest.raises(DomainError, match="unique"):
+        prepare(stream, [0, 0])
 
 
 # --- scalar vs vectorized differentials -------------------------------------------

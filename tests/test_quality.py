@@ -20,7 +20,7 @@ from gdpacer.quality import (BetaQualityModel, BoxCoxFit, DegenerateSampleError,
                              DomainError, backward_transform,
                              backward_transform_clipped, boxcox, fit_boxcox,
                              fit_boxcox_lambda, fit_boxcox_lambdas, fit_moments,
-                             forward_transform, inverse_boxcox, normal_cdf,
+                             fit_moments_batch, forward_transform, inverse_boxcox, normal_cdf,
                              normal_quantile)
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
@@ -188,6 +188,28 @@ def test_fit_lambdas_matches_scalar_search(specs):
         assert abs(lam - ref) <= 1e-4
         if kind == "beta":
             assert lam == ref
+
+
+# numpy computes a power with a scalar exponent of -1, 0.5 or 2 by a fast
+# path that can round one ulp apart from the general power
+_LAMBDA = st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: x not in (-1.0, 0.5, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(st.tuples(_SEGMENT, _LAMBDA), min_size=1, max_size=40))
+def test_fit_moments_batch_matches_fit_moments(specs):
+    segs = [_segment(*spec) for spec, _ in specs]
+    lams = [lam for _, lam in specs]
+    mu, sigma = fit_moments_batch(segs, lams)
+    for seg, lam, m, s in zip(segs, lams, mu.tolist(), sigma.tolist()):
+        assert (m, s) == fit_moments(seg, lam)
+
+
+def test_fit_moments_batch_flags_degenerate_segments():
+    mu, sigma = fit_moments_batch([np.full(40, 0.25), [0.2, 0.4]], [1.0, 0.3])
+    assert sigma[0] == 0.0
+    assert (mu[1], sigma[1]) == fit_moments([0.2, 0.4], 0.3)
+    assert [a.size for a in fit_moments_batch([], [])] == [0, 0]
 
 
 def test_fit_moments_two_point_symmetric():

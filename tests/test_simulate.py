@@ -169,6 +169,26 @@ def test_run_experiment_detailed_returns_round0_traces():
     assert len(reports) == 4
 
 
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_rounds_share_one_prepared_stream(monkeypatch, regenerate):
+    # the shared stream is densified once, and each period's own-window fit
+    # is made once for all rounds; a stream regenerated per round is
+    # prepared per round
+    import gdpacer.engine as engine
+    calls = {"densify": 0, "own_fits": 0}
+
+    def counted(key, fn):
+        return lambda *a: calls.__setitem__(key, calls[key] + 1) or fn(*a)
+    monkeypatch.setattr(engine, "_densify", counted("densify", engine._densify))
+    monkeypatch.setattr(engine, "fit_boxcox_lambdas",
+                        counted("own_fits", engine.fit_boxcox_lambdas))
+    cfg = _tiny_config(rounds=3, regenerate_stream_per_round=regenerate)
+    run_experiment_detailed(cfg)
+    streams = cfg.rounds if regenerate else 1
+    assert calls["densify"] == streams
+    assert 0 < calls["own_fits"] <= streams * cfg.num_periods
+
+
 def test_jobs_take_round0_traces_from_the_pool(monkeypatch):
     import gdpacer.simulate as simulate
     cfg = _tiny_config(rounds=3)
