@@ -232,18 +232,34 @@ class _DensePeriod:
         return self.v[np.argsort(self.camp, kind="stable")]
 
 
-def _densify(stream: ImpressionStream, spec_ids: list[int]) -> list[_DensePeriod]:
-    id_arr = np.asarray(spec_ids, dtype=np.int64)
+def _densify(stream: ImpressionStream, spec_ids: list[int],
+             per_impression: bool = False) -> list[_DensePeriod]:
+    """Each period's edges of the campaigns `spec_ids` (ascending), or with
+    `per_impression` one period of views per request; DomainError unless a
+    period's (request, campaign id) pairs strictly increase over its requests."""
+    id_arr, M = np.asarray(spec_ids, dtype=np.int64), len(spec_ids)
+    zeros = [np.zeros(k, dtype=np.int64) for k in range(M + 1)]  # a request has <= M edges
     out = []
-    for p in stream.periods:
-        pos = np.clip(np.searchsorted(id_arr, p.camp), 0, id_arr.size - 1)
+    for t, p in enumerate(stream.periods):
+        pos = np.minimum(np.searchsorted(id_arr, p.camp), M - 1)
         keep = id_arr[pos] == p.camp
-        req, camp, v = p.req, pos.astype(np.int64, copy=False), p.v
+        req, camp, v = p.req, pos, p.v
         if not keep.all():
             req, camp, v = req[keep], camp[keep], v[keep]
-        present, starts = np.unique(req, return_index=True)
-        seg_idx = np.searchsorted(present, req)
-        out.append(_DensePeriod(p.n_requests, req, camp, v, starts, seg_idx))
+        new = np.concatenate(([True], req[1:] != req[:-1]))[:req.size]  # a request starts
+        if req.size and (req[0] < 0 or req[-1] >= p.n_requests or np.any(
+                (req[1:] < req[:-1]) | ~new[1:] & (camp[1:] <= camp[:-1]))):
+            raise DomainError(f"period {t}: edges not sorted by (request, campaign id)")
+        if not per_impression:
+            seg_idx = np.cumsum(new)    # in place below: fewer int temporaries, lower peak RSS
+            seg_idx -= 1
+            out.append(_DensePeriod(p.n_requests, req, camp, v, np.flatnonzero(new), seg_idx))
+            continue
+        bounds = np.searchsorted(req, np.arange(p.n_requests + 1)).tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            k = hi - lo
+            out.append(_DensePeriod(1, zeros[k], camp[lo:hi], v[lo:hi], zeros[min(k, 1)],
+                                    zeros[k]))
     return out
 
 
@@ -269,11 +285,9 @@ def _fit_window(window: list[_DensePeriod], M: int, min_fit_samples: int) -> _Wi
     least max(`min_fit_samples`, 30) of them, all > 0, not all equal, and
     non-degenerate transformed moments; the lambdas and moments of all such
     campaigns are fitted in one batch.  The pooled window of all campaigns is
-    fitted only when some campaign has no own fit and it holds at least
-    max(`min_fit_samples`, 30) qualities: no fit takes fewer than 30."""
+    fitted only when some campaign has no own fit; `window` holds at least
+    max(`min_fit_samples`, 30) qualities, since no fit takes fewer than 30."""
     lam, mu, sigma = np.full(M, np.nan), np.full(M, np.nan), np.full(M, np.nan)
-    if sum(p.v.size for p in window) < max(min_fit_samples, MIN_LAMBDA_SAMPLES):
-        return _WindowFits(lam, mu, sigma, None)
     counts = [np.bincount(p.camp, minlength=M) for p in window]
     sizes = np.sum(counts, axis=0)
     cand = np.flatnonzero(sizes >= max(min_fit_samples, MIN_LAMBDA_SAMPLES))
@@ -324,10 +338,22 @@ class PreparedStream:
     def n_periods(self) -> int:
         return len(self.periods)
 
+    def fit_memo(self, refit_window: int, min_fit_samples: int) -> list[_WindowFits | None]:
+        """Period t's fits over periods t - refit_window .. t - 1 for one fit
+        setting, None until `window_fits` makes them; all windows of fewer than
+        max(`min_fit_samples`, 30) qualities share one no-fit entry."""
+        key = (refit_window, min_fit_samples)
+        if key not in self._fits:
+            ends = np.cumsum([0] + [p.v.size for p in self.periods])
+            lo = np.maximum(0, np.arange(self.n_periods) - refit_window)
+            small = ends[:-1] - ends[lo] < max(min_fit_samples, MIN_LAMBDA_SAMPLES)
+            no_fit = _WindowFits(*np.full((3, len(self.campaign_ids)), np.nan), None)
+            self._fits[key] = [no_fit if s else None for s in small.tolist()]
+        return self._fits[key]
+
     def window_fits(self, t: int, refit_window: int, min_fit_samples: int) -> _WindowFits:
-        """Period t's fits over periods t - refit_window .. t - 1, computed on
-        first use."""
-        memo = self._fits.setdefault((refit_window, min_fit_samples), [None] * self.n_periods)
+        """Period t's entry of `fit_memo`, computed on first use."""
+        memo = self.fit_memo(refit_window, min_fit_samples)
         if memo[t] is None:
             memo[t] = _fit_window(self.periods[max(0, t - refit_window):t],
                                   len(self.campaign_ids), min_fit_samples)
@@ -345,10 +371,9 @@ def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False
     ids = sorted(int(c) for c in campaign_ids)
     if len(set(ids)) != len(ids):
         raise DomainError("campaign ids must be unique")
-    chunks = stream.per_impression() if per_impression else stream
-    return PreparedStream(ids, per_impression, _densify(chunks, ids), stream.fingerprint(),
-                          chunks.total_requests, stream.total_edges,
-                          chunks.avg_requests_per_period)
+    periods, total = _densify(stream, ids, per_impression), stream.total_requests
+    return PreparedStream(ids, per_impression, periods, stream.fingerprint(), total,
+                          stream.total_edges, total / max(1, len(periods)))
 
 
 # --- the period loop -----------------------------------------------------------
@@ -360,12 +385,17 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
     Winners are recomputed with a campaign cut at the request where it runs
     out whenever the optimistic pass over-allocates someone; only the
     earliest violation is applied per iteration so the prefix before it is
-    already sequentially correct.
+    already sequentially correct.  In a one-request period whose winner can
+    pay, that is the first pass's pick: the first eligible edge of top score.
     """
-    n_camp = remaining.size
-    cut = np.full(n_camp, dp.n_requests, dtype=np.int64)
     if dp.req.size == 0:
         return np.empty(0, dtype=np.int64)
+    if dp.n_requests == 1:
+        s = np.where(elig, score, -np.inf)
+        first = np.flatnonzero(elig & (s == s.max()))[:1]
+        if first.size == 0 or remaining[dp.camp[first[0]]] >= 1:
+            return first
+    cut = np.full(remaining.size, dp.n_requests, dtype=np.int64)
     while True:
         ok = elig & (dp.req < cut[dp.camp])
         s = np.where(ok, score, -np.inf)
@@ -374,7 +404,7 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
         cand_edges = np.flatnonzero(cand)
         _, first = np.unique(dp.req[cand_edges], return_index=True)
         winner_edges = cand_edges[first]
-        counts = np.bincount(dp.camp[winner_edges], minlength=n_camp)
+        counts = np.bincount(dp.camp[winner_edges], minlength=remaining.size)
         over = np.flatnonzero(counts > remaining)
         if over.size == 0:
             return winner_edges
@@ -474,15 +504,16 @@ class _FitManager:
     samples fall through the same chain; the last resort is a fixed neutral
     fit (lambda=1 around a uniform quality prior).  The own and pooled fits
     come from the prepared stream's memo; the prior fits depend on the run
-    seed and are made here, and epsilon widens every fit's scale here.
+    seed and are made here, and epsilon widens every fit's scale here.  A
+    period whose memo entry is the one applied last keeps the fits in place.
     """
 
     def __init__(self, specs, config: RunConfig, stream: PreparedStream):
-        self.specs = specs
-        self.config = config
-        self.stream = stream
+        self.specs, self.config, self.stream = specs, config, stream
         self.eps = config.params.epsilon
         self._prior: dict[int, BoxCoxFit] = {}
+        self.memo = stream.fit_memo(config.refit_window, config.min_fit_samples)
+        self.applied = None         # the period fits now in the campaign arrays
 
     def _prior_fit(self, i: int) -> BoxCoxFit:
         if i not in self._prior:
@@ -495,7 +526,11 @@ class _FitManager:
         return self._prior[i]
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
-        fits = self.stream.window_fits(t, self.config.refit_window, self.config.min_fit_samples)
+        fits = self.memo[t] or self.stream.window_fits(t, self.config.refit_window,
+                                                       self.config.min_fit_samples)
+        if fits is self.applied:
+            return
+        self.applied = fits
         camps.lam[:], camps.mu[:], camps.scale[:] = fits.lam, fits.mu, fits.sigma
         for i in np.flatnonzero(np.isnan(fits.sigma)):
             fit = fits.pooled or self._prior_fit(i)

@@ -21,7 +21,6 @@ import csv
 import hashlib
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -89,30 +88,6 @@ class ImpressionStream:
         for p in self.periods:
             ids.update(np.unique(p.camp).tolist())
         return sorted(ids)
-
-    def iter_requests(self) -> Iterator[ImpressionRequest]:
-        for t, p in enumerate(self.periods):
-            starts = np.searchsorted(p.req, np.arange(p.n_requests))
-            ends = np.searchsorted(p.req, np.arange(p.n_requests), side="right")
-            for r in range(p.n_requests):
-                lo, hi = starts[r], ends[r]
-                qualities = {int(c): float(q) for c, q in zip(p.camp[lo:hi], p.v[lo:hi])}
-                yield ImpressionRequest(int(p.request_ids[r]), t, qualities)
-
-    def per_impression(self) -> "ImpressionStream":
-        """Re-chunk the stream so every request forms its own period."""
-        periods = []
-        for p in self.periods:
-            for r in range(p.n_requests):
-                lo = np.searchsorted(p.req, r)
-                hi = np.searchsorted(p.req, r, side="right")
-                periods.append(PeriodBatch(
-                    request_ids=p.request_ids[r:r + 1],
-                    req=np.zeros(hi - lo, dtype=np.int64),
-                    camp=p.camp[lo:hi].copy(),
-                    v=p.v[lo:hi].copy(),
-                ))
-        return ImpressionStream(periods=periods, generator_models=self.generator_models)
 
     def fingerprint(self) -> str:
         """Content hash tying traces to the exact instance they ran on.

@@ -1,5 +1,6 @@
 """Sequential scalar reference implementations of the three delivery policies
-and of the Box-Cox lambda search.
+and of the Box-Cox lambda search, and the request-by-request stream views
+they replay.
 
 The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
@@ -24,8 +25,37 @@ from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, f
                             psi_speed_bound, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
                              backward_transform_clipped, boxcox, fit_moments, normal_cdf)
+from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch
 
 SMART_PTR_FLOOR = 0.01
+
+
+def iter_requests(stream: ImpressionStream):
+    """The stream's requests in order, each with its period index and the
+    qualities of the campaigns it recalls."""
+    for t, p in enumerate(stream.periods):
+        starts = np.searchsorted(p.req, np.arange(p.n_requests))
+        ends = np.searchsorted(p.req, np.arange(p.n_requests), side="right")
+        for r in range(p.n_requests):
+            lo, hi = starts[r], ends[r]
+            qualities = {int(c): float(q) for c, q in zip(p.camp[lo:hi], p.v[lo:hi])}
+            yield ImpressionRequest(int(p.request_ids[r]), t, qualities)
+
+
+def per_impression(stream: ImpressionStream) -> ImpressionStream:
+    """Re-chunk the stream so every request forms its own period."""
+    periods = []
+    for p in stream.periods:
+        for r in range(p.n_requests):
+            lo = np.searchsorted(p.req, r)
+            hi = np.searchsorted(p.req, r, side="right")
+            periods.append(PeriodBatch(
+                request_ids=p.request_ids[r:r + 1],
+                req=np.zeros(hi - lo, dtype=np.int64),
+                camp=p.camp[lo:hi].copy(),
+                v=p.v[lo:hi].copy(),
+            ))
+    return ImpressionStream(periods=periods, generator_models=stream.generator_models)
 
 
 def campaigns(n: int = 1, **fields) -> CampaignArrays:
@@ -309,7 +339,7 @@ class Replay:
 def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     """Run one policy request by request with the scalar functions above."""
     if config.per_impression:
-        stream = stream.per_impression()
+        stream = per_impression(stream)
     params = config.params
     camps = init_campaign_states(specs, stream, params)
     M, T = camps.ids.size, stream.n_periods
@@ -327,7 +357,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
         layer_ptr = smart_init(camps, params, config.smart_layers)
 
     requests = [[] for _ in range(T)]
-    for r in stream.iter_requests():
+    for r in iter_requests(stream):
         requests[r.period].append(r)
 
     for t, p in enumerate(stream.periods):

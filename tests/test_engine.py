@@ -14,9 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from gdpacer.engine import (_ALGO_TAGS, _FitManager, RUNNERS, RunConfig, _substream, _try_fit,
-                            dmd_period_update, init_campaign_states, prepare, rcp_period_update,
-                            run_dmd, run_rcpacing, run_seed, run_smart_baseline)
+from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunConfig, _densify,
+                            _resolve_winners, _substream, _try_fit, dmd_period_update,
+                            init_campaign_states, prepare, rcp_period_update, run_dmd,
+                            run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams
 from gdpacer.quality import BetaQualityModel, DomainError
@@ -464,6 +465,107 @@ def test_prepared_stream_must_match_the_run():
         prepare(stream, [0, 0])
 
 
+def _period(req, camp, v, n_requests=None) -> PeriodBatch:
+    n = n_requests if n_requests is not None else (max(req) + 1 if req else 0)
+    return PeriodBatch(np.arange(n, dtype=np.int64), np.asarray(req, dtype=np.int64),
+                       np.asarray(camp, dtype=np.int64), np.asarray(v, dtype=float))
+
+
+def test_unsorted_period_edges_are_refused():
+    # a period given out of (request, campaign id) order used to be
+    # misallocated without an error: reduceat got out-of-order starts, and
+    # dmd gave wins [1, 0] and quality 0.9 where the sorted edges give [1, 1]
+    # and 1.2
+    specs = [_spec(0, 5), _spec(1, 5)]
+    ok = run_dmd(ImpressionStream([_period([0, 1, 1], [0, 0, 1], [0.9, 0.2, 0.3])]), specs,
+                 RunConfig())
+    assert ok.wins[:, 0].tolist() == [1, 1] and ok.total_quality == pytest.approx(1.2)
+    for bad in (_period([1, 1, 0], [0, 1, 0], [0.2, 0.3, 0.9]),     # requests out of order
+                _period([0, 0, 1], [1, 0, 0], [0.3, 0.9, 0.2]),     # campaigns out of order
+                _period([0, 0, 1], [0, 0, 1], [0.3, 0.9, 0.2]),     # a repeated edge
+                _period([0, 2], [0, 1], [0.5, 0.5], n_requests=2),  # no request 2
+                _period([-1, 0], [0, 1], [0.5, 0.5], n_requests=2)):
+        for per_impression in (False, True):
+            with pytest.raises(DomainError, match="sorted by"):
+                run_dmd(ImpressionStream([bad]), specs, RunConfig(per_impression=per_impression))
+
+
+def _unique_layout(req):
+    """`starts` and `seg_idx` as np.unique gives them, for a sorted `req`."""
+    present, starts = np.unique(req, return_index=True)
+    return starts, np.searchsorted(present, req)
+
+
+def test_per_impression_prepare_matches_densified_rechunk():
+    # requests with no recall, and requests and periods whose only edges
+    # belong to campaigns outside the run, empty periods with and without
+    # requests, then a random stream whose campaigns 1 and 3 sit out the run
+    hand = ImpressionStream([
+        _period([0, 0, 0, 2, 3, 3], [0, 2, 5, 5, 2, 9], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6], 5),
+        _period([], [], [], 0),
+        _period([], [], [], 2),
+        _period([0, 1], [5, 5], [0.7, 0.8]),
+        _period([0, 0, 1], [0, 2, 0], [0.25, 0.5, 0.75]),
+    ])
+    for stream, ids in ((hand, [2, 0]), (_rand_stream(4, 5, 30, seed=31, recall=0.5), [0, 2])):
+        got = prepare(stream, ids, per_impression=True)
+        chunks = oracle.per_impression(stream)
+        ref = _densify(chunks, sorted(ids))
+        assert got.n_periods == len(ref) == stream.total_requests
+        assert got.total_requests == chunks.total_requests
+        assert got.avg_requests_per_period == chunks.avg_requests_per_period
+        for a, b in zip(got.periods, ref):
+            assert a.n_requests == b.n_requests == 1
+            for name in ("req", "camp", "v", "starts", "seg_idx"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and np.array_equal(x, y), name
+        for dp in _densify(stream, sorted(ids)) + ref:
+            starts, seg_idx = _unique_layout(dp.req)
+            assert np.array_equal(dp.starts, starts) and np.array_equal(dp.seg_idx, seg_idx)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("score,elig,remaining", [
+    ([0.3, 0.5, 0.5], [1, 1, 1], [2, 2, 2]),            # tie: the lower campaign wins
+    ([0.3, 0.9, 0.5], [1, 0, 1], [2, 2, 2]),            # the top score is not eligible
+    ([0.3, _NAN, 0.5], [1, 1, 1], [2, 2, 2]),           # a NaN score: no winner
+    ([0.3, _NAN, 0.5], [1, 0, 1], [2, 2, 2]),           # ... unless it is not eligible
+    ([-_INF, -_INF, 0.5], [1, 1, 0], [2, 2, 2]),        # -inf scores still win
+    ([0.3, 0.9, 0.5], [0, 0, 0], [2, 2, 2]),            # no eligible edge
+    ([0.3, 0.9, 0.5], [1, 1, 1], [2, 0, 2]),            # the top campaign cannot pay
+    ([0.3, 0.2, 0.5], [1, 1, 1], [2, 0, 2]),            # a loser cannot pay
+    ([0.3, 0.9, 0.5], [1, 1, 1], [0, 0, 0]),            # nobody can pay
+])
+def test_one_request_winner_matches_repair_loop(score, elig, remaining):
+    # the same edges as one period of 1 request and of 2 requests, the
+    # second of which recalls nothing: only the first takes the shortcut
+    camp = np.array([0, 1, 3])
+    zeros = np.zeros(3, dtype=np.int64)
+    args = (np.array(score), np.array(elig, dtype=bool), np.array(remaining + [2]))
+    one = _resolve_winners(_DensePeriod(1, zeros, camp, np.ones(3), zeros[:1], zeros), *args)
+    two = _resolve_winners(_DensePeriod(2, zeros, camp, np.ones(3), zeros[:1], zeros), *args)
+    assert one.dtype == two.dtype and one.tolist() == two.tolist()
+
+
+def test_per_impression_rcpacing_own_fits_start_mid_run():
+    # one-request periods of 2 edges under a 40-period window: the first 15
+    # windows hold fewer than 30 qualities and share one no-fit entry, which
+    # a run applies once; then the pooled fit takes over, and from period 30
+    # on every campaign has its own fit, a new one each period
+    stream = _rand_stream(2, 2, 60, seed=32, recall=1.0)
+    specs = [_spec(0, 40, m=2, n=5), _spec(1, 40, m=5, n=2)]
+    cfg = RunConfig(seed=6, per_impression=True, refit_window=40)
+    prepared = prepare(stream, [0, 1], per_impression=True)
+    _assert_matches_replay(run_rcpacing(prepared, specs, cfg),
+                           oracle.replay("rcpacing", stream, specs, cfg))
+    memo = prepared.fit_memo(40, 30)
+    assert all(memo[t] is memo[0] for t in range(15)) and memo[0].pooled is None
+    assert all(memo[t].pooled is not None for t in range(15, 30))
+    assert all(np.isfinite(memo[t].lam).all() for t in range(30, 120))
+
+
 # --- scalar vs vectorized differentials -------------------------------------------
 
 def _assert_matches_replay(trace, ref):
@@ -506,7 +608,8 @@ def test_run_smart_matches_scalar_replay():
 def _instances(draw):
     """Small instances: tight budgets so campaigns run out mid-period,
     qualities on a coarse grid so bids tie, and periods with no requests
-    or with requests that recall no campaign."""
+    or with requests that recall no campaign.  A 40-period window lets the
+    pooled and own fits start mid-run, per impression too."""
     M = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6)
                  .filter(lambda xs: sum(xs) > 0))
@@ -525,6 +628,7 @@ def _instances(draw):
     specs = [_spec(j, b, recall=recall, m=2.0 + j, n=5.0) for j, b in enumerate(budgets)]
     cfg = RunConfig(seed=draw(st.integers(0, 2**32 - 1)),
                     per_impression=draw(st.booleans()),
+                    refit_window=draw(st.sampled_from([2, 40])),
                     gradient_mode=draw(st.sampled_from(["relative", "absolute"])),
                     min_fit_samples=draw(st.sampled_from([4, 30])),
                     prior_fit_samples=256,

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracle
 from gdpacer.engine import RunConfig, run_dmd, run_rcpacing, run_smart_baseline
 from gdpacer.metrics import (ALGORITHM_ORDER, HindsightOptimum, InstanceMismatchError,
                              InstanceTooLargeError, MetricsReport, aggregate_rounds,
@@ -40,7 +41,7 @@ def _trace(wins, budgets, quality=None, stream_id="s", campaign_ids=None):
 def brute_force_opt(stream, budgets: dict[int, int]) -> float:
     """Exact reference by prefix DP over remaining-budget vectors."""
     ids = sorted(budgets)
-    reqs = [(r.qualities) for r in stream.iter_requests()]
+    reqs = [(r.qualities) for r in oracle.iter_requests(stream)]
 
     @lru_cache(maxsize=None)
     def best(i: int, rem: tuple) -> float:
