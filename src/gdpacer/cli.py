@@ -8,11 +8,9 @@ failure, 3 validation-check failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
-from itertools import product
 from pathlib import Path
 
 from .metrics import ALGORITHM_ORDER, METRIC_NAMES, MetricsReport, aggregate_rounds
@@ -21,7 +19,7 @@ from .simulate import (
     ScenarioConfig,
     default_scenario,
     load_scenario_config,
-    run_experiment,
+    run_ablation,
     run_experiment_detailed,
     scenario_from_dict,
 )
@@ -231,34 +229,28 @@ def cmd_ablate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    keys = list(cfg.ablation)
-    grids = [cfg.ablation[k] for k in keys]
-    lines = []
-    header_metrics = []
     try:
-        for cell in product(*grids):
-            overrides = dict(zip(keys, cell))
-            cell_cfg = dataclasses.replace(cfg)
-            cell_cfg.hyperparams = dataclasses.replace(cfg.hyperparams, **overrides)
-            cell_cfg.ablation = None
-            reports = run_experiment(cell_cfg, jobs=args.jobs)
-            agg = aggregate_rounds(reports)
-            for algo, row in agg.items():
-                if not header_metrics:
-                    header_metrics = list(row)
-                cells = [str(v) for v in cell] + [algo]
-                for metric in header_metrics:
-                    mean, std = row.get(metric, (float("nan"), float("nan")))
-                    cells.extend([_fmt(mean), _fmt(std)])
-                lines.append(",".join(cells))
-            label = ", ".join(f"{k}={v}" for k, v in overrides.items())
-            print(f"[{label}]")
-            print(render_aggregate_table(agg))
-            print()
+        results = [(overrides, aggregate_rounds(reports))
+                   for overrides, reports in run_ablation(cfg, jobs=args.jobs)]
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    header = keys + ["algorithm"]
+    lines = []
+    header_metrics = []
+    for overrides, agg in results:
+        for algo, row in agg.items():
+            if not header_metrics:
+                header_metrics = list(row)
+            cells = [str(v) for v in overrides.values()] + [algo]
+            for metric in header_metrics:
+                mean, std = row.get(metric, (float("nan"), float("nan")))
+                cells.extend([_fmt(mean), _fmt(std)])
+            lines.append(",".join(cells))
+        label = ", ".join(f"{k}={v}" for k, v in overrides.items())
+        print(f"[{label}]")
+        print(render_aggregate_table(agg))
+        print()
+    header = list(cfg.ablation) + ["algorithm"]
     for metric in header_metrics:
         header.extend([f"{metric}_mean", f"{metric}_std"])
     _write_text(out / "ablation.csv", ",".join(header) + "\n" + "\n".join(lines) + "\n")
@@ -342,7 +334,7 @@ def _add_common(sub, out_default: str) -> None:
     sub.add_argument("--algorithms", default=None,
                      help="comma-separated subset, e.g. dmd,rcpacing")
     sub.add_argument("--format", choices=("json", "csv"), default="csv")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel rounds/cells")
+    sub.add_argument("--jobs", type=int, default=1, help="parallel rounds")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
 

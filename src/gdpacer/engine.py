@@ -369,6 +369,8 @@ def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False
     DomainError otherwise.
     """
     ids = sorted(int(c) for c in campaign_ids)
+    if not ids:
+        raise DomainError("no campaigns to prepare the stream for")
     if len(set(ids)) != len(ids):
         raise DomainError("campaign ids must be unique")
     periods, total = _densify(stream, ids, per_impression), stream.total_requests

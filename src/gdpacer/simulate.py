@@ -144,23 +144,23 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
     M = len(specs)
     R = config.requests_per_period
     p = np.array([s.recall_prob for s in specs])
+    ids = np.asarray([spec.id for spec in specs], dtype=np.int64)
+    drift = config.drift_models or {}
+
+    def shapes(models) -> np.ndarray:      # (M, 2): each campaign's beta m, n
+        return np.array([(q.m, q.n) for q in models]).reshape(M, 2)
+    base = shapes(s.quality_model for s in specs)
+    drifted = shapes(drift.get(s.id, s.quality_model) for s in specs)
     periods = []
     next_id = 0
     for t in range(config.num_periods):
         mask = rng.random((R, M)) < p
+        mn = drifted if config.drift_period is not None and t >= config.drift_period else base
+        cols, rows = np.nonzero(mask.T)        # campaign-major: one campaign's draws after another
+        draws = rng.beta(mn[cols, 0], mn[cols, 1])
         v_mat = np.zeros((R, M))
-        for j, spec in enumerate(specs):
-            model = spec.quality_model
-            if (config.drift_period is not None and t >= config.drift_period
-                    and config.drift_models and spec.id in config.drift_models):
-                model = config.drift_models[spec.id]
-            cnt = int(mask[:, j].sum())
-            if cnt:
-                draws = rng.beta(model.m, model.n, size=cnt)
-                draws = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
-                v_mat[mask[:, j], j] = draws
+        v_mat[rows, cols] = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
         rows, cols = np.nonzero(mask)          # row-major: (request, ascending campaign)
-        ids = np.asarray([spec.id for spec in specs], dtype=np.int64)
         periods.append(PeriodBatch(
             request_ids=np.arange(next_id, next_id + R, dtype=np.int64),
             req=rows.astype(np.int64),
@@ -168,10 +168,7 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
             v=v_mat[rows, cols],
         ))
         next_id += R
-    return ImpressionStream(
-        periods=periods,
-        generator_models={s.id: s.quality_model for s in specs},
-    )
+    return ImpressionStream(periods=periods)
 
 
 def scale_budgets(specs: list[CampaignSpec], round_index: int, seed: int,
@@ -191,38 +188,54 @@ def _prepared_stream(config: ScenarioConfig, seed: int | None = None) -> Prepare
     return prepare(generate_stream(config, seed=seed), [c.id for c in config.campaigns])
 
 
-def _run_round(config: ScenarioConfig, stream: PreparedStream | None,
-               round_index: int) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
-    if stream is None:
-        s = config.seed + round_index if config.regenerate_stream_per_round else None
-        stream = _prepared_stream(config, seed=s)
-    specs = scale_budgets(config.campaigns, round_index, config.seed,
-                          config.budget_scale_range)
-    reports, traces = [], {}
-    for algo in config.algorithms:
-        run_cfg = RunConfig(params=config.hyperparams,
-                            seed=run_seed(config.seed, algo, round_index))
-        trace = RUNNERS[algo](stream, specs, run_cfg)
-        reports.append(build_report(trace, specs, algo, round_index))
-        traces[algo] = trace
-    return reports, traces
+def ablation_cells(config: ScenarioConfig) -> list[dict]:
+    """The hyperparameter overrides of every cell of `config.ablation`, in
+    `itertools.product` order; one cell without overrides when there is no grid."""
+    grid = config.ablation or {}
+    return [dict(zip(grid, cell)) for cell in product(*grid.values())]
 
 
-def _run_rounds(config: ScenarioConfig, rounds: range,
-                ) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
-    """The reports of `rounds` in (round, algorithm) order, and round 0's
-    traces when it is one of them.  The shared stream is generated and
-    prepared once for all of them, so every policy and round reuses its
-    densified periods and transform fits."""
-    stream = None if config.regenerate_stream_per_round else _prepared_stream(config)
-    reports: list[MetricsReport] = []
+def _run_rounds(config: ScenarioConfig, rounds: range, cells: list[dict],
+                ) -> tuple[list[list[MetricsReport]], dict[str, DeliveryTrace]]:
+    """Per cell, the reports of `rounds` in (round, algorithm) order, and the
+    first cell's round-0 traces when round 0 is one of them.
+
+    Each round's stream is prepared once, for all rounds unless it is
+    regenerated per round, and its budgets are scaled once; every cell and
+    algorithm runs on it, so all of them reuse its densified periods and
+    transform fits."""
+    shared = None if config.regenerate_stream_per_round else _prepared_stream(config)
+    params = [replace(config.hyperparams, **overrides) for overrides in cells]
+    reports: list[list[MetricsReport]] = [[] for _ in cells]
     traces0: dict[str, DeliveryTrace] = {}
     for r in rounds:
-        chunk, traces = _run_round(config, stream, r)
-        reports.extend(chunk)
-        if r == 0:
-            traces0 = traces
+        stream = shared if shared is not None else _prepared_stream(config, config.seed + r)
+        specs = scale_budgets(config.campaigns, r, config.seed, config.budget_scale_range)
+        for k, hyper in enumerate(params):
+            for algo in config.algorithms:
+                run_cfg = RunConfig(params=hyper, seed=run_seed(config.seed, algo, r))
+                trace = RUNNERS[algo](stream, specs, run_cfg)
+                reports[k].append(build_report(trace, specs, algo, r))
+                if r == 0 and k == 0:
+                    traces0[algo] = trace
     return reports, traces0
+
+
+def _sweep(config: ScenarioConfig, cells: list[dict], jobs: int,
+           ) -> tuple[list[list[MetricsReport]], dict[str, DeliveryTrace]]:
+    """`_run_rounds` over all rounds.  With `jobs` > 1 the rounds are split
+    into that many contiguous chunks, one per worker process; each worker
+    prepares its own stream and runs every cell."""
+    config.validate()
+    jobs = max(1, min(jobs, config.rounds))
+    if jobs == 1:
+        return _run_rounds(config, range(config.rounds), cells)
+    chunks = [range(k * config.rounds // jobs, (k + 1) * config.rounds // jobs)
+              for k in range(jobs)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = list(pool.map(_run_rounds, [config] * jobs, chunks, [cells] * jobs))
+    return [[rep for reps, _ in parts for rep in reps[k]] for k in range(len(cells))], \
+        parts[0][1]
 
 
 def run_experiment(config: ScenarioConfig, jobs: int = 1) -> list[MetricsReport]:
@@ -234,18 +247,20 @@ def run_experiment(config: ScenarioConfig, jobs: int = 1) -> list[MetricsReport]
 def run_experiment_detailed(config: ScenarioConfig, jobs: int = 1,
                             ) -> tuple[list[MetricsReport], dict[str, DeliveryTrace]]:
     """As run_experiment, but also returns round 0's traces for series export.
+    `config.ablation` is ignored; `jobs` splits the rounds as in `_sweep`."""
+    reports, traces0 = _sweep(config, [{}], jobs)
+    return reports[0], traces0
 
-    With `jobs` > 1 the rounds are split into that many contiguous chunks,
-    one per worker process; each worker prepares its own stream."""
-    config.validate()
-    jobs = max(1, min(jobs, config.rounds))
-    if jobs == 1:
-        return _run_rounds(config, range(config.rounds))
-    chunks = [range(k * config.rounds // jobs, (k + 1) * config.rounds // jobs)
-              for k in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_run_rounds, [config] * jobs, chunks))
-    return [rep for reps, _ in parts for rep in reps], parts[0][1]
+
+def run_ablation(config: ScenarioConfig, jobs: int = 1,
+                 ) -> list[tuple[dict, list[MetricsReport]]]:
+    """Each cell of the `config.ablation` grid (see `ablation_cells`) with its
+    reports, as `run_experiment` gives them for the config with the cell's
+    hyperparameter overrides; every cell runs on each round's one prepared
+    stream, and `jobs` splits the rounds as in `_sweep`."""
+    cells = ablation_cells(config)
+    reports, _ = _sweep(config, cells, jobs)
+    return list(zip(cells, reports))
 
 
 # --- config file IO -------------------------------------------------------------
@@ -364,8 +379,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         if unknown:
             raise ConfigError(f"ablation: unknown hyperparameter keys {sorted(unknown)}")
         cfg.ablation = {k: list(vs) for k, vs in ab.items()}
-        for cell in product(*cfg.ablation.values()):
-            overrides = dict(zip(cfg.ablation, cell))
+        for overrides in ablation_cells(cfg):
             try:
                 replace(cfg.hyperparams, **overrides)
             except (DomainError, TypeError) as exc:

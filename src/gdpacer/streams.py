@@ -20,11 +20,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .quality import BetaQualityModel
 
 
 _CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
@@ -64,8 +62,6 @@ class PeriodBatch:
 @dataclass
 class ImpressionStream:
     periods: list[PeriodBatch]
-    # present for synthetic streams; used to seed cold-start transform fits
-    generator_models: dict[int, BetaQualityModel] | None = None
 
     @property
     def n_periods(self) -> int:
@@ -82,12 +78,6 @@ class ImpressionStream:
     @property
     def avg_requests_per_period(self) -> float:
         return self.total_requests / max(1, self.n_periods)
-
-    def campaign_ids(self) -> list[int]:
-        ids: set[int] = set()
-        for p in self.periods:
-            ids.update(np.unique(p.camp).tolist())
-        return sorted(ids)
 
     def fingerprint(self) -> str:
         """Content hash tying traces to the exact instance they ran on.
@@ -115,8 +105,7 @@ class ImpressionStream:
             for key in ("request_ids", "req", "camp", "v"))
 
 
-def from_requests(requests: list[ImpressionRequest],
-                  generator_models: dict[int, BetaQualityModel] | None = None) -> ImpressionStream:
+def from_requests(requests: list[ImpressionRequest]) -> ImpressionStream:
     """Build a stream from request records; periods keep first-seen order."""
     by_period: dict[int, list[ImpressionRequest]] = {}
     order: list[int] = []
@@ -142,7 +131,7 @@ def from_requests(requests: list[ImpressionRequest],
             camp=np.asarray(camps, dtype=np.int64),
             v=np.asarray(vals, dtype=np.float64),
         ))
-    return ImpressionStream(periods=periods, generator_models=generator_models)
+    return ImpressionStream(periods=periods)
 
 
 def save_stream_csv(stream: ImpressionStream, path) -> None:

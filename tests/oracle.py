@@ -42,6 +42,11 @@ def iter_requests(stream: ImpressionStream):
             yield ImpressionRequest(int(p.request_ids[r]), t, qualities)
 
 
+def campaign_ids(stream: ImpressionStream) -> list[int]:
+    """The ids of the campaigns the stream recalls, ascending."""
+    return sorted(set(np.concatenate([p.camp for p in stream.periods]).tolist()))
+
+
 def per_impression(stream: ImpressionStream) -> ImpressionStream:
     """Re-chunk the stream so every request forms its own period."""
     periods = []
@@ -55,7 +60,7 @@ def per_impression(stream: ImpressionStream) -> ImpressionStream:
                 camp=p.camp[lo:hi].copy(),
                 v=p.v[lo:hi].copy(),
             ))
-    return ImpressionStream(periods=periods, generator_models=stream.generator_models)
+    return ImpressionStream(periods=periods)
 
 
 def campaigns(n: int = 1, **fields) -> CampaignArrays:

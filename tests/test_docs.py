@@ -1,10 +1,12 @@
-"""The README's Python examples import names that exist."""
+"""The README's Python examples import names that exist, and the files it
+names are the ones the repository has."""
 
 import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _imports():
@@ -31,3 +33,13 @@ def test_readme_names_the_public_api():
                  "prepare", "PreparedStream"):
         assert f"`{name}`" in text
         assert hasattr(gdpacer, name), name
+
+
+def test_readme_names_every_config_and_no_missing_script():
+    text = README.read_text(encoding="utf-8")
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        assert f"`{path.name}`" in text, path.name
+    existing = {p.name for top in ("src", "scripts", "tests") for p in (ROOT / top).rglob("*.py")}
+    named = set(re.findall(r"\b\w+\.py\b", text))
+    assert "run_regret_scaling.py" in named
+    assert named <= existing, sorted(named - existing)

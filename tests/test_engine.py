@@ -465,6 +465,17 @@ def test_prepared_stream_must_match_the_run():
         prepare(stream, [0, 0])
 
 
+@pytest.mark.parametrize("per_impression", [False, True])
+def test_no_campaigns_is_a_domain_error(per_impression):
+    # used to end in an IndexError inside _densify
+    stream = _rand_stream(2, 3, 20, seed=23)
+    with pytest.raises(DomainError, match="no campaigns"):
+        prepare(stream, [], per_impression=per_impression)
+    for runner in RUNNERS.values():
+        with pytest.raises(DomainError, match="no campaigns"):
+            runner(stream, [], RunConfig(per_impression=per_impression))
+
+
 def _period(req, camp, v, n_requests=None) -> PeriodBatch:
     n = n_requests if n_requests is not None else (max(req) + 1 if req else 0)
     return PeriodBatch(np.arange(n, dtype=np.int64), np.asarray(req, dtype=np.int64),

@@ -1,15 +1,16 @@
 """Scenario construction, stream synthesis, and experiment-driver tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gdpacer.metrics import MetricsReport
 from gdpacer.quality import BetaQualityModel
-from gdpacer.simulate import (CampaignSpec, ConfigError, ScenarioConfig,
+from gdpacer.simulate import (CampaignSpec, ConfigError, ScenarioConfig, ablation_cells,
                               default_scenario, generate_stream,
-                              load_scenario_config, run_experiment,
+                              load_scenario_config, run_ablation, run_experiment,
                               run_experiment_detailed, scale_budgets,
                               scenario_from_dict, synth_campaigns)
 
@@ -65,7 +66,6 @@ def test_generate_stream_shape_and_ids():
     assert s.total_requests == 240
     ids = np.concatenate([p.request_ids for p in s.periods])
     assert np.array_equal(ids, np.arange(240))
-    assert set(s.generator_models) == {0, 1, 2}
 
 
 def test_generate_stream_deterministic():
@@ -189,22 +189,66 @@ def test_rounds_share_one_prepared_stream(monkeypatch, regenerate):
     assert 0 < calls["own_fits"] <= streams * cfg.num_periods
 
 
+def _report_key(r):
+    return (r.round_index, r.algorithm, r.delivery_rate, r.unsmoothness, r.avg_ctr,
+            r.regret, r.per_period_spend.tobytes())
+
+
 def test_jobs_take_round0_traces_from_the_pool(monkeypatch):
     import gdpacer.simulate as simulate
     cfg = _tiny_config(rounds=3)
     serial_reports, serial_traces = run_experiment_detailed(cfg, jobs=1)
-    parent_calls = []
-    real = simulate._run_round
-    monkeypatch.setattr(simulate, "_run_round",
-                        lambda *a: parent_calls.append(a[2]) or real(*a))
+    parent_rounds = []
+    real = simulate.scale_budgets       # called once per round run in this process
+    monkeypatch.setattr(simulate, "scale_budgets",
+                        lambda specs, r, *a: parent_rounds.append(r) or real(specs, r, *a))
     reports, traces = run_experiment_detailed(cfg, jobs=2)
-    assert parent_calls == []       # every round ran in a worker, round 0 once
-    def key(r):
-        return (r.round_index, r.algorithm, r.delivery_rate, r.unsmoothness, r.avg_ctr,
-                r.regret, r.per_period_spend.tobytes())
-    assert [key(r) for r in reports] == [key(r) for r in serial_reports]
+    assert parent_rounds == []       # every round ran in a worker, round 0 once
+    assert [_report_key(r) for r in reports] == [_report_key(r) for r in serial_reports]
     assert {a: t.tobytes() for a, t in traces.items()} == \
         {a: t.tobytes() for a, t in serial_traces.items()}
+    run_experiment_detailed(cfg, jobs=1)
+    assert parent_rounds == [0, 1, 2]
+
+
+def test_ablation_cells_follow_product_order():
+    cfg = _tiny_config(ablation={"slope_k": [0.0, 10.0], "eta": [0.1, 0.3]})
+    assert ablation_cells(cfg) == [{"slope_k": 0.0, "eta": 0.1}, {"slope_k": 0.0, "eta": 0.3},
+                                   {"slope_k": 10.0, "eta": 0.1}, {"slope_k": 10.0, "eta": 0.3}]
+    assert ablation_cells(_tiny_config()) == [{}]
+
+
+@pytest.mark.parametrize("regenerate", [False, True])
+def test_ablation_cells_share_each_rounds_stream(monkeypatch, regenerate):
+    # every cell runs on one generated and prepared stream, or one per round
+    # when the stream is regenerated per round
+    import gdpacer.engine as engine
+    import gdpacer.simulate as simulate
+    calls = {"generate": 0, "densify": 0}
+
+    def counted(key, fn):
+        return lambda *a, **kw: calls.__setitem__(key, calls[key] + 1) or fn(*a, **kw)
+    monkeypatch.setattr(simulate, "generate_stream",
+                        counted("generate", simulate.generate_stream))
+    monkeypatch.setattr(engine, "_densify", counted("densify", engine._densify))
+    cfg = _tiny_config(rounds=2, regenerate_stream_per_round=regenerate,
+                       ablation={"eta": [0.1, 0.2, 0.4]})
+    assert len(run_ablation(cfg)) == 3
+    streams = cfg.rounds if regenerate else 1
+    assert calls == {"generate": streams, "densify": streams}
+
+
+@pytest.mark.parametrize("regenerate", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_ablation_cells_match_run_experiment(jobs, regenerate):
+    cfg = _tiny_config(rounds=3, regenerate_stream_per_round=regenerate,
+                       ablation={"slope_k": [0.0, 10.0], "eta": [0.1, 0.3]})
+    results = run_ablation(cfg, jobs=jobs)
+    assert [overrides for overrides, _ in results] == ablation_cells(cfg)
+    for overrides, reports in results:
+        cell = replace(cfg, hyperparams=replace(cfg.hyperparams, **overrides), ablation=None)
+        assert [_report_key(r) for r in reports] == \
+            [_report_key(r) for r in run_experiment(cell)], overrides
 
 
 def test_run_experiment_validates_config():

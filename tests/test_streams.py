@@ -6,7 +6,7 @@ import pytest
 from gdpacer.streams import (ImpressionRequest, ImpressionStream, PeriodBatch,
                              StreamFormatError, from_requests, load_stream_csv,
                              save_stream_csv)
-from oracle import iter_requests, per_impression
+from oracle import campaign_ids, iter_requests, per_impression
 
 
 def _demo_stream() -> ImpressionStream:
@@ -25,7 +25,7 @@ def test_from_requests_shape_and_ordering():
     assert s.n_periods == 2
     assert s.total_requests == 5
     assert s.total_edges == 7
-    assert s.campaign_ids() == [1, 2, 3]
+    assert campaign_ids(s) == [1, 2, 3]
     p0 = s.periods[0]
     assert p0.req.tolist() == [0, 0, 1]
     assert p0.camp.tolist() == [1, 3, 2]   # ascending id within each request
