@@ -333,7 +333,6 @@ def _add_common(sub, out_default: str) -> None:
     sub.add_argument("--out", default=out_default, help="output directory")
     sub.add_argument("--algorithms", default=None,
                      help="comma-separated subset, e.g. dmd,rcpacing")
-    sub.add_argument("--format", choices=("json", "csv"), default="csv")
     sub.add_argument("--jobs", type=int, default=1, help="parallel rounds")
     sub.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
@@ -346,6 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = subs.add_parser("run", help="run the configured experiment")
     _add_common(p_run, "out")
+    p_run.add_argument("--format", choices=("json", "csv"), default="csv")
     p_run.set_defaults(func=cmd_run)
 
     p_ab = subs.add_parser("ablate", help="full-factorial hyperparameter sweep")

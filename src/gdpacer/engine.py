@@ -31,17 +31,17 @@ import numpy as np
 
 from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
-from .quality import (MIN_LAMBDA_SAMPLES, BoxCoxFit, DegenerateSampleError, DomainError,
-                      backward_transform_clipped, fit_boxcox, fit_boxcox_lambdas,
-                      fit_moments_batch, normal_cdf)
+from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform_clipped,
+                      fit_boxcox_lambdas, fit_moments_batch, normal_cdf)
 from .streams import ImpressionStream
 
 _TAG_RUN = 2
 _TAG_PRIOR = 4
+_PRIOR_CHUNK = 8                # campaigns per batched prior fit
 _ALGO_TAGS = {"dmd": 0, "rcpacing": 1, "smart": 2}
 
 _NEUTRAL_SIGMA = 1.0 / math.sqrt(12.0)  # std of a uniform quality prior under lambda=1
-_NEUTRAL_FIT = BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA)
+_NEUTRAL_FIT = np.array([[1.0], [-0.5], [_NEUTRAL_SIGMA]])   # lambda, mu, sigma
 
 
 @dataclass
@@ -60,7 +60,6 @@ class RunConfig:
     min_fit_samples: int = 30
     prior_fit_samples: int = 4096
     smart_layers: int = 10
-    log_transforms: bool = False    # capture per-period forward-transform values
 
     def __post_init__(self):
         if self.gradient_mode not in ("relative", "absolute"):
@@ -82,7 +81,6 @@ class DeliveryTrace:
     eptr: np.ndarray                # (M, T) emergency pass rate in effect
     stream_id: str
     seed: int
-    transforms: list[np.ndarray] | None = None
 
     @property
     def total_wins(self) -> float:
@@ -225,12 +223,6 @@ class _DensePeriod:
     starts: np.ndarray          # first edge per request present in this period
     seg_idx: np.ndarray         # per-edge segment index
 
-    @functools.cached_property
-    def by_camp(self) -> np.ndarray:
-        """The qualities in stable campaign order, the layout of the fit
-        windows; made when a fit first needs it."""
-        return self.v[np.argsort(self.camp, kind="stable")]
-
 
 def _densify(stream: ImpressionStream, spec_ids: list[int],
              per_impression: bool = False) -> list[_DensePeriod]:
@@ -270,45 +262,46 @@ class _WindowFits:
     lam: np.ndarray             # (M,) own-window fit; NaN where a campaign has none
     mu: np.ndarray
     sigma: np.ndarray
-    pooled: BoxCoxFit | None    # pooled-window fit, when some campaign lacks its own
+    pooled: np.ndarray | None   # (3, 1) pooled-window fit, when some campaign lacks its own
 
 
-def _try_fit(samples: np.ndarray) -> BoxCoxFit | None:
-    try:
-        return fit_boxcox(samples)
-    except (DegenerateSampleError, DomainError):
-        return None
-
-
-def _fit_window(window: list[_DensePeriod], M: int, min_fit_samples: int) -> _WindowFits:
-    """Each campaign's fit of its own qualities in `window`, where it has at
-    least max(`min_fit_samples`, 30) of them, all > 0, not all equal, and
-    non-degenerate transformed moments; the lambdas and moments of all such
-    campaigns are fitted in one batch.  The pooled window of all campaigns is
-    fitted only when some campaign has no own fit; `window` holds at least
-    max(`min_fit_samples`, 30) qualities, since no fit takes fewer than 30."""
-    lam, mu, sigma = np.full(M, np.nan), np.full(M, np.nan), np.full(M, np.nan)
-    counts = [np.bincount(p.camp, minlength=M) for p in window]
-    sizes = np.sum(counts, axis=0)
-    cand = np.flatnonzero(sizes >= max(min_fit_samples, MIN_LAMBDA_SAMPLES))
-    if cand.size:
-        bounds = [np.cumsum(c) - c for c in counts]
-        own = np.concatenate([p.by_camp[b[i]:b[i] + c[i]]
-                              for i in cand for p, b, c in zip(window, bounds, counts)])
-        ends = np.cumsum(sizes[cand])
-        starts = ends - sizes[cand]
-        lo = np.minimum.reduceat(own, starts)
-        keep = np.flatnonzero((lo > 0.0) & (np.maximum.reduceat(own, starts) > lo))
-        segs = [own[starts[k]:ends[k]] for k in keep]
+def _fit_segments(segments: list[np.ndarray]) -> np.ndarray:
+    """(3, n) lambda, mu and sigma of each of n sample segments, fitted in one
+    batch; NaN where a segment has fewer than 30 samples, a sample <= 0, all
+    samples equal, or a transformed sigma that is 0 or not finite."""
+    out = np.full((3, len(segments)), np.nan)
+    keep = np.flatnonzero([s.size >= MIN_LAMBDA_SAMPLES and s.min() > 0.0 and s.max() > s.min()
+                           for s in segments])
+    if keep.size:
+        segs = [segments[k] for k in keep]
         lams = fit_boxcox_lambdas(segs)
         mus, sigmas = fit_moments_batch(segs, lams)
         ok = np.isfinite(sigmas) & (sigmas > 0.0)
-        fitted = cand[keep[ok]]
-        lam[fitted], mu[fitted], sigma[fitted] = lams[ok], mus[ok], sigmas[ok]
+        out[:, keep[ok]] = lams[ok], mus[ok], sigmas[ok]
+    return out
+
+
+def _pooled_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The qualities of periods lo..hi-1 of the campaign-major layout
+    (`PreparedStream.campaign_major`) in period-major order, each period's
+    in campaign order: the pooled window's order, which sets its lambda bits."""
+    starts, sizes = off[:, lo:hi].T.ravel(), np.diff(off[:, lo:hi + 1]).T.ravel()
+    return v[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
+
+
+def _fit_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int,
+                min_fit_samples: int) -> _WindowFits:
+    """Each campaign's own fit over periods lo..hi-1 of the campaign-major
+    layout where it has at least max(`min_fit_samples`, 30) qualities, all in
+    one batch; the pooled window is fitted only when some campaign has none."""
+    sizes = off[:, hi] - off[:, lo]
+    cand = np.flatnonzero(sizes >= max(min_fit_samples, MIN_LAMBDA_SAMPLES))
+    own = np.full((3, sizes.size), np.nan)
+    own[:, cand] = _fit_segments([v[off[j, lo]:off[j, hi]] for j in cand])
     pooled = None
-    if np.isnan(sigma).any():
-        pooled = _try_fit(np.concatenate([p.by_camp for p in window]))
-    return _WindowFits(lam, mu, sigma, pooled)
+    if np.isnan(own[2]).any():
+        pooled = _fit_segments([_pooled_window(v, off, lo, hi)])
+    return _WindowFits(*own, None if pooled is None or np.isnan(pooled[2, 0]) else pooled)
 
 
 @dataclass(eq=False)
@@ -321,8 +314,9 @@ class PreparedStream:
     when `per_impression`), the stream's fingerprint and sizes, and a memo of
     each period's own-window and pooled transform fits.  Those fits depend
     on the stream alone: a fit window logs every recalled edge, not only the
-    wins.  The memo keeps only their lambda, mu and sigma, never samples;
-    epsilon and the seed-dependent prior fallback are applied per run.
+    wins.  The memo keeps only their lambda, mu and sigma; the fit windows
+    are slices of one campaign-major copy of the qualities.  Epsilon and the
+    seed-dependent prior fallback are applied per run.
     """
 
     campaign_ids: list[int]         # ascending
@@ -355,9 +349,27 @@ class PreparedStream:
         """Period t's entry of `fit_memo`, computed on first use."""
         memo = self.fit_memo(refit_window, min_fit_samples)
         if memo[t] is None:
-            memo[t] = _fit_window(self.periods[max(0, t - refit_window):t],
-                                  len(self.campaign_ids), min_fit_samples)
+            memo[t] = _fit_window(*self.campaign_major, max(0, t - refit_window), t,
+                                  min_fit_samples)
         return memo[t]
+
+    @functools.cached_property
+    def campaign_major(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every quality in campaign-major order (by campaign, then period,
+        then edge) and (M, T + 1) offsets `off`: campaign j's qualities of
+        periods lo..hi-1 are `v[off[j, lo]:off[j, hi]]`.  Built period by
+        period when a fit first needs them."""
+        M, T = len(self.campaign_ids), self.n_periods
+        off = np.zeros((M, T + 1), dtype=np.int64)
+        for t, p in enumerate(self.periods):
+            off[:, t + 1] = np.bincount(p.camp, minlength=M)
+        off = off.cumsum().reshape(M, T + 1)    # off[j, 0]: all of campaigns < j
+        v = np.empty(off[-1, -1])
+        for t, p in enumerate(self.periods):
+            n = off[:, t + 1] - off[:, t]
+            dest = np.repeat(off[:, t] - np.cumsum(n) + n, n) + np.arange(p.v.size)
+            v[dest] = p.v[np.argsort(p.camp, kind="stable")]
+        return v, off
 
 
 def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False,
@@ -471,8 +483,7 @@ def _drive(stream: ImpressionStream | PreparedStream, specs, config: RunConfig,
         pol.update(dp, cost)
 
     return DeliveryTrace(pol.name, camps.ids.tolist(), camps.budget, wins, quality_sum,
-                         camps.remaining, duals, eptr, stream.stream_id, config.seed,
-                         pol.transforms)
+                         camps.remaining, duals, eptr, stream.stream_id, config.seed)
 
 
 class _Dmd:
@@ -481,7 +492,6 @@ class _Dmd:
 
     name = "dmd"
     dual = "alpha"
-    transforms = None
 
     def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
         self.camps, self.config = camps, config
@@ -513,19 +523,23 @@ class _FitManager:
     def __init__(self, specs, config: RunConfig, stream: PreparedStream):
         self.specs, self.config, self.stream = specs, config, stream
         self.eps = config.params.epsilon
-        self._prior: dict[int, BoxCoxFit] = {}
         self.memo = stream.fit_memo(config.refit_window, config.min_fit_samples)
         self.applied = None         # the period fits now in the campaign arrays
 
-    def _prior_fit(self, i: int) -> BoxCoxFit:
-        if i not in self._prior:
-            model = getattr(self.specs[i], "quality_model", None)
-            fit = None
-            if model is not None:
-                rng = _substream(self.config.seed, _TAG_PRIOR, i)
-                fit = _try_fit(rng.beta(model.m, model.n, size=self.config.prior_fit_samples))
-            self._prior[i] = fit or _NEUTRAL_FIT
-        return self._prior[i]
+    @functools.cached_property
+    def priors(self) -> np.ndarray:
+        """(3, M) prior lambda, mu and sigma: campaign i fits
+        `prior_fit_samples` draws from its quality model on its own substream
+        (seed, prior tag, i), batched `_PRIOR_CHUNK` campaigns at a time; the
+        neutral fit where a campaign has no model or its samples no fit."""
+        seed, n = self.config.seed, self.config.prior_fit_samples
+        models = [getattr(s, "quality_model", None) for s in self.specs]
+        out = np.empty((3, len(models)))
+        for lo in range(0, len(models), _PRIOR_CHUNK):
+            out[:, lo:lo + _PRIOR_CHUNK] = _fit_segments([
+                np.empty(0) if m is None else _substream(seed, _TAG_PRIOR, i).beta(m.m, m.n, size=n)
+                for i, m in enumerate(models[lo:lo + _PRIOR_CHUNK], lo)])
+        return np.where(np.isnan(out[2]), _NEUTRAL_FIT, out)
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
         fits = self.memo[t] or self.stream.window_fits(t, self.config.refit_window,
@@ -533,10 +547,11 @@ class _FitManager:
         if fits is self.applied:
             return
         self.applied = fits
-        camps.lam[:], camps.mu[:], camps.scale[:] = fits.lam, fits.mu, fits.sigma
-        for i in np.flatnonzero(np.isnan(fits.sigma)):
-            fit = fits.pooled or self._prior_fit(i)
-            camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.sigma
+        fit = (fits.lam, fits.mu, fits.sigma)
+        miss = np.isnan(fits.sigma)
+        if miss.any():
+            fit = np.where(miss, self.priors if fits.pooled is None else fits.pooled, fit)
+        camps.lam[:], camps.mu[:], camps.scale[:] = fit
         camps.scale *= 1.0 + self.eps
 
 
@@ -552,7 +567,6 @@ class _RCPacing:
         self.avg_requests = stream.avg_requests_per_period
         self.fits = _FitManager(specs, config, stream)
         self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
-        self.transforms = [] if config.log_transforms else None
 
     def score(self, t: int, dp: _DensePeriod):
         camps, params = self.camps, self.config.params
@@ -565,8 +579,6 @@ class _RCPacing:
             * fv(camps.alpha_bar[c], v_bar, params.slope_k)
         ptr = np.minimum(1.0, raw) * camps.eptr[c]
         passed = self.rng.random(dp.v.size) < ptr
-        if self.transforms is not None:
-            self.transforms.append(v_bar)
         bid = dp.v - camps.alpha[c]
         return bid, passed & (bid > 0.0)
 
@@ -584,7 +596,6 @@ class _Smart:
 
     name = "smart"
     dual = "alpha"              # stays 0: smart keeps no dual
-    transforms = None
     PTR_FLOOR = 0.01
 
     def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):

@@ -178,31 +178,17 @@ def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
     return float(fit_boxcox_lambdas([samples], low, high, tol)[0])
 
 
-def fit_moments(samples, lmbda: float) -> tuple[float, float]:
-    """Mean and population std of the Box-Cox-transformed samples."""
-    v = np.asarray(samples, dtype=float)
-    if v.size == 0:
-        raise DegenerateSampleError("cannot fit moments of an empty sample")
-    t = boxcox(lmbda, v)
-    mu = float(np.mean(t))
-    sigma = float(np.std(t))  # population (N) divisor
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise DegenerateSampleError("transformed samples have zero variance")
-    return mu, sigma
-
-
 def fit_moments_batch(segments, lambdas) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fit_moments` of every segment at its own lambda, in one pass.
-
-    The segments take the layout of :func:`fit_boxcox_lambdas`, each behind
-    a slot holding 1.0 whose transform is 0, so each `np.add.reduceat` sum
-    adds the segment to 0 as `np.mean` and `np.std` do, and mu and sigma
-    equal `fit_moments` bit for bit.  The exception is a lambda of exactly
-    -1, 0.5 or 2, where numpy's scalar-exponent fast paths in `fit_moments`
-    can round a transform one ulp apart; a golden-section fit lands on
-    none of them.  A sigma that is 0 or not finite is returned where
-    `fit_moments` would raise; the caller checks it.  Every segment must be
-    non-empty and strictly positive.
+    """Mean and population std of each segment's Box-Cox transform at its
+    own lambda, in one pass.  The segments take the layout of
+    :func:`fit_boxcox_lambdas`, each behind a slot holding 1.0 whose
+    transform is 0, so each `np.add.reduceat` sum adds the segment to 0 as
+    `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
+    The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
+    scalar-exponent fast paths in `boxcox` can round a transform one ulp
+    apart; a golden-section fit lands on none of them.  A sigma that is 0
+    or not finite is returned as it is; the caller checks it.  Every
+    segment must be non-empty and strictly positive.
     """
     segs = [np.asarray(s, dtype=float).ravel() for s in segments]
     if not segs:
@@ -252,10 +238,11 @@ class BoxCoxFit:
 
 
 def fit_boxcox(samples, epsilon: float = 0.0) -> BoxCoxFit:
-    """Convenience: lambda search plus moment fit in one call."""
-    lam = fit_boxcox_lambda(samples)
-    mu, sigma = fit_moments(samples, lam)
-    return BoxCoxFit(lam, mu, sigma, epsilon)
+    """Lambda search plus moment fit of one sample: the one-segment case of
+    :func:`fit_boxcox_lambdas` and :func:`fit_moments_batch`."""
+    lam = fit_boxcox_lambdas([samples])
+    mu, sigma = fit_moments_batch([samples], lam)
+    return BoxCoxFit(float(lam[0]), float(mu[0]), float(sigma[0]), epsilon)
 
 
 def normal_cdf(x):

@@ -8,7 +8,10 @@ the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
 period updates.  `fit_boxcox_lambda` runs the golden-section search on one
 sample with scalar bookkeeping and `np.var`, against which the batched
-search of `gdpacer.quality.fit_boxcox_lambdas` is checked.
+search of `gdpacer.quality.fit_boxcox_lambdas` is checked, and `fit_moments`
+is the scalar reference of `fit_moments_batch`.  `fit_windows` gathers fit
+windows period by period, against which the engine's campaign-major
+layout is checked.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _TAG_PRIOR, _TAG_RUN, Ca
 from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv,
                             psi_speed_bound, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
-                             backward_transform_clipped, boxcox, fit_moments, normal_cdf)
+                             backward_transform_clipped, boxcox, normal_cdf)
 from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch
 
 SMART_PTR_FLOOR = 0.01
@@ -215,6 +218,33 @@ def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
             d = a + invphi * (b - a)
             fd = _profile_loglik(d, v, log_sum)
     return 0.5 * (a + b)
+
+
+def fit_moments(samples, lmbda: float) -> tuple[float, float]:
+    """Mean and population std of the Box-Cox-transformed samples."""
+    v = np.asarray(samples, dtype=float)
+    if v.size == 0:
+        raise DegenerateSampleError("cannot fit moments of an empty sample")
+    t = boxcox(lmbda, v)
+    mu = float(np.mean(t))
+    sigma = float(np.std(t))  # population (N) divisor
+    if not np.isfinite(sigma) or sigma <= 0.0:
+        raise DegenerateSampleError("transformed samples have zero variance")
+    return mu, sigma
+
+
+def fit_windows(periods, lo: int, hi: int, M: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The own window of each of M campaigns and the pooled window over
+    densified periods lo..hi-1, gathered period by period: each period's
+    qualities in stable campaign order, sliced per campaign by its counts."""
+    window = periods[lo:hi]
+    by_camp = [p.v[np.argsort(p.camp, kind="stable")] for p in window]
+    counts = [np.bincount(p.camp, minlength=M) for p in window]
+    bounds = [np.cumsum(c) - c for c in counts]
+    own = [np.concatenate([np.empty(0)] + [v[b[j]:b[j] + c[j]]
+                                           for v, b, c in zip(by_camp, bounds, counts)])
+           for j in range(M)]
+    return own, np.concatenate([np.empty(0)] + by_camp)
 
 
 def _scalar_fit(samples: np.ndarray, eps: float) -> BoxCoxFit | None:

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.special
 
 from gdpacer.cli import main
-from gdpacer.engine import RunConfig, run_dmd, run_rcpacing, run_seed
+from gdpacer.engine import RunConfig, prepare, run_dmd, run_rcpacing, run_seed
 from gdpacer.metrics import aggregate_rounds, hindsight_optimum, regret, unsmoothness
 from gdpacer.pacing import PacingHyperParams, fp, fv, psi, psi_inverse
 from gdpacer.quality import (BetaQualityModel, BoxCoxFit, backward_transform, boxcox,
@@ -222,7 +222,7 @@ def test_criterion_8_drift_robustness():
         cfg = default_scenario(seed=seed, rounds=1, drift_period=25)
         cfg.drift_models = {c.id: BetaQualityModel(c.quality_model.n, c.quality_model.m)
                             for c in cfg.campaigns}
-        stream = generate_stream(cfg)
+        stream = prepare(generate_stream(cfg), [c.id for c in cfg.campaigns])
         for eps in (0.0, 0.1):
             rc = RunConfig(params=PacingHyperParams(epsilon=eps),
                            seed=run_seed(seed, "rcpacing", 0))

