@@ -172,31 +172,116 @@ def psi(alpha_bar, ptr_base, params: PacingHyperParams):
     return out if out.ndim else float(out)
 
 
-def psi_inverse(target, ptr_base, params: PacingHyperParams, max_iter: int = 60):
-    """Inverse of psi in its first argument, by bisection on [0, 1].
+# psi_inverse returns what this many bisection steps on [0, 1] return
+BISECTION_STEPS = 60
+_LEVELS = np.arange(BISECTION_STEPS + 1)
+_SCALE = np.ldexp(1.0, _LEVELS)             # 2^k: the level-k bracket is [m, m + 1] / 2^k
+_HALF = np.ldexp(1.0, -(_LEVELS + 1))       # half the level-k bracket width
+_STEPPED = _LEVELS < BISECTION_STEPS        # the last level is the final bracket
+_GRID = np.arange(33) / 32.0                # its psi also gives psi(0)
+_NEWTON_STEPS = 4
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _psi_and_slope(a, base, params: PacingHyperParams):
+    """psi and its derivative in alpha_bar, used only to estimate a root.
+
+    With c = ptr_base * fp(a) and d the length of (a, 1] over which the
+    integrand c * (1 + k (x - a)) stays below 1 (0 when saturated, 1 - a
+    when it never saturates), psi = c (d + k d^2 / 2) + (1 - a - d) and
+    psi' = c' (d + k d^2 / 2) - min(1, c) - c k d, where c' = c * d ln fp / da
+    is -c ln(FP_GAIN) / p_ub below p_ub and c ln(FP_DECAY) / (1 - p_ub) above.
+    """
+    k = float(params.slope_k)
+    p_ub = params.p_ub
+    dlog = np.where(a <= p_ub, -math.log(FP_GAIN) / p_ub, math.log(FP_DECAY) / (1.0 - p_ub))
+    c = base * np.exp((a - p_ub) * dlog)
+    span = 1.0 - a
+    ck = c * k
+    d = np.fmin(np.fmax((1.0 - c) / ck, 0.0), span)
+    w = d + (0.5 * k) * d * d
+    return c * w + span - d, c * dlog * w - np.minimum(c, 1.0) - ck * d
+
+
+def _root_estimate(t, grid_psi, base, params: PacingHyperParams):
+    """Each root of psi(a) = t, bracketed on the 1/32 grid, interpolated
+    there and refined by safeguarded Newton steps, in [0, 1); and the slope
+    of psi at the last iterate.  A Newton iterate outside its bracket falls
+    back to the bracket's midpoint; one on a bracket end is kept."""
+    j = np.sum(grid_psi[:, 1:-1] > t[:, None], axis=1)
+    rows = np.arange(t.size)
+    g_lo, g_hi = grid_psi[rows, j], grid_psi[rows, j + 1]
+    lo, hi = _GRID[j], _GRID[j + 1]
+    x = lo + (g_lo - t) / (g_lo - g_hi) * (hi - lo)
+    for _ in range(_NEWTON_STEPS):
+        x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+        value, slope = _psi_and_slope(x, base, params)
+        f = value - t
+        right = f > 0.0
+        lo = np.where(right, x, lo)
+        hi = np.where(right, hi, x)
+        x = x - f / slope
+    x = np.where((x >= lo) & (x <= hi), x, 0.5 * (lo + hi))
+    return np.fmin(np.fmax(x, 0.0), _BELOW_ONE), slope
+
+
+def psi_inverse(target, ptr_base, params: PacingHyperParams):
+    """Inverse of psi in its first argument: the result of BISECTION_STEPS
+    bisection steps on [0, 1], bit for bit.
 
     psi is strictly decreasing for ptr_base > 0, so the root is unique and
-    the default iteration budget leaves |psi(result) - target| well under
-    1e-8.  Targets at or above psi(0) map to 0; targets at or below 0 map
-    to 1.
+    the bracket of 60 steps leaves |psi(result) - target| well under 1e-8.
+    Targets at or above psi(0) map to 0; targets at or below 0 map to 1.
+
+    The bisection is computed as a verified predicted path.  After k steps
+    the bracket [lo, hi] is [m, m + 1] / 2^k for an integer m, and its
+    midpoint is exact, until lo and hi are adjacent doubles.  From then on
+    the midpoint rounds to lo or hi, whose comparison is already made, so
+    the bracket no longer moves: lo = 0 is never adjacent within 60 steps,
+    and at hi = 1, psi(1) = 0 is not above any target left to solve.  So a
+    guess r in [0, 1) predicts every bracket, lo_k = floor(r 2^k) / 2^k, and
+    one psi call over all predicted midpoints checks them: if each step goes
+    the way r predicts, by induction on k the bisection took this path.  A
+    campaign whose check fails at step k knows its true bracket after step
+    k and starts again from a guess inside it, so every round settles at
+    least one more step.  The guess comes from a grid and Newton steps on
+    the analytic slope of psi, and on a restart from a Newton step at the
+    mismatched midpoint; it decides how many rounds a call takes, never its
+    result.  This relies on psi giving an element the same bits wherever it
+    sits in an array, which the tests check.
     """
     t = np.asarray(target, dtype=float)
     base = np.asarray(ptr_base, dtype=float)
     t_b, base_b = np.broadcast_arrays(t, base)
-    t_b = t_b.astype(float)
-    lo = np.zeros(t_b.shape)
-    hi = np.ones(t_b.shape)
-    # the full iteration budget shrinks the bracket to ~1e-18; exiting early
-    # on |psi - target| would have to return the midpoint that met it, not
-    # the bracket center
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        go_right = psi(mid, base_b, params) > t_b
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    out = 0.5 * (lo + hi)
-    top = psi(np.zeros(t_b.shape), base_b, params)
-    out = np.where(t_b >= top, 0.0, np.where(t_b <= 0.0, 1.0, out))
+    t1 = t_b.ravel()
+    base1 = base_b.ravel()
+    grid_psi = psi(_GRID, base1[:, None], params)
+    top = grid_psi[:, 0]
+    out = np.where(t1 >= top, 0.0, np.where(t1 <= 0.0, 1.0, np.nan))
+    idx = np.flatnonzero(np.isnan(out))
+    t1, base1 = t1[idx], base1[idx]
+    with np.errstate(all="ignore"):
+        r, slope = _root_estimate(t1, grid_psi[idx], base1, params)
+        for _ in range(BISECTION_STEPS + 1):     # each round settles a step
+            if not idx.size:
+                break
+            lo = np.floor(r[:, None] * _SCALE) / _SCALE
+            mid = lo + _HALF
+            value = psi(mid, base1[:, None], params)
+            right = value > t1[:, None]
+            # a rounded midpoint means lo and hi are adjacent doubles
+            exact = (mid - lo == _HALF) & _STEPPED
+            step = np.argmax((right != (r[:, None] >= mid)) | ~exact, axis=1)
+            rows = np.arange(idx.size)
+            lo, mid, right = lo[rows, step], mid[rows, step], right[rows, step]
+            hi = lo + 2.0 * _HALF[step]
+            done = ~exact[rows, step]
+            out[idx[done]] = 0.5 * (lo + hi)[done]
+            guess = mid - (value[rows, step] - t1) / slope
+            r = np.fmin(np.fmax(guess, np.where(right, mid, lo)),
+                        np.nextafter(np.where(right, hi, mid), 0.0))
+            idx, r, t1, base1, slope = (x[~done] for x in (idx, r, t1, base1, slope))
+    out = out.reshape(t_b.shape)
     return out if out.ndim else float(out)
 
 

@@ -117,13 +117,11 @@ def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
     n = sizes.astype(float)
     half_n = -0.5 * n
     log_sum = np.add.reduceat(np.log(v), starts)
-    # `spread` gives each sample its segment's value in a work buffer: fresh
-    # sample-sized arrays per step page-faulted enough to double a step's
-    # time.  A single segment broadcasts instead.
+    # `spread` gives each sample its segment's value; `np.repeat` takes less
+    # than half the time of an indexed gather into a reused buffer.  A single
+    # segment broadcasts instead.
     work = np.empty_like(v)
-    spread = np.asarray if sizes.size == 1 else functools.partial(
-        np.take, indices=np.repeat(np.arange(sizes.size), reps), out=np.empty_like(v),
-        mode="clip")
+    spread = np.asarray if sizes.size == 1 else functools.partial(np.repeat, repeats=reps)
 
     def loglik(lmbda: np.ndarray) -> np.ndarray:
         t = work

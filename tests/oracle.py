@@ -11,7 +11,9 @@ sample with scalar bookkeeping and `np.var`, against which the batched
 search of `gdpacer.quality.fit_boxcox_lambdas` is checked, and `fit_moments`
 is the scalar reference of `fit_moments_batch`.  `fit_windows` gathers fit
 windows period by period, against which the engine's campaign-major
-layout is checked.
+layout is checked.  `psi_inverse` is the sequential bisection that
+`gdpacer.pacing.psi_inverse` computes as a verified predicted path, and the
+replayed adaptive clip runs on it.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _TAG_PRIOR, _TAG_RUN, CampaignArrays,
                             RunConfig, _substream, init_campaign_states)
-from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv,
-                            psi_speed_bound, update_eptr)
+from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
+                            apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
                              backward_transform_clipped, boxcox, normal_cdf)
 from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch
@@ -283,6 +285,35 @@ def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None
             fit = _scalar_fit(rng.beta(model.m, model.n, size=config.prior_fit_samples), eps)
         fit = fit or BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, eps)
         camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
+
+
+# --- the psi inverse ------------------------------------------------------------
+
+def psi_inverse(target, ptr_base, params: PacingHyperParams):
+    """BISECTION_STEPS sequential bisection steps on [0, 1] for psi(a) = target,
+    returning the final bracket's center; targets at or above psi(0) map to
+    0 and targets at or below 0 map to 1."""
+    t = np.asarray(target, dtype=float)
+    base = np.asarray(ptr_base, dtype=float)
+    t_b, base_b = np.broadcast_arrays(t, base)
+    t_b = t_b.astype(float)
+    lo = np.zeros(t_b.shape)
+    hi = np.ones(t_b.shape)
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        go_right = psi(mid, base_b, params) > t_b
+        lo = np.where(go_right, mid, lo)
+        hi = np.where(go_right, hi, mid)
+    out = 0.5 * (lo + hi)
+    top = psi(np.zeros(t_b.shape), base_b, params)
+    out = np.where(t_b >= top, 0.0, np.where(t_b <= 0.0, 1.0, out))
+    return out if out.ndim else float(out)
+
+
+def psi_speed_bound(alpha_bar, ptr_base, spd, params: PacingHyperParams):
+    """`gdpacer.pacing.psi_speed_bound` over the sequential bisection."""
+    s = np.maximum(np.asarray(spd, dtype=float), SPEED_FLOOR)
+    return psi_inverse(psi(alpha_bar, ptr_base, params) / s, ptr_base, params)
 
 
 # --- per-campaign period updates ----------------------------------------------

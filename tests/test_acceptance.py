@@ -18,7 +18,7 @@ from gdpacer.pacing import PacingHyperParams, fp, fv, psi, psi_inverse
 from gdpacer.quality import (BetaQualityModel, BoxCoxFit, backward_transform, boxcox,
                              forward_transform, normal_cdf, normal_quantile)
 from gdpacer.simulate import (CampaignSpec, ScenarioConfig, default_scenario,
-                              generate_stream, run_experiment,
+                              generate_stream, run_ablation, run_experiment,
                               run_experiment_detailed)
 
 N_SEEDS = 20
@@ -75,20 +75,25 @@ def _rcp_scenario(**hyper):
                             hyperparams=PacingHyperParams(**hyper))
 
 
+def _rcp_cells(axis, values, **hyper):
+    """The rcpacing row of `aggregate_rounds` for each value of one ablation
+    axis, in order; every cell runs on each round's one prepared stream."""
+    cfg = _rcp_scenario(**hyper)
+    cfg.ablation = {axis: list(values)}
+    return [aggregate_rounds(reports)["rcpacing"] for _, reports in run_ablation(cfg)]
+
+
 # criterion 3a: steeper quality weighting never lowers mean CTR
 def test_criterion_3a_slope_direction():
-    means = [
-        _agg(_rcp_scenario(slope_k=k))["rcpacing"]["avg_ctr"][0]
-        for k in (0.0, 10.0, 100.0)
-    ]
+    means = [row["avg_ctr"][0] for row in _rcp_cells("slope_k", (0.0, 10.0, 100.0))]
     print(f"criterion 3a: mean CTR over k grid {[f'{m:.4f}' for m in means]}")
     assert means[0] <= means[1] <= means[2]
 
 
 # criterion 3b: at a hot step size, clipping buys >= 10% smoothness
 def test_criterion_3b_clipping_helps_at_high_eta():
-    on = _agg(_rcp_scenario(eta=0.8, clip_enabled=True))["rcpacing"]["unsmoothness"][0]
-    off = _agg(_rcp_scenario(eta=0.8, clip_enabled=False))["rcpacing"]["unsmoothness"][0]
+    on, off = (row["unsmoothness"][0]
+               for row in _rcp_cells("clip_enabled", (True, False), eta=0.8))
     print(f"criterion 3b: UI clip-on {on:.3f} vs clip-off {off:.3f} "
           f"({100 * (1 - on / off):.1f}% reduction, need >= 10%)")
     assert on <= 0.9 * off
@@ -96,8 +101,7 @@ def test_criterion_3b_clipping_helps_at_high_eta():
 
 # criterion 3c: boundary-damped divergence no worse than euclidean
 def test_criterion_3c_divergence_comparison():
-    it = _agg(_rcp_scenario(divergence="itakura"))["rcpacing"]["unsmoothness"]
-    eu = _agg(_rcp_scenario(divergence="euclidean"))["rcpacing"]["unsmoothness"]
+    it, eu = (row["unsmoothness"] for row in _rcp_cells("divergence", ("itakura", "euclidean")))
     pooled = float(np.sqrt((it[1] ** 2 + eu[1] ** 2) / 2.0))
     print(f"criterion 3c: UI itakura {it[0]:.4f}+/-{it[1]:.4f} vs "
           f"euclidean {eu[0]:.4f}+/-{eu[1]:.4f}, pooled std {pooled:.4f}")

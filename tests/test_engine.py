@@ -20,7 +20,7 @@ from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunC
                             dmd_period_update, init_campaign_states, prepare, rcp_period_update,
                             run_dmd, run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
-from gdpacer.pacing import PacingHyperParams
+from gdpacer.pacing import PacingHyperParams, psi_speed_bound
 from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch, from_requests
@@ -678,16 +678,27 @@ def _instances(draw):
     return ImpressionStream(periods), specs, cfg
 
 
+def _speed_bound_as_bisection(alpha_bar, ptr_base, spd, params):
+    # the duals are compared to 1e-12 below; the adaptive clip bound that
+    # feeds them must equal the sequential bisection's bit for bit
+    out = psi_speed_bound(alpha_bar, ptr_base, spd, params)
+    ref = oracle.psi_speed_bound(alpha_bar, ptr_base, spd, params)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    return out
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(inst=_instances())
 def test_runners_match_scalar_oracles(inst):
     stream, specs, cfg = inst
     opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
-    for algo, runner in RUNNERS.items():
-        trace = runner(stream, specs, cfg)
-        _assert_matches_replay(trace, oracle.replay(algo, stream, specs, cfg))
-        assert np.all(trace.wins.sum(axis=1) <= trace.budgets)
-        assert trace.total_quality <= opt.value + 1e-9
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdpacer.engine, "psi_speed_bound", _speed_bound_as_bisection)
+        for algo, runner in RUNNERS.items():
+            trace = runner(stream, specs, cfg)
+            _assert_matches_replay(trace, oracle.replay(algo, stream, specs, cfg))
+            assert np.all(trace.wins.sum(axis=1) <= trace.budgets)
+            assert trace.total_quality <= opt.value + 1e-9
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

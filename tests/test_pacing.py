@@ -2,16 +2,18 @@
 
 The expected-participation function psi is checked against a midpoint
 quadrature oracle written here; its inverse against a brute-force grid
-scan.  Scalar expectations are frozen from hand arithmetic on the stated
+scan and, bit for bit, against the sequential bisection in `oracle`.
+Scalar expectations are frozen from hand arithmetic on the stated
 formulas.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gdpacer.pacing import (PacingHyperParams, apply_dual_clip, dual_step,
+import oracle
+from gdpacer.pacing import (BISECTION_STEPS, PacingHyperParams, apply_dual_clip, dual_step,
                             dual_step_euclidean, dual_step_itakura, fp, fv,
                             init_base_ptr, init_dual_percentile,
                             init_expected_ptr, psi, psi_inverse,
@@ -277,6 +279,53 @@ def test_psi_inverse_against_grid_scan():
     vals = psi(grid, 0.5, p)
     scan = grid[int(np.argmin(np.abs(vals - target)))]
     assert psi_inverse(target, 0.5, p) == pytest.approx(scan, abs=1e-4)
+
+
+def _mix(rng, n, *choices):
+    """n values, each drawn from one of the choices picked at random."""
+    return np.choose(rng.integers(0, len(choices), n), [np.broadcast_to(c, n) for c in choices])
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, n=1, slope_k=10.0, p_ub=0.9)
+@example(seed=1, n=700, slope_k=0.0, p_ub=0.5)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 700),
+       slope_k=st.sampled_from([0.0, 0.5, 10.0, 40.0]),
+       p_ub=st.sampled_from([0.05, 0.5, 0.9, 0.99]))
+def test_psi_inverse_matches_sequential_bisection(seed, n, slope_k, p_ub):
+    # every size from 1 to 700 also checks that psi gives an element the same
+    # bits wherever it sits in an array: the fast path evaluates psi on
+    # arrays of other shapes than the bisection does
+    rng = np.random.default_rng(seed)
+    p = PacingHyperParams(slope_k=slope_k, p_ub=p_ub)
+    a = _mix(rng, n, rng.random(n), 0.0, p_ub, 1.0)
+    base = _mix(rng, n, rng.random(n), 10.0 ** rng.uniform(-300, -6, n), 1e-9, 1.0,
+                rng.uniform(1.0, 50.0, n))
+    spd = _mix(rng, n, rng.lognormal(0.0, 1.5, n), 0.0, 1e-3, 1e6)
+    top = psi(np.zeros(n), base, p)
+    t = _mix(rng, n, psi(a, base, p) / np.maximum(spd, 1e-3), top, top * (1.0 + 1e-3),
+             top * rng.random(n), 0.0, -0.5, 5e-324, psi(np.nextafter(1.0, 0.0), base, p) / 2.0)
+    assert np.array_equal(_bits(psi_inverse(t, base, p)), _bits(oracle.psi_inverse(t, base, p)))
+    assert np.array_equal(_bits(psi_speed_bound(a, base, spd, p)),
+                          _bits(oracle.psi_speed_bound(a, base, spd, p)))
+    assert _bits(psi_inverse(t[0], base[0], p)) == _bits(oracle.psi_inverse(t[0], base[0], p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(0.0, 1.0, exclude_max=True), base=st.floats(0.0, 1e6))
+def test_bisection_bracket_of_adjacent_doubles_stays_put(lo, base):
+    # psi_inverse stops a campaign once lo and hi are adjacent doubles: the
+    # midpoint then rounds onto one of them, whose comparison is made
+    hi = np.nextafter(lo, 2.0)
+    assert 0.5 * (lo + hi) in (lo, hi)
+    # the two ends never evaluated: hi = 1 sends every target above 0 left,
+    # as its comparison would, and lo = 0 never gets an adjacent hi
+    assert psi(1.0, base, DEFAULTS) == 0.0
+    assert np.ldexp(1.0, -BISECTION_STEPS) > np.nextafter(0.0, 1.0)
 
 
 # --- gradient clipping ------------------------------------------------------------
