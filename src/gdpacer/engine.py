@@ -324,7 +324,7 @@ class PreparedStream:
     periods: list[_DensePeriod]
     stream_id: str                  # `ImpressionStream.fingerprint()`
     total_requests: int
-    total_edges: int
+    total_edges: int                # the benchmark's edges_per_s reads it off a runner's stream
     avg_requests_per_period: float
     _fits: dict = field(default_factory=dict, repr=False)
 

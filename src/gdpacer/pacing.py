@@ -163,8 +163,10 @@ def psi(alpha_bar, ptr_base, params: PacingHyperParams):
     span = 1.0 - a
     slope = c * k
     full = c * span + 0.5 * slope * span * span
-    # distance from a to the saturation point of the integrand
-    d = np.where(slope > 0.0, (1.0 - c) / np.where(slope > 0.0, slope, 1.0), np.inf)
+    # distance from a to the saturation point of the integrand; a subnormal
+    # slope overflows it to inf, which takes the unsaturated branch
+    with np.errstate(over="ignore"):
+        d = np.where(slope > 0.0, (1.0 - c) / np.where(slope > 0.0, slope, 1.0), np.inf)
     d_safe = np.where(np.isfinite(d), d, 0.0)   # branch below only used when d < span
     capped = c * d_safe + 0.5 * slope * d_safe * d_safe + (span - d_safe)
     out = np.where(c >= 1.0, span, np.where(d >= span, full, capped))

@@ -11,7 +11,6 @@ All transform functions broadcast over numpy arrays; scalar in, scalar out.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -76,22 +75,48 @@ def inverse_boxcox(lmbda: float, y):
 
 
 MIN_LAMBDA_SAMPLES = 30
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# below this |lambda| the score and its slope come from their series at 0
+_SERIES_LAMBDA = 1e-3
+# a bound for malformed input; bisection alone narrows [-2, 2] to 1e-4 in 16 steps
+_MAX_STEPS = 100
 _ONE = np.ones(1)
 
 
 def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
                        tol: float = 1e-4) -> np.ndarray:
-    """Profile-likelihood lambda of each sample segment: one golden-section
-    search on [low, high] run on all segments at once.
+    """Profile-likelihood lambda of each sample segment: one safeguarded
+    Newton solve of the profile score on [low, high] run on all segments at
+    once.
 
     A segment's objective is -(N/2) ln Var(boxcox(lambda, v)) + (lambda-1) sum ln v,
-    which is unimodal in lambda for the sample classes seen here.  Each
-    segment stops once its own bracket is narrower than `tol`.  A step makes
-    one power over the concatenated samples and reduces it per segment with
-    `np.add.reduceat`.  Each segment sits behind a slot holding 1.0, whose
-    transform is 0 for every lambda, so its reduction adds the segment to 0
-    with numpy's pairwise summation, as `np.sum` does: a segment's lambda is
+    whose maximizer does not change when v is rescaled.  So the solve works
+    on z = ln v less its mean.  With d = exp(lambda z) - 1 and K = Var(d),
+    the score (the objective's derivative over N) is
+    1/lambda - K'/(2K) + mean z, where K' = 2 Cov(1 + d, (1 + d) z).  A
+    step takes one exp over the concatenated samples and reduces d, dz,
+    d^2, d^2 z, d z^2 and d^2 z^2 per segment with `np.add.reduceat`; they
+    give K, K' and K'', so the score and its slope.  Below |lambda| = 1e-3,
+    where 1/lambda cancels against K'/(2K), the score is its first-order
+    series at 0, from the moments of z.
+
+    Each segment starts at lambda = 0, where the series needs no exp, with
+    the bracket [low, high], which the sign of each score narrows.  A Newton
+    step that leaves the bracket, or one taken where the slope is not
+    negative, becomes a bisection.  A Newton point is kept tol/2 inside
+    [low, high], and one moved there is evaluated, not returned: an optimum
+    past an end takes one point there to find.  The error of a Newton step
+    s is about M s^2, with M the third derivative of the objective over
+    twice its second.  M is estimated from the slopes at the segment's last
+    two points and taken no smaller than the spread of z, the scale M has
+    on these samples.  A segment stops once M s^2 <= tol/4 and returns its
+    Newton point, or once its bracket is narrower than `tol` and returns the
+    bracket's midpoint: either way within tol/2 of the optimum on
+    [low, high], as a golden-section search to a bracket of width `tol` is.
+    A segment that stops leaves the batch.
+
+    Each segment sits behind a slot whose z is 0, so its d is 0 for every
+    lambda, and a reduction adds the segment to that 0 with numpy's pairwise
+    summation, as `np.sum` does.  With a fixed start, a segment's lambda is
     the same bit for bit fitted alone or in a batch.
 
     Raises if a segment has fewer than 30 samples, a sample <= 0, or all
@@ -115,63 +140,93 @@ def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
     v[starts] = 1.0
 
     n = sizes.astype(float)
-    half_n = -0.5 * n
-    log_sum = np.add.reduceat(np.log(v), starts)
-    # `spread` gives each sample its segment's value; `np.repeat` takes less
-    # than half the time of an indexed gather into a reused buffer.  A single
-    # segment broadcasts instead.
-    work = np.empty_like(v)
-    spread = np.asarray if sizes.size == 1 else functools.partial(np.repeat, repeats=reps)
+    z = np.log(v, out=v)
+    z -= np.repeat(np.add.reduceat(z, starts) / n, reps)
+    z[starts] = 0.0
+    buf = np.empty((3, z.size))     # d, dz and a product, over the live segments
+    zz = np.multiply(z, z, out=buf[0])
+    zbar, z2 = np.add.reduceat(z, starts) / n, np.add.reduceat(zz, starts) / n
+    z3 = np.add.reduceat(np.multiply(zz, z, out=buf[1]), starts) / n
+    z4 = np.add.reduceat(np.multiply(zz, zz, out=buf[1]), starts) / n
+    spread_z = np.sqrt(z2 - zbar * zbar)
+    # the score at 0 and its slope: with t = z, t' = z^2/2 and t'' = z^3/3 (the
+    # derivatives in lambda), mean z - Cov(t, t')/Var(t) and
+    # 2 Cov(t, t')^2/Var(t)^2 - (Var(t') + Cov(t, t''))/Var(t)
+    var, cov = z2 - zbar * zbar, 0.5 * (z3 - zbar * z2)
+    score0 = zbar - cov / var
+    slope0 = 2.0 * cov * cov / (var * var) - (0.25 * (z4 - z2 * z2) + (z4 - zbar * z3) / 3.0) / var
 
-    def loglik(lmbda: np.ndarray) -> np.ndarray:
-        t = work
-        lam = spread(lmbda)
-        np.power(v, lam, out=t)
-        t -= 1.0
-        t /= lam
-        log_branch = np.abs(lmbda) < _LOG_BRANCH_EPS
-        if log_branch.any():
-            np.copyto(t, np.log(v), where=spread(log_branch))
-        t -= spread(np.add.reduceat(t, starts) / n)
-        np.square(t, out=t)
-        t[starts] = 0.0
-        var = np.add.reduceat(t, starts) / n
-        # a zero or NaN variance scores -inf, as an infinite one does
-        return np.where(var > 0.0, half_n * np.log(var) + (lmbda - 1.0) * log_sum, -np.inf)
-
+    seg = np.arange(sizes.size)     # the live segments
+    out = np.empty(sizes.size)
+    lam, a, b = np.zeros(seg.size), np.full(seg.size, float(low)), np.full(seg.size, float(high))
+    prev_lam = prev_slope = np.full(seg.size, np.nan)
     with np.errstate(all="ignore"):
-        a = np.full(sizes.size, float(low))
-        b = np.full(sizes.size, float(high))
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = loglik(c), loglik(d)
-        live = b - a > tol
-        while live.any():
-            # keep [a, d] and probe c when f(c) > f(d), else keep [c, b] and
-            # probe d; a stopped segment's bracket stays put, and its probes,
-            # still computed, no longer matter
-            left = fc > fd
-            a = np.where(live & ~left, c, a)
-            b = np.where(live & left, d, b)
-            step = _INVPHI * (b - a)
-            x = np.where(left, b - step, a + step)
-            fx = loglik(x)
-            c, d = np.where(left, x, d), np.where(left, c, x)
-            fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-            live = b - a > tol
-    return 0.5 * (a + b)
+        for _ in range(_MAX_STEPS):
+            near0 = np.abs(lam) < _SERIES_LAMBDA
+            if near0.all():
+                score, slope = score0 + slope0 * lam, slope0
+            else:
+                d, dz, w = buf[:, :z.size]
+                np.exp(np.multiply(z, np.repeat(lam, reps), out=d), out=d)
+                d -= 1.0
+                np.multiply(d, z, out=dz)
+                sums = np.empty((6, seg.size))
+                np.add.reduceat(buf[:2, :z.size], starts, axis=1, out=sums[:2])
+                for row, (x, y) in zip(sums[2:], ((d, d), (d, dz), (dz, z), (dz, dz))):
+                    np.add.reduceat(np.multiply(x, y, out=w), starts, out=row)
+                m1, a1, m2, a2, b1, b2 = sums / n
+                za = zbar + a1
+                k = m2 - m1 * m1
+                r = 2.0 * (a1 + a2 - m1 * za) / k       # K'/K
+                k2 = 2.0 * (z2 - za * za - m1 * (z2 + b1)) + 6.0 * b1 + 4.0 * b2
+                score = 1.0 / lam - 0.5 * r + zbar
+                slope = 0.5 * (r * r - k2 / k) - 1.0 / (lam * lam)
+                if near0.any():
+                    score = np.where(near0, score0 + slope0 * lam, score)
+                    slope = np.where(near0, slope0, slope)
+            up, down = score > 0.0, score < 0.0
+            finite = np.isfinite(score)
+            if not finite.all():        # an exp overflowed: the root is nearer 0
+                up, down = np.where(finite, up, lam < 0.0), np.where(finite, down, lam > 0.0)
+            a, b = np.where(up, lam, a), np.where(down, lam, b)
+            # a Newton point lands no nearer an end of [low, high] than tol/2,
+            # and one moved there is evaluated, not returned
+            raw = lam - score / slope
+            nxt = np.minimum(np.maximum(raw, low + 0.5 * tol), high - 0.5 * tol)
+            step = nxt - lam
+            newton = (slope < 0.0) & (nxt > a) & (nxt < b)
+            m = np.fmax(np.abs(slope - prev_slope) / (2.0 * np.abs(slope) * np.abs(lam - prev_lam)),
+                        spread_z)
+            converged = newton & (nxt == raw) & (m * step * step <= 0.25 * tol)
+            mid = 0.5 * (a + b)
+            stop = converged | (b - a <= tol)
+            if stop.any():
+                out[seg[stop]] = np.where(converged, nxt, mid)[stop]
+                if stop.all():
+                    return out
+                keep = ~stop
+                z = z[np.repeat(keep, reps)]
+                reps = reps[keep]
+                starts = np.cumsum(reps) - reps
+                (n, zbar, z2, spread_z, score0, slope0, seg, a, b, lam, slope, nxt, newton,
+                 mid) = (x[keep] for x in (n, zbar, z2, spread_z, score0, slope0, seg, a, b, lam,
+                                           slope, nxt, newton, mid))
+            prev_lam, prev_slope = lam, slope
+            lam = np.where(newton, nxt, mid)
+    out[seg] = 0.5 * (a + b)
+    return out
 
 
 def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
                       tol: float = 1e-4) -> float:
-    """Profile-likelihood lambda estimate by golden-section search on [low, high]:
-    :func:`fit_boxcox_lambdas` on one segment.
+    """Profile-likelihood lambda estimate by a safeguarded Newton solve on
+    [low, high]: :func:`fit_boxcox_lambdas` on one segment.
 
-    Where the profile likelihood is flat near its optimum down to rounding (a
-    two-point sample, for one), rounding decides which probe wins, and lambda
-    is any point within `tol` of the optimum: on `[0.2, 0.6] * 20` a search
-    that sums in another order returns -1.19e-5 where this one returns
-    +1.19e-5.
+    A two-point sample's profile likelihood peaks at lambda = 0 and is flat
+    there down to rounding.  The solve starts at 0, where the score comes
+    from the moments of ln v, so on `[0.2, 0.6] * 20` it returns 0 up to
+    rounding; a search that compares likelihood values returns any point
+    near 0 that rounding favours.
     """
     return float(fit_boxcox_lambdas([samples], low, high, tol)[0])
 
@@ -184,7 +239,10 @@ def fit_moments_batch(segments, lambdas) -> tuple[np.ndarray, np.ndarray]:
     `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
     The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
     scalar-exponent fast paths in `boxcox` can round a transform one ulp
-    apart; a golden-section fit lands on none of them.  A sigma that is 0
+    apart.  A fitted lambda is a Newton point strictly inside its bracket or
+    the midpoint of a bracket narrower than `tol`, so never 2 (or -2), and
+    -1 or 0.5 only by a coincidence of rounding that the tests check does
+    not happen on their samples.  A sigma that is 0
     or not finite is returned as it is; the caller checks it.  Every
     segment must be non-empty and strictly positive.
     """

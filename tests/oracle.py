@@ -1,19 +1,21 @@
 """Sequential scalar reference implementations of the three delivery policies
-and of the Box-Cox lambda search, and the request-by-request stream views
+and of the Box-Cox lambda fit, and the request-by-request stream views
 they replay.
 
 The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
 the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
-period updates.  `fit_boxcox_lambda` runs the golden-section search on one
-sample with scalar bookkeeping and `np.var`, against which the batched
-search of `gdpacer.quality.fit_boxcox_lambdas` is checked, and `fit_moments`
-is the scalar reference of `fit_moments_batch`.  `fit_windows` gathers fit
-windows period by period, against which the engine's campaign-major
-layout is checked.  `psi_inverse` is the sequential bisection that
-`gdpacer.pacing.psi_inverse` computes as a verified predicted path, and the
-replayed adaptive clip runs on it.
+period updates.  `fit_boxcox_lambda` is the scalar twin of the batched
+Newton solve of `gdpacer.quality.fit_boxcox_lambdas`: the same steps on one
+sample, with `np.sum` reductions and Python-float bookkeeping, which the
+batch matches bit for bit and the replays fit with.  `golden_lambda`, a
+golden-section search to a bracket of width tol, is its accuracy
+reference, and `fit_moments` is the scalar reference of
+`fit_moments_batch`.  `fit_windows` gathers fit windows period by period,
+against which the engine's campaign-major layout is checked.  `psi_inverse`
+is the sequential bisection that `gdpacer.pacing.psi_inverse` computes as a
+verified predicted path, and the replayed adaptive clip runs on it.
 """
 
 from __future__ import annotations
@@ -189,11 +191,13 @@ def _profile_loglik(lmbda: float, v: np.ndarray, log_sum: float) -> float:
     return -0.5 * v.size * math.log(var) + (lmbda - 1.0) * log_sum
 
 
-def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
-                      tol: float = 1e-4, widths: list[float] | None = None) -> float:
-    """Golden-section search for the profile-likelihood lambda of one sample;
-    `widths`, when given, receives the bracket width before each step."""
+def profile_loglik(samples, lmbda: float) -> float:
+    """The profile log-likelihood that both lambda searches maximize."""
     v = np.asarray(samples, dtype=float)
+    return _profile_loglik(lmbda, v, float(np.sum(np.log(v))))
+
+
+def _check_lambda_samples(v: np.ndarray) -> None:
     if v.size < 30:
         raise DegenerateSampleError(f"need at least 30 samples to fit lambda, got {v.size}")
     if np.any(v <= 0.0):
@@ -201,6 +205,13 @@ def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
     if np.all(v == v[0]):
         raise DegenerateSampleError("all samples identical; lambda is unidentifiable")
 
+
+def golden_lambda(samples, low: float = -2.0, high: float = 2.0,
+                  tol: float = 1e-4) -> float:
+    """Golden-section search for the profile-likelihood lambda of one sample:
+    within tol/2 of the optimum of a unimodal likelihood."""
+    v = np.asarray(samples, dtype=float)
+    _check_lambda_samples(v)
     log_sum = float(np.sum(np.log(v)))
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(low), float(high)
@@ -209,8 +220,6 @@ def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
     fc = _profile_loglik(c, v, log_sum)
     fd = _profile_loglik(d, v, log_sum)
     while b - a > tol:
-        if widths is not None:
-            widths.append(b - a)
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -220,6 +229,72 @@ def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
             d = a + invphi * (b - a)
             fd = _profile_loglik(d, v, log_sum)
     return 0.5 * (a + b)
+
+
+def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
+                      tol: float = 1e-4, points: list[tuple] | None = None) -> float:
+    """The safeguarded Newton solve of `gdpacer.quality.fit_boxcox_lambdas`
+    on one sample, with `np.sum` reductions and Python-float bookkeeping;
+    `points`, when given, receives (lambda, score, slope) at each point the
+    solve evaluates."""
+    v = np.asarray(samples, dtype=float)
+    _check_lambda_samples(v)
+    n = float(v.size)
+    z = np.log(v)
+    z = z - float(np.sum(z)) / n
+    zz = z * z
+    zbar, z2 = float(np.sum(z)) / n, float(np.sum(zz)) / n
+    z3, z4 = float(np.sum(zz * z)) / n, float(np.sum(zz * zz)) / n
+    spread_z = math.sqrt(z2 - zbar * zbar)
+    var, cov = z2 - zbar * zbar, 0.5 * (z3 - zbar * z2)
+    score0 = zbar - cov / var
+    slope0 = 2.0 * cov * cov / (var * var) - (0.25 * (z4 - z2 * z2) + (z4 - zbar * z3) / 3.0) / var
+    lam, a, b = 0.0, float(low), float(high)
+    prev_lam = prev_slope = math.nan
+    for _ in range(100):
+        if abs(lam) < 1e-3:
+            score, slope = score0 + slope0 * lam, slope0
+        else:
+            with np.errstate(all="ignore"):
+                d = np.exp(z * lam) - 1.0
+                dz = d * z
+                m1, a1 = float(np.sum(d)) / n, float(np.sum(dz)) / n
+                m2, a2 = float(np.sum(d * d)) / n, float(np.sum(d * dz)) / n
+                b1, b2 = float(np.sum(dz * z)) / n, float(np.sum(dz * dz)) / n
+            za = zbar + a1
+            k = m2 - m1 * m1
+            r = _div(2.0 * (a1 + a2 - m1 * za), k)
+            k2 = 2.0 * (z2 - za * za - m1 * (z2 + b1)) + 6.0 * b1 + 4.0 * b2
+            score = 1.0 / lam - 0.5 * r + zbar
+            slope = 0.5 * (r * r - _div(k2, k)) - 1.0 / (lam * lam)
+        if points is not None:
+            points.append((lam, score, slope))
+        finite = math.isfinite(score)
+        if score > 0.0 if finite else lam < 0.0:
+            a = lam
+        if score < 0.0 if finite else lam > 0.0:
+            b = lam
+        raw = lam - _div(score, slope)
+        nxt = min(max(raw, low + 0.5 * tol), high - 0.5 * tol)
+        step = nxt - lam
+        newton = slope < 0.0 and a < nxt < b
+        m = _div(abs(slope - prev_slope), 2.0 * abs(slope) * abs(lam - prev_lam))
+        m = spread_z if math.isnan(m) or m < spread_z else m
+        if newton and nxt == raw and m * step * step <= 0.25 * tol:
+            return nxt
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        prev_lam, prev_slope = lam, slope
+        lam = nxt if newton else 0.5 * (a + b)
+    return 0.5 * (a + b)
+
+
+def _div(x: float, y: float) -> float:
+    """x / y, with numpy's IEEE result where y is 0."""
+    if y != 0.0:
+        return x / y
+    with np.errstate(all="ignore"):
+        return float(np.float64(x) / np.float64(y))
 
 
 def fit_moments(samples, lmbda: float) -> tuple[float, float]:

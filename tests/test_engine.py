@@ -495,6 +495,15 @@ def test_prepared_stream_must_match_the_run():
 
 
 @pytest.mark.parametrize("per_impression", [False, True])
+def test_prepared_stream_keeps_the_stream_sizes(per_impression):
+    # the benchmark reads total_edges off the prepared stream a runner gets
+    stream = _rand_stream(3, 4, 20, seed=24)
+    prepared = prepare(stream, [0, 1, 2], per_impression=per_impression)
+    assert prepared.total_edges == stream.total_edges > 0
+    assert prepared.total_requests == stream.total_requests
+
+
+@pytest.mark.parametrize("per_impression", [False, True])
 def test_no_campaigns_is_a_domain_error(per_impression):
     # used to end in an IndexError inside _densify
     stream = _rand_stream(2, 3, 20, seed=23)
@@ -611,9 +620,8 @@ def test_per_impression_rcpacing_own_fits_start_mid_run():
 def _assert_matches_replay(trace, ref):
     for t in range(trace.wins.shape[1]):
         assert np.array_equal(trace.wins[:, t], ref.wins[:, t]), f"period {t}"
-    np.testing.assert_allclose(trace.quality_sum, ref.quality_sum, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(trace.duals, ref.duals, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(trace.eptr, ref.eptr, rtol=0, atol=1e-12)
+    for field in ("quality_sum", "duals", "eptr"):
+        assert np.array_equal(getattr(trace, field), getattr(ref, field)), field
     assert np.array_equal(trace.remaining, ref.remaining)
 
 

@@ -7,6 +7,8 @@ Scalar expectations are frozen from hand arithmetic on the stated
 formulas.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -232,6 +234,19 @@ def test_psi_degenerate_branches():
     # base*fp >= 1 saturates the throttle: integral of 1 over (a, 1]
     assert psi(0.0, 1.0, p) == pytest.approx(1.0)
     assert psi(0.3, 1.0, p) == pytest.approx(0.7)
+
+
+def test_psi_subnormal_base_takes_the_full_branch_without_warning():
+    # a subnormal ptr_base makes the slope subnormal and the distance to the
+    # saturation point overflow to inf, which selects the unsaturated branch
+    p = PacingHyperParams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = psi(0.5, 5e-324, p)
+        inv = psi_inverse(val, 5e-324, p)
+    c = 5e-324 * fp(0.5, p.p_ub)
+    assert val == c * 0.5 + 0.5 * (c * p.slope_k) * 0.5 * 0.5
+    assert inv == oracle.psi_inverse(val, 5e-324, p)
 
 
 @pytest.mark.parametrize("a,base", [(0.1, 0.05), (0.25, 0.3), (0.5, 0.1),

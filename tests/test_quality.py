@@ -1,8 +1,9 @@
 """Quality-law and percentile-transform tests.
 
 Derived expectations are frozen from independent oracles computed here:
-dense-grid likelihood scans and the scalar golden-section search of
-`oracle.py` for the lambda search, scipy's erf/ndtr pair and direct density
+dense-grid likelihood scans, the scalar twin of the Newton lambda solve
+and the golden-section search of `oracle.py`, and scipy's Box-Cox maximum
+likelihood for the lambda fit, scipy's erf/ndtr pair and direct density
 quadrature for the normal helpers, and beta-moment quadrature for the
 sampling checks.
 """
@@ -117,12 +118,12 @@ def test_fit_lambda_lognormal_samples_near_zero():
 
 
 def test_fit_lambda_two_point_sample_in_range():
-    # the profile likelihood peaks at 0 and is flat there down to rounding;
-    # lambda is any point within tol of 0
+    # the profile likelihood peaks at 0, where the solve starts and the
+    # score's series is 0 up to rounding; the golden-section search lands
+    # within tol/2 of 0
     v = np.array([0.2, 0.6] * 20)
     lam = fit_boxcox_lambda(v)
-    assert -2.0 <= lam <= 2.0
-    assert abs(lam) <= 1e-4 and abs(oracle.fit_boxcox_lambda(v)) <= 1e-4
+    assert abs(lam) <= 1e-12 and abs(oracle.golden_lambda(v)) <= 5e-5
 
 
 def test_fit_lambda_rejects_degenerate_and_small():
@@ -146,19 +147,20 @@ def test_fit_lambdas_rejects_any_bad_segment():
 
 
 def test_fit_lambdas_segments_stop_on_their_own():
-    # bracket widths after the same number of steps differ by rounding
-    # between searches that branch differently; with tol set to the smaller
-    # width, those segments stop one step before the others
+    # segments stop after different numbers of points, on a Newton step or,
+    # with the optimum past the end of [-2, 2], on a bracket narrower than
+    # tol; a stopped segment leaves the batch and returns what it returns
+    # fitted alone
     rng = np.random.default_rng(3)
     segs = [rng.beta(rng.uniform(2, 8), rng.uniform(2, 8), 300) for _ in range(40)]
-    widths = [[] for _ in segs]
-    for seg, w in zip(segs, widths):
-        oracle.fit_boxcox_lambda(seg, widths=w)
-    step = next(k for k in range(1, 20) if len({w[k] for w in widths}) > 1)
-    tol = min(w[step] for w in widths)
-    assert 0 < sum(w[step] <= tol for w in widths) < len(segs)
-    ref = [oracle.fit_boxcox_lambda(seg, tol=tol) for seg in segs]
-    assert fit_boxcox_lambdas(segs, tol=tol).tolist() == ref
+    paths = [[] for _ in segs]
+    ref = [oracle.fit_boxcox_lambda(seg, points=p) for seg, p in zip(segs, paths)]
+    assert len({len(p) for p in paths}) > 1
+    newton = [lam == p[-1][0] - p[-1][1] / p[-1][2] for lam, p in zip(ref, paths)]
+    assert 0 < sum(newton) < len(segs)
+    assert fit_boxcox_lambdas(segs).tolist() == ref
+    # a point away from 0 costs one exp over the segment; at most 4 are taken
+    assert max(sum(abs(lam) >= 1e-3 for lam, *_ in p) for p in paths) <= 4
 
 
 def _segment(kind: str, size: int, p: float, q: float, seed: int) -> np.ndarray:
@@ -182,13 +184,26 @@ def test_fit_lambdas_matches_scalar_search(specs):
     segs = [_segment(*spec) for spec in specs]
     lams = fit_boxcox_lambdas(segs)
     assert lams.shape == (len(segs),)
-    for (kind, *_), seg, lam in zip(specs, segs, lams):
-        # batching does not couple segments
-        assert lam == fit_boxcox_lambdas([seg])[0]
-        ref = oracle.fit_boxcox_lambda(seg)
-        assert abs(lam - ref) <= 1e-4
-        if kind == "beta":
-            assert lam == ref
+    for seg, lam in zip(segs, lams.tolist()):
+        # the batch is its scalar twin bit for bit, and batching does not
+        # couple segments
+        assert lam == oracle.fit_boxcox_lambda(seg) == fit_boxcox_lambdas([seg])[0]
+        # no lambda where `fit_moments_batch` and `boxcox` can round apart
+        assert lam not in (-1.0, 0.5, 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=_SEGMENT)
+def test_fit_lambda_as_accurate_as_golden_section_search(spec):
+    seg = _segment(*spec)
+    lam, ref = fit_boxcox_lambda(seg), oracle.golden_lambda(seg)
+    assert abs(lam - ref) <= 1e-4
+    ll_ref = oracle.profile_loglik(seg, ref)
+    assert oracle.profile_loglik(seg, lam) >= ll_ref - 1e-9 * abs(ll_ref)
+    # scipy's maximizer is unbounded; this one is on [-2, 2], within tol/2
+    mle = stats.boxcox_normmax(seg, method="mle")
+    if abs(mle) < 1.99:
+        assert lam == pytest.approx(mle, abs=5e-5)
 
 
 # numpy computes a power with a scalar exponent of -1, 0.5 or 2 by a fast
@@ -367,7 +382,7 @@ def test_backward_clipped_broadcast_matches_scalar_calls(seed, n):
     # for bit, log branch and saturated tails included.  Lambdas of exactly
     # -1, 0.5 or 2 are left out: for a scalar exponent of -1, 2 or 0.5 numpy
     # computes the power by reciprocal, square or sqrt, which can differ
-    # from pow by an ulp, and a golden-section fit does not land on them.
+    # from pow by an ulp, and a fitted lambda does not land on them.
     rng = np.random.default_rng(seed)
     lam = rng.choice([-1.5, -0.4, 0.0, 1e-10, 0.3, 1.0, 1.7], size=n)
     lam += rng.normal(0.0, 0.05, n) * (rng.random(n) < 0.5)
