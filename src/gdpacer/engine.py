@@ -32,12 +32,13 @@ import numpy as np
 from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
 from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform_clipped,
-                      fit_boxcox_lambdas, fit_moments_batch, normal_cdf)
+                      fit_boxcox_batch, normal_cdf)
 from .streams import ImpressionStream
 
 _TAG_RUN = 2
 _TAG_PRIOR = 4
 _PRIOR_CHUNK = 8                # campaigns per batched prior fit
+_PRIOR_SAMPLES = 4096           # draws per prior fit
 _ALGO_TAGS = {"dmd": 0, "rcpacing": 1, "smart": 2}
 
 _NEUTRAL_SIGMA = 1.0 / math.sqrt(12.0)  # std of a uniform quality prior under lambda=1
@@ -57,9 +58,6 @@ class RunConfig:
     # sublinear-regret analysis assumes for per-impression runs
     gradient_mode: str = "relative"
     refit_window: int = 2           # periods of logs per transform refit
-    min_fit_samples: int = 30
-    prior_fit_samples: int = 4096
-    smart_layers: int = 10
 
     def __post_init__(self):
         if self.gradient_mode not in ("relative", "absolute"):
@@ -265,22 +263,6 @@ class _WindowFits:
     pooled: np.ndarray | None   # (3, 1) pooled-window fit, when some campaign lacks its own
 
 
-def _fit_segments(segments: list[np.ndarray]) -> np.ndarray:
-    """(3, n) lambda, mu and sigma of each of n sample segments, fitted in one
-    batch; NaN where a segment has fewer than 30 samples, a sample <= 0, all
-    samples equal, or a transformed sigma that is 0 or not finite."""
-    out = np.full((3, len(segments)), np.nan)
-    keep = np.flatnonzero([s.size >= MIN_LAMBDA_SAMPLES and s.min() > 0.0 and s.max() > s.min()
-                           for s in segments])
-    if keep.size:
-        segs = [segments[k] for k in keep]
-        lams = fit_boxcox_lambdas(segs)
-        mus, sigmas = fit_moments_batch(segs, lams)
-        ok = np.isfinite(sigmas) & (sigmas > 0.0)
-        out[:, keep[ok]] = lams[ok], mus[ok], sigmas[ok]
-    return out
-
-
 def _pooled_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The qualities of periods lo..hi-1 of the campaign-major layout
     (`PreparedStream.campaign_major`) in period-major order, each period's
@@ -289,18 +271,14 @@ def _pooled_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarr
     return v[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
 
 
-def _fit_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int,
-                min_fit_samples: int) -> _WindowFits:
+def _fit_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> _WindowFits:
     """Each campaign's own fit over periods lo..hi-1 of the campaign-major
-    layout where it has at least max(`min_fit_samples`, 30) qualities, all in
-    one batch; the pooled window is fitted only when some campaign has none."""
-    sizes = off[:, hi] - off[:, lo]
-    cand = np.flatnonzero(sizes >= max(min_fit_samples, MIN_LAMBDA_SAMPLES))
-    own = np.full((3, sizes.size), np.nan)
-    own[:, cand] = _fit_segments([v[off[j, lo]:off[j, hi]] for j in cand])
+    layout, all in one batch; the pooled window is fitted only when some
+    campaign gets no fit of its own."""
+    own = fit_boxcox_batch([v[a:b] for a, b in zip(off[:, lo].tolist(), off[:, hi].tolist())])
     pooled = None
     if np.isnan(own[2]).any():
-        pooled = _fit_segments([_pooled_window(v, off, lo, hi)])
+        pooled = fit_boxcox_batch([_pooled_window(v, off, lo, hi)])
     return _WindowFits(*own, None if pooled is None or np.isnan(pooled[2, 0]) else pooled)
 
 
@@ -332,25 +310,23 @@ class PreparedStream:
     def n_periods(self) -> int:
         return len(self.periods)
 
-    def fit_memo(self, refit_window: int, min_fit_samples: int) -> list[_WindowFits | None]:
-        """Period t's fits over periods t - refit_window .. t - 1 for one fit
-        setting, None until `window_fits` makes them; all windows of fewer than
-        max(`min_fit_samples`, 30) qualities share one no-fit entry."""
-        key = (refit_window, min_fit_samples)
-        if key not in self._fits:
+    def fit_memo(self, refit_window: int) -> list[_WindowFits | None]:
+        """Period t's fits over periods t - refit_window .. t - 1, None until
+        `window_fits` makes them; all windows of fewer than 30 qualities in
+        all, too few for any fit, share one no-fit entry."""
+        if refit_window not in self._fits:
             ends = np.cumsum([0] + [p.v.size for p in self.periods])
             lo = np.maximum(0, np.arange(self.n_periods) - refit_window)
-            small = ends[:-1] - ends[lo] < max(min_fit_samples, MIN_LAMBDA_SAMPLES)
+            small = ends[:-1] - ends[lo] < MIN_LAMBDA_SAMPLES
             no_fit = _WindowFits(*np.full((3, len(self.campaign_ids)), np.nan), None)
-            self._fits[key] = [no_fit if s else None for s in small.tolist()]
-        return self._fits[key]
+            self._fits[refit_window] = [no_fit if s else None for s in small.tolist()]
+        return self._fits[refit_window]
 
-    def window_fits(self, t: int, refit_window: int, min_fit_samples: int) -> _WindowFits:
+    def window_fits(self, t: int, refit_window: int) -> _WindowFits:
         """Period t's entry of `fit_memo`, computed on first use."""
-        memo = self.fit_memo(refit_window, min_fit_samples)
+        memo = self.fit_memo(refit_window)
         if memo[t] is None:
-            memo[t] = _fit_window(*self.campaign_major, max(0, t - refit_window), t,
-                                  min_fit_samples)
+            memo[t] = _fit_window(*self.campaign_major, max(0, t - refit_window), t)
         return memo[t]
 
     @functools.cached_property
@@ -510,40 +486,40 @@ class _FitManager:
     """Per-period Box-Cox fits with prior fallback.
 
     At period t, a campaign uses its own logged qualities from the last
-    `refit_window` periods when there are at least `min_fit_samples` of them,
+    `refit_window` periods when they have a fit (`quality.fit_boxcox_batch`),
     else the pooled logs of all campaigns over the same window, else a fit
-    sampled once from the campaign's generating quality model.  Degenerate
-    samples fall through the same chain; the last resort is a fixed neutral
-    fit (lambda=1 around a uniform quality prior).  The own and pooled fits
-    come from the prepared stream's memo; the prior fits depend on the run
-    seed and are made here, and epsilon widens every fit's scale here.  A
-    period whose memo entry is the one applied last keeps the fits in place.
+    sampled once from the campaign's generating quality model; the last
+    resort is a fixed neutral fit (lambda=1 around a uniform quality prior).
+    The own and pooled fits come from the prepared stream's memo; the prior
+    fits depend on the run seed and are made here, and epsilon widens every
+    fit's scale here.  A period whose memo entry is the one applied last
+    keeps the fits in place.
     """
 
     def __init__(self, specs, config: RunConfig, stream: PreparedStream):
         self.specs, self.config, self.stream = specs, config, stream
         self.eps = config.params.epsilon
-        self.memo = stream.fit_memo(config.refit_window, config.min_fit_samples)
+        self.memo = stream.fit_memo(config.refit_window)
         self.applied = None         # the period fits now in the campaign arrays
 
     @functools.cached_property
     def priors(self) -> np.ndarray:
         """(3, M) prior lambda, mu and sigma: campaign i fits
-        `prior_fit_samples` draws from its quality model on its own substream
+        `_PRIOR_SAMPLES` draws from its quality model on its own substream
         (seed, prior tag, i), batched `_PRIOR_CHUNK` campaigns at a time; the
         neutral fit where a campaign has no model or its samples no fit."""
-        seed, n = self.config.seed, self.config.prior_fit_samples
+        seed = self.config.seed
         models = [getattr(s, "quality_model", None) for s in self.specs]
         out = np.empty((3, len(models)))
         for lo in range(0, len(models), _PRIOR_CHUNK):
-            out[:, lo:lo + _PRIOR_CHUNK] = _fit_segments([
-                np.empty(0) if m is None else _substream(seed, _TAG_PRIOR, i).beta(m.m, m.n, size=n)
+            out[:, lo:lo + _PRIOR_CHUNK] = fit_boxcox_batch([
+                np.empty(0) if m is None
+                else _substream(seed, _TAG_PRIOR, i).beta(m.m, m.n, size=_PRIOR_SAMPLES)
                 for i, m in enumerate(models[lo:lo + _PRIOR_CHUNK], lo)])
         return np.where(np.isnan(out[2]), _NEUTRAL_FIT, out)
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
-        fits = self.memo[t] or self.stream.window_fits(t, self.config.refit_window,
-                                                       self.config.min_fit_samples)
+        fits = self.memo[t] or self.stream.window_fits(t, self.config.refit_window)
         if fits is self.applied:
             return
         self.applied = fits
@@ -597,6 +573,7 @@ class _Smart:
     name = "smart"
     dual = "alpha"              # stays 0: smart keeps no dual
     PTR_FLOOR = 0.01
+    LAYERS = 10
 
     def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
         self.camps = camps
@@ -604,7 +581,7 @@ class _Smart:
         aud = camps.audience
         init = np.where(aud > 0, np.minimum(
             1.0, camps.budget / np.where(aud > 0, aud * config.params.wr_glb, 1.0)), 1.0)
-        self.layer_ptr = np.repeat(init[:, None], config.smart_layers, axis=1)
+        self.layer_ptr = np.repeat(init[:, None], self.LAYERS, axis=1)
         self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["smart"])
 
     def score(self, t: int, dp: _DensePeriod):

@@ -82,11 +82,47 @@ _MAX_STEPS = 100
 _ONE = np.ones(1)
 
 
-def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
-                       tol: float = 1e-4) -> np.ndarray:
-    """Profile-likelihood lambda of each sample segment: one safeguarded
-    Newton solve of the profile score on [low, high] run on all segments at
-    once.
+def fit_boxcox_batch(segments) -> np.ndarray:
+    """(3, n) Box-Cox lambda, mean and population std of each of n sample
+    segments, fitted in one batch; NaN where a segment has fewer than 30
+    samples, a sample <= 0, all samples equal, or a transformed sigma that
+    is 0 or not finite.
+
+    The segments are laid out once, each behind a slot holding 1.0, whose
+    log and transform are 0 for every lambda, so each `np.add.reduceat` sum
+    adds the segment to 0 with numpy's pairwise summation, as `np.sum`
+    does.  The checks run on that layout; the lambda solve
+    (:func:`_fit_lambdas`) on the log of its fittable segments, and the
+    moment pass (:func:`_fit_moments`) on the layout itself.  A segment's
+    fit is the same bit for bit fitted alone or in a batch.
+    """
+    segs = [np.asarray(s, dtype=float).ravel() for s in segments]
+    out = np.full((3, len(segs)), np.nan)
+    if not segs:
+        return out
+    reps = np.array([s.size + 1 for s in segs], dtype=np.int64)
+    starts = np.cumsum(reps) - reps
+    # the slot first repeats the segment's first sample, keeping its range
+    v = np.concatenate([part for s in segs for part in (s[:1] if s.size else _ONE, s)])
+    vmin = np.minimum.reduceat(v, starts)
+    fit = (reps > MIN_LAMBDA_SAMPLES) & (vmin > 0.0) & (np.maximum.reduceat(v, starts) > vmin)
+    v[starts] = 1.0
+    if fit.any():
+        lam = np.full(len(segs), np.nan)
+        lam[fit] = _fit_lambdas(np.log(v if fit.all() else v[np.repeat(fit, reps)]), reps[fit])
+        mu, sigma = _fit_moments(v, starts, reps, lam)
+        ok = np.isfinite(sigma) & (sigma > 0.0)
+        out[:, ok] = lam[ok], mu[ok], sigma[ok]
+    return out
+
+
+def _fit_lambdas(z: np.ndarray, reps: np.ndarray, low: float = -2.0, high: float = 2.0,
+                 tol: float = 1e-4) -> np.ndarray:
+    """Profile-likelihood lambda of each segment of the log layout `z` (the
+    layout of :func:`fit_boxcox_batch` with its slots at 0; segment k and
+    its slot span `reps[k]` entries), by one safeguarded Newton solve of the
+    profile score on [low, high] run on all segments at once.  `z` is
+    overwritten.
 
     A segment's objective is -(N/2) ln Var(boxcox(lambda, v)) + (lambda-1) sum ln v,
     whose maximizer does not change when v is rescaled.  So the solve works
@@ -112,35 +148,11 @@ def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
     Newton point, or once its bracket is narrower than `tol` and returns the
     bracket's midpoint: either way within tol/2 of the optimum on
     [low, high], as a golden-section search to a bracket of width `tol` is.
-    A segment that stops leaves the batch.
-
-    Each segment sits behind a slot whose z is 0, so its d is 0 for every
-    lambda, and a reduction adds the segment to that 0 with numpy's pairwise
-    summation, as `np.sum` does.  With a fixed start, a segment's lambda is
-    the same bit for bit fitted alone or in a batch.
-
-    Raises if a segment has fewer than 30 samples, a sample <= 0, or all
-    samples equal; a batch caller filters those out first.
+    A segment that stops leaves the batch.  With a fixed start, a segment's
+    lambda does not depend on the other segments.
     """
-    segs = [np.asarray(s, dtype=float).ravel() for s in segments]
-    sizes = np.array([s.size for s in segs], dtype=np.int64)
-    if sizes.size == 0:
-        return np.empty(0)
-    if np.any(sizes < MIN_LAMBDA_SAMPLES):
-        raise DegenerateSampleError(f"need at least {MIN_LAMBDA_SAMPLES} samples to fit "
-                                    f"lambda, got {sizes.min()}")
-    # the slot first repeats the segment's first sample, keeping its range
-    v = np.concatenate([part for s in segs for part in (s[:1], s)])
-    reps = sizes + 1
     starts = np.cumsum(reps) - reps
-    if np.any(v <= 0.0):
-        raise DomainError("Box-Cox samples must be strictly positive")
-    if np.any(np.maximum.reduceat(v, starts) == np.minimum.reduceat(v, starts)):
-        raise DegenerateSampleError("all samples identical; lambda is unidentifiable")
-    v[starts] = 1.0
-
-    n = sizes.astype(float)
-    z = np.log(v, out=v)
+    n = (reps - 1).astype(float)
     z -= np.repeat(np.add.reduceat(z, starts) / n, reps)
     z[starts] = 0.0
     buf = np.empty((3, z.size))     # d, dz and a product, over the live segments
@@ -156,8 +168,8 @@ def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
     score0 = zbar - cov / var
     slope0 = 2.0 * cov * cov / (var * var) - (0.25 * (z4 - z2 * z2) + (z4 - zbar * z3) / 3.0) / var
 
-    seg = np.arange(sizes.size)     # the live segments
-    out = np.empty(sizes.size)
+    seg = np.arange(reps.size)      # the live segments
+    out = np.empty(reps.size)
     lam, a, b = np.zeros(seg.size), np.full(seg.size, float(low)), np.full(seg.size, float(high))
     prev_lam = prev_slope = np.full(seg.size, np.nan)
     with np.errstate(all="ignore"):
@@ -217,43 +229,22 @@ def fit_boxcox_lambdas(segments, low: float = -2.0, high: float = 2.0,
     return out
 
 
-def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
-                      tol: float = 1e-4) -> float:
-    """Profile-likelihood lambda estimate by a safeguarded Newton solve on
-    [low, high]: :func:`fit_boxcox_lambdas` on one segment.
-
-    A two-point sample's profile likelihood peaks at lambda = 0 and is flat
-    there down to rounding.  The solve starts at 0, where the score comes
-    from the moments of ln v, so on `[0.2, 0.6] * 20` it returns 0 up to
-    rounding; a search that compares likelihood values returns any point
-    near 0 that rounding favours.
-    """
-    return float(fit_boxcox_lambdas([samples], low, high, tol)[0])
-
-
-def fit_moments_batch(segments, lambdas) -> tuple[np.ndarray, np.ndarray]:
+def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
+                 lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of each segment's Box-Cox transform at its
-    own lambda, in one pass.  The segments take the layout of
-    :func:`fit_boxcox_lambdas`, each behind a slot holding 1.0 whose
-    transform is 0, so each `np.add.reduceat` sum adds the segment to 0 as
-    `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
+    own lambda, in one pass over the layout `v` of :func:`fit_boxcox_batch`
+    (slots at 1.0).  Each sum adds the segment to its slot's transform, 0,
+    as `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
     The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
     scalar-exponent fast paths in `boxcox` can round a transform one ulp
     apart.  A fitted lambda is a Newton point strictly inside its bracket or
     the midpoint of a bracket narrower than `tol`, so never 2 (or -2), and
     -1 or 0.5 only by a coincidence of rounding that the tests check does
-    not happen on their samples.  A sigma that is 0
-    or not finite is returned as it is; the caller checks it.  Every
-    segment must be non-empty and strictly positive.
+    not happen on their samples.  A segment's sigma that is 0 or not finite
+    is returned as it is, and a NaN lambda gives NaN moments.
     """
-    segs = [np.asarray(s, dtype=float).ravel() for s in segments]
-    if not segs:
-        return np.empty(0), np.empty(0)
-    reps = np.array([s.size + 1 for s in segs], dtype=np.int64)
-    starts = np.cumsum(reps) - reps
     n = reps - 1.0
-    v = np.concatenate([part for s in segs for part in (_ONE, s)])
-    lam = np.repeat(np.asarray(lambdas, dtype=float), reps)
+    lam = np.repeat(lambdas, reps)
     with np.errstate(all="ignore"):
         t = np.power(v, lam)
         t -= 1.0
@@ -294,11 +285,16 @@ class BoxCoxFit:
 
 
 def fit_boxcox(samples, epsilon: float = 0.0) -> BoxCoxFit:
-    """Lambda search plus moment fit of one sample: the one-segment case of
-    :func:`fit_boxcox_lambdas` and :func:`fit_moments_batch`."""
-    lam = fit_boxcox_lambdas([samples])
-    mu, sigma = fit_moments_batch([samples], lam)
-    return BoxCoxFit(float(lam[0]), float(mu[0]), float(sigma[0]), epsilon)
+    """Lambda and moment fit of one sample: the one-segment case of
+    :func:`fit_boxcox_batch`.  Raises DegenerateSampleError for fewer than
+    30 samples or all samples equal, and DomainError for a sample <= 0."""
+    v = np.asarray(samples, dtype=float).ravel()
+    if v.size < MIN_LAMBDA_SAMPLES:
+        raise DegenerateSampleError(f"need at least {MIN_LAMBDA_SAMPLES} samples to fit "
+                                    f"lambda, got {v.size}")
+    if np.any(v <= 0.0):
+        raise DomainError("Box-Cox samples must be strictly positive")
+    return BoxCoxFit(*fit_boxcox_batch([v])[:, 0].tolist(), epsilon)
 
 
 def normal_cdf(x):

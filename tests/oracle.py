@@ -7,13 +7,13 @@ here decide one request at a time and update one campaign at a time, over
 the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
 period updates.  `fit_boxcox_lambda` is the scalar twin of the batched
-Newton solve of `gdpacer.quality.fit_boxcox_lambdas`: the same steps on one
+Newton solve in `gdpacer.quality.fit_boxcox_batch`: the same steps on one
 sample, with `np.sum` reductions and Python-float bookkeeping, which the
 batch matches bit for bit and the replays fit with.  `golden_lambda`, a
 golden-section search to a bracket of width tol, is its accuracy
-reference, and `fit_moments` is the scalar reference of
-`fit_moments_batch`.  `fit_windows` gathers fit windows period by period,
-against which the engine's campaign-major layout is checked.  `psi_inverse`
+reference, and `fit_moments` is the scalar reference of the batch's moment
+pass.  `fit_windows` gathers fit windows period by period, against which
+the engine's campaign-major layout is checked.  `psi_inverse`
 is the sequential bisection that `gdpacer.pacing.psi_inverse` computes as a
 verified predicted path, and the replayed adaptive clip runs on it.
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _TAG_PRIOR, _TAG_RUN, CampaignArrays,
-                            RunConfig, _substream, init_campaign_states)
+from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _TAG_PRIOR, _TAG_RUN,
+                            CampaignArrays, RunConfig, _Smart, _substream, init_campaign_states)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
@@ -233,7 +233,7 @@ def golden_lambda(samples, low: float = -2.0, high: float = 2.0,
 
 def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
                       tol: float = 1e-4, points: list[tuple] | None = None) -> float:
-    """The safeguarded Newton solve of `gdpacer.quality.fit_boxcox_lambdas`
+    """The safeguarded Newton solve of `gdpacer.quality.fit_boxcox_batch`
     on one sample, with `np.sum` reductions and Python-float bookkeeping;
     `points`, when given, receives (lambda, score, slope) at each point the
     solve evaluates."""
@@ -342,22 +342,20 @@ def log_period(window, camp: np.ndarray, v: np.ndarray, M: int) -> None:
 def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None:
     """The fit chain of `_FitManager.assign_fits` one campaign at a time, with
     the scalar search, over `window`, a list of periods each holding one
-    quality array per campaign: the campaign's own window when it holds
-    `min_fit_samples` samples, else the pooled window, else a fit of samples
-    drawn from the campaign's quality model, else the neutral fit."""
+    quality array per campaign: the campaign's own window when it has a fit,
+    else the pooled window, else a fit of samples drawn from the campaign's
+    quality model, else the neutral fit."""
     eps = config.params.epsilon
     M = camps.ids.size
     window = list(window) or [[np.empty(0)] * M]
     pooled = np.concatenate([np.concatenate(p) for p in window])
     for i in range(M):
         own = np.concatenate([period[i] for period in window])
-        fit = _scalar_fit(own, eps) if own.size >= config.min_fit_samples else None
-        if fit is None and pooled.size >= config.min_fit_samples:
-            fit = _scalar_fit(pooled, eps)
+        fit = _scalar_fit(own, eps) or _scalar_fit(pooled, eps)
         model = specs[i].quality_model
         if fit is None and model is not None:
             rng = _substream(config.seed, _TAG_PRIOR, i)
-            fit = _scalar_fit(rng.beta(model.m, model.n, size=config.prior_fit_samples), eps)
+            fit = _scalar_fit(rng.beta(model.m, model.n, size=_PRIOR_SAMPLES), eps)
         fit = fit or BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, eps)
         camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
 
@@ -495,7 +493,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     else:
         camps.eptr[:] = 1.0
     if algorithm == "smart":
-        layer_ptr = smart_init(camps, params, config.smart_layers)
+        layer_ptr = smart_init(camps, params, _Smart.LAYERS)
 
     requests = [[] for _ in range(T)]
     for r in iter_requests(stream):

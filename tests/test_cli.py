@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gdpacer.cli
 import gdpacer.theory as theory
 from gdpacer.cli import (ROUNDS_HEADER, SERIES_HEADER, main, render_aggregate_table)
 
@@ -350,6 +354,22 @@ def test_usage_errors_map_to_exit_1(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "gdpacer" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_the_command(tmp_path, config_path):
+    # `python3 -m gdpacer.cli` is the console script: it runs the command and
+    # exits with its code
+    src = str(Path(gdpacer.cli.__file__).resolve().parents[1])
+
+    def module(*args):
+        return subprocess.run([sys.executable, "-m", "gdpacer.cli", *args], cwd=src,
+                              capture_output=True)
+
+    out = tmp_path / "o1"
+    done = module("run", "--config", config_path, "--out", str(out))
+    assert done.returncode == 0, done.stderr.decode()
+    assert (out / "rounds.csv").read_text().splitlines()[0] == ROUNDS_HEADER
+    assert module("bogus").returncode == 1
 
 
 def test_render_table_marks_best():

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 import oracle
 import gdpacer.engine
 from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunConfig, _densify,
-                            _fit_segments, _pooled_window, _resolve_winners, _substream,
+                            _fit_window, _pooled_window, _resolve_winners, _substream,
                             dmd_period_update, init_campaign_states, prepare, rcp_period_update,
                             run_dmd, run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
-from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError
+from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError, fit_boxcox_batch
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch, from_requests
 from oracle import campaigns, dmd_decide, rcp_decide
@@ -215,7 +215,7 @@ def test_array_updates_match_per_campaign_updates(params, mode):
 
 def _try_fit(samples):
     """The engine's fit of one sample, None where it gets none."""
-    lam, mu, sigma = _fit_segments([np.asarray(samples, dtype=float)])[:, 0]
+    lam, mu, sigma = fit_boxcox_batch([samples])[:, 0]
     return None if np.isnan(sigma) else BoxCoxFit(lam, mu, sigma)
 
 
@@ -241,7 +241,7 @@ def test_fit_fallback_keeps_each_campaigns_own_prior():
     # own windows too small, pooled window degenerate (all one value): each
     # campaign must fall back to the prior of its own quality model
     specs = [_spec(0, 10, m=2, n=5), _spec(1, 10, m=6, n=2)]
-    cfg = RunConfig(min_fit_samples=30)
+    cfg = RunConfig()
     fits, t = _logged(specs, cfg, [(np.repeat([0, 1], 20), np.full(40, 0.5))])
     c = campaigns(2)
     fits.assign_fits(c, t)
@@ -256,7 +256,7 @@ def test_fit_prefers_own_then_pooled_window():
     rng = np.random.default_rng(5)
     specs = [_spec(0, 10), _spec(1, 10)]
     v = np.concatenate([rng.beta(2, 5, 40), rng.beta(5, 2, 10)])
-    fits, t = _logged(specs, RunConfig(min_fit_samples=30), [(np.repeat([0, 1], [40, 10]), v)])
+    fits, t = _logged(specs, RunConfig(), [(np.repeat([0, 1], [40, 10]), v)])
     c = campaigns(2)
     fits.assign_fits(c, t)
     own, pooled = _try_fit(v[:40]), _try_fit(v)
@@ -264,30 +264,35 @@ def test_fit_prefers_own_then_pooled_window():
     assert (c.lam[1], c.mu[1]) == (pooled.lambda_star, pooled.mu)
 
 
-def test_min_fit_samples_zero_falls_back_at_the_empty_first_window():
-    # no fit takes fewer than 30 samples, so 0 and 1 behave alike; the empty
-    # window of period 0 used to end the run in np.concatenate([])
-    stream = _rand_stream(2, 4, 40, seed=24)
+def test_empty_first_window_falls_back_to_priors():
+    # period 0's window is empty: no own or pooled fit, so every campaign
+    # takes its prior (an empty window used to end a run in np.concatenate([]))
     specs = [_spec(0, 30, m=2, n=5), _spec(1, 30, m=5, n=2)]
-    traces = [run_rcpacing(stream, specs, RunConfig(seed=3, min_fit_samples=k)) for k in (0, 1)]
-    assert traces[0].tobytes() == traces[1].tobytes()
+    fits, t = _logged(specs, RunConfig(seed=3), [])
+    empty = _fit_window(*fits.stream.campaign_major, 0, 0)
+    assert np.isnan(empty.sigma).all() and empty.pooled is None
+    c = campaigns(2)
+    fits.assign_fits(c, t)
+    for i in range(2):
+        assert (c.lam[i], c.mu[i]) == (_prior_fit(fits, i).lambda_star, _prior_fit(fits, i).mu)
 
 
-@pytest.mark.parametrize("min_fit_samples", [10, 30, 60])
+@pytest.mark.parametrize("own_size", [10, 30, 60])
 @pytest.mark.parametrize("nonpositive", [False, True])
-def test_assign_fits_matches_per_campaign_chain(nonpositive, min_fit_samples):
+def test_assign_fits_matches_per_campaign_chain(nonpositive, own_size):
     # healthy windows next to too-small, constant, empty and (optionally)
-    # non-positive ones, logged over two periods; a sample <= 0 also spoils
-    # the pooled window, so every campaign without its own fit goes on to its
-    # prior, or to the neutral fit when it has no quality model
+    # non-positive ones, logged over two periods, with campaign 0's window
+    # below, at or above the 30 samples a fit needs; a sample <= 0 also
+    # spoils the pooled window, so every campaign without its own fit goes
+    # on to its prior, or to the neutral fit when it has no quality model
     rng = np.random.default_rng(23)
-    windows = [rng.beta(2, 5, 45), rng.beta(5, 2, 12), np.full(50, 0.4), rng.beta(3, 3, 70),
+    windows = [rng.beta(2, 5, own_size), rng.beta(5, 2, 12), np.full(50, 0.4), rng.beta(3, 3, 70),
                np.empty(0), rng.beta(2, 2, 8), rng.beta(4, 2, 200)]
     if nonpositive:
         windows[3][7] = 0.0
     specs = [_spec(j, 10, m=2.0 + j, n=5.0) for j in range(7)]
     specs[5] = CampaignSpec(id=5, budget=10, recall_prob=1.0, quality_model=None)
-    cfg = RunConfig(min_fit_samples=min_fit_samples, seed=4)
+    cfg = RunConfig(seed=4)
     logged, window = [], []
     for half in (0, 1):
         parts = [np.array_split(w, 2)[half] for w in windows]
@@ -301,7 +306,7 @@ def test_assign_fits_matches_per_campaign_chain(nonpositive, min_fit_samples):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
     own = {0, 3, 6} - ({3} if nonpositive else set())
-    own = {j for j in own if windows[j].size >= min_fit_samples}
+    own = {j for j in own if windows[j].size >= 30}
     pooled = _try_fit(np.concatenate([np.concatenate(p) for p in window]))
     assert (pooled is None) == nonpositive
     for j in range(7):
@@ -609,7 +614,7 @@ def test_per_impression_rcpacing_own_fits_start_mid_run():
     prepared = prepare(stream, [0, 1], per_impression=True)
     _assert_matches_replay(run_rcpacing(prepared, specs, cfg),
                            oracle.replay("rcpacing", stream, specs, cfg))
-    memo = prepared.fit_memo(40, 30)
+    memo = prepared.fit_memo(40)
     assert all(memo[t] is memo[0] for t in range(15)) and memo[0].pooled is None
     assert all(memo[t].pooled is not None for t in range(15, 30))
     assert all(np.isfinite(memo[t].lam).all() for t in range(30, 120))
@@ -679,8 +684,6 @@ def _instances(draw):
                     per_impression=draw(st.booleans()),
                     refit_window=draw(st.sampled_from([2, 40, 1000])),
                     gradient_mode=draw(st.sampled_from(["relative", "absolute"])),
-                    min_fit_samples=draw(st.sampled_from([4, 30])),
-                    prior_fit_samples=256,
                     params=PacingHyperParams(eta=draw(st.sampled_from([0.2, 2.0])),
                                              initial_trial_rate=draw(st.sampled_from([0.3, 1.0]))))
     return ImpressionStream(periods), specs, cfg

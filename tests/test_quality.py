@@ -18,11 +18,9 @@ from scipy import integrate, special, stats
 
 import oracle
 from gdpacer.quality import (BetaQualityModel, BoxCoxFit, DegenerateSampleError,
-                             DomainError, backward_transform,
-                             backward_transform_clipped, boxcox, fit_boxcox,
-                             fit_boxcox_lambda, fit_boxcox_lambdas,
-                             fit_moments_batch, forward_transform, inverse_boxcox, normal_cdf,
-                             normal_quantile)
+                             DomainError, _fit_moments, backward_transform,
+                             backward_transform_clipped, boxcox, fit_boxcox, fit_boxcox_batch,
+                             forward_transform, inverse_boxcox, normal_cdf, normal_quantile)
 from oracle import fit_moments
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
@@ -104,7 +102,7 @@ def _loglik_grid_argmax(v: np.ndarray) -> float:
 def test_fit_lambda_normal_samples_near_one():
     rng = np.random.default_rng(11)
     v = np.clip(rng.normal(0.5, 0.1, size=4000), 1e-3, 1.0 - 1e-3)
-    lam = fit_boxcox_lambda(v)
+    lam = fit_boxcox(v).lambda_star
     assert abs(lam - 1.0) <= 0.3
     assert abs(lam - _loglik_grid_argmax(v)) <= 0.01
 
@@ -112,7 +110,7 @@ def test_fit_lambda_normal_samples_near_one():
 def test_fit_lambda_lognormal_samples_near_zero():
     rng = np.random.default_rng(12)
     v = np.clip(np.exp(rng.normal(-2.0, 0.3, size=4000)), 1e-6, 1.0 - 1e-6)
-    lam = fit_boxcox_lambda(v)
+    lam = fit_boxcox(v).lambda_star
     assert abs(lam - 0.0) <= 0.3
     assert abs(lam - _loglik_grid_argmax(v)) <= 0.01
 
@@ -122,28 +120,28 @@ def test_fit_lambda_two_point_sample_in_range():
     # score's series is 0 up to rounding; the golden-section search lands
     # within tol/2 of 0
     v = np.array([0.2, 0.6] * 20)
-    lam = fit_boxcox_lambda(v)
+    lam = fit_boxcox(v).lambda_star
     assert abs(lam) <= 1e-12 and abs(oracle.golden_lambda(v)) <= 5e-5
 
 
 def test_fit_lambda_rejects_degenerate_and_small():
     with pytest.raises(DegenerateSampleError):
-        fit_boxcox_lambda(np.full(40, 0.25))
+        fit_boxcox(np.full(40, 0.25))
     with pytest.raises(DegenerateSampleError):
-        fit_boxcox_lambda(np.linspace(0.1, 0.9, 29))
+        fit_boxcox(np.linspace(0.1, 0.9, 29))
     with pytest.raises(DomainError):
-        fit_boxcox_lambda(np.linspace(-0.1, 0.9, 40))
+        fit_boxcox(np.linspace(-0.1, 0.9, 40))
 
 
 def test_fit_lambdas_rejects_any_bad_segment():
+    # a bad segment gets no fit (NaN) and leaves the others as fitted alone
     good = np.linspace(0.1, 0.9, 40)
-    assert fit_boxcox_lambdas([]).shape == (0,)
-    with pytest.raises(DegenerateSampleError):
-        fit_boxcox_lambdas([good, np.full(40, 0.25)])
-    with pytest.raises(DegenerateSampleError):
-        fit_boxcox_lambdas([good, good[:29]])
-    with pytest.raises(DomainError):
-        fit_boxcox_lambdas([np.linspace(-0.1, 0.9, 40), good])
+    assert fit_boxcox_batch([]).shape == (3, 0)
+    alone = fit_boxcox_batch([good])[:, 0]
+    for bad in (np.full(40, 0.25), good[:29], np.linspace(-0.1, 0.9, 40), np.empty(0)):
+        for out in (fit_boxcox_batch([good, bad]), fit_boxcox_batch([bad, good])[:, ::-1]):
+            assert np.isnan(out[:, 1]).all()
+            assert out[:, 0].tobytes() == alone.tobytes()
 
 
 def test_fit_lambdas_segments_stop_on_their_own():
@@ -158,7 +156,7 @@ def test_fit_lambdas_segments_stop_on_their_own():
     assert len({len(p) for p in paths}) > 1
     newton = [lam == p[-1][0] - p[-1][1] / p[-1][2] for lam, p in zip(ref, paths)]
     assert 0 < sum(newton) < len(segs)
-    assert fit_boxcox_lambdas(segs).tolist() == ref
+    assert fit_boxcox_batch(segs)[0].tolist() == ref
     # a point away from 0 costs one exp over the segment; at most 4 are taken
     assert max(sum(abs(lam) >= 1e-3 for lam, *_ in p) for p in paths) <= 4
 
@@ -182,13 +180,13 @@ _SEGMENT = st.tuples(st.sampled_from(["beta", "lognormal", "quantized"]),
 @given(specs=st.lists(_SEGMENT, min_size=1, max_size=40))
 def test_fit_lambdas_matches_scalar_search(specs):
     segs = [_segment(*spec) for spec in specs]
-    lams = fit_boxcox_lambdas(segs)
+    lams = fit_boxcox_batch(segs)[0]
     assert lams.shape == (len(segs),)
     for seg, lam in zip(segs, lams.tolist()):
         # the batch is its scalar twin bit for bit, and batching does not
         # couple segments
-        assert lam == oracle.fit_boxcox_lambda(seg) == fit_boxcox_lambdas([seg])[0]
-        # no lambda where `fit_moments_batch` and `boxcox` can round apart
+        assert lam == oracle.fit_boxcox_lambda(seg) == fit_boxcox_batch([seg])[0, 0]
+        # no lambda where `_fit_moments` and `boxcox` can round apart
         assert lam not in (-1.0, 0.5, 2.0)
 
 
@@ -196,7 +194,7 @@ def test_fit_lambdas_matches_scalar_search(specs):
 @given(spec=_SEGMENT)
 def test_fit_lambda_as_accurate_as_golden_section_search(spec):
     seg = _segment(*spec)
-    lam, ref = fit_boxcox_lambda(seg), oracle.golden_lambda(seg)
+    lam, ref = fit_boxcox(seg).lambda_star, oracle.golden_lambda(seg)
     assert abs(lam - ref) <= 1e-4
     ll_ref = oracle.profile_loglik(seg, ref)
     assert oracle.profile_loglik(seg, lam) >= ll_ref - 1e-9 * abs(ll_ref)
@@ -211,21 +209,67 @@ def test_fit_lambda_as_accurate_as_golden_section_search(spec):
 _LAMBDA = st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: x not in (-1.0, 0.5, 2.0)))
 
 
+def _moments(segs, lams):
+    """`_fit_moments` on the layout `fit_boxcox_batch` builds for `segs`."""
+    reps = np.array([len(s) + 1 for s in segs], dtype=np.int64)
+    v = np.concatenate([np.empty(0)] + [np.r_[1.0, s] for s in segs])
+    return _fit_moments(v, np.cumsum(reps) - reps, reps, np.asarray(lams, dtype=float))
+
+
 @settings(max_examples=40, deadline=None)
 @given(specs=st.lists(st.tuples(_SEGMENT, _LAMBDA), min_size=1, max_size=40))
 def test_fit_moments_batch_matches_fit_moments(specs):
     segs = [_segment(*spec) for spec, _ in specs]
     lams = [lam for _, lam in specs]
-    mu, sigma = fit_moments_batch(segs, lams)
+    mu, sigma = _moments(segs, lams)
     for seg, lam, m, s in zip(segs, lams, mu.tolist(), sigma.tolist()):
         assert (m, s) == fit_moments(seg, lam)
 
 
 def test_fit_moments_batch_flags_degenerate_segments():
-    mu, sigma = fit_moments_batch([np.full(40, 0.25), [0.2, 0.4]], [1.0, 0.3])
+    mu, sigma = _moments([np.full(40, 0.25), [0.2, 0.4]], [1.0, 0.3])
     assert sigma[0] == 0.0
     assert (mu[1], sigma[1]) == fit_moments([0.2, 0.4], 0.3)
-    assert [a.size for a in fit_moments_batch([], [])] == [0, 0]
+    assert [a.size for a in _moments([], [])] == [0, 0]
+
+
+def _mixed_segment(kind: str, size: int, p: float, q: float, seed: int) -> np.ndarray:
+    """A segment of one kind: empty, too small, with a sample <= 0, constant,
+    or healthy (any kind of `_segment`)."""
+    if kind == "empty":
+        return np.empty(0)
+    if kind == "small":
+        return _segment("beta", size % 30, p, q, seed)
+    if kind == "constant":
+        return np.full(size, p / 8.0)
+    v = _segment(kind.removeprefix("nonpositive-"), size, p, q, seed)
+    if kind.startswith("nonpositive-"):
+        v[seed % size] = -(seed % 2) * p
+    return v
+
+
+_MIXED = st.tuples(st.sampled_from(["empty", "small", "constant", "nonpositive-beta", "beta",
+                                    "lognormal", "quantized"]),
+                   st.integers(30, 1000), st.floats(2.0, 8.0), st.floats(2.0, 8.0),
+                   st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=st.lists(_MIXED, max_size=20))
+def test_fit_batch_matches_scalar_chain(specs):
+    # NaN exactly where the scalar chain refuses a segment; elsewhere its
+    # lambda and moments bit for bit, in a batch and alone
+    segs = [_mixed_segment(*spec) for spec in specs]
+    out = fit_boxcox_batch(segs)
+    assert out.shape == (3, len(segs))
+    for k, seg in enumerate(segs):
+        try:
+            lam = oracle.fit_boxcox_lambda(seg)
+            ref = (lam, *fit_moments(seg, lam))
+        except (DegenerateSampleError, DomainError):
+            ref = (np.nan,) * 3
+        assert np.array(ref).tobytes() == out[:, k].tobytes()
+        assert fit_boxcox_batch([seg])[:, 0].tobytes() == out[:, k].tobytes()
 
 
 def test_fit_moments_two_point_symmetric():
