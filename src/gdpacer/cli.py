@@ -18,7 +18,6 @@ from .simulate import (
     ConfigError,
     ScenarioConfig,
     default_scenario,
-    load_scenario_config,
     run_ablation,
     run_experiment_detailed,
     scenario_from_dict,
@@ -296,6 +295,8 @@ def _parse_rounds_csv(path: str) -> list[MetricsReport]:
                     regret=float(parts[5]) if parts[5] else None,
                     per_period_spend=np.zeros((0, 0)),
                 ))
+                if not np.isfinite([float(x) for x in parts[2:] if x]).all():
+                    raise ValueError(f"metric values must be finite, got `{line}`")
             except ValueError as exc:
                 raise ConfigError(f"{path}:{ln}: {exc}") from None
     if not reports:

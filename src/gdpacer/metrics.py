@@ -12,7 +12,7 @@ length.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,7 +98,6 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     # flatten the stream into (request ordinal, campaign column, quality)
     req_parts, camp_parts, v_parts = [], [], []
     base = 0
-    n_requests = 0
     for batch in stream.periods:
         keep = np.isin(batch.camp, ids)
         req_parts.append(batch.req[keep] + base)

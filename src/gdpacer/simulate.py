@@ -11,6 +11,7 @@ report as computing it within a longer round loop.
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
@@ -135,8 +136,8 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
     Per period, recall flags are independent Bernoulli draws per (request,
     campaign); recalled pairs get a quality draw from the campaign's beta law
     (the drifted law from `drift_period` on).  Qualities are rounded to the
-    6-decimal CSV quantum and clamped inside (0, 1) at generation time so a
-    stream-file round trip is exact.
+    6-decimal CSV quantum and clamped inside (0, 1) at generation time, so a
+    stream file carries them exactly.
     """
     specs = sorted(config.campaigns, key=lambda s: s.id)
     rng = np.random.Generator(np.random.Philox(
@@ -271,10 +272,22 @@ _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
 
 def _as_int(value, where: str) -> int:
     """An integer config value; a non-integral number is refused, not truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer():
+    if not _is_number(value) or not float(value).is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_range(value, where: str, top: float = sys.float_info.max) -> tuple[float, float]:
+    """A [low, high] config pair of finite numbers with 0 < low <= high <= top."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+            and 0 < value[0] <= value[1] <= top):
+        raise ConfigError(f"{where} must be a [low, high] pair of finite numbers with "
+                          f"0 < low <= high <= {top:g}, got {value!r}")
+    return float(value[0]), float(value[1])
 
 
 def _drift_id(key) -> int:
@@ -303,11 +316,14 @@ def _parse_campaigns(obj, total_requests: int, seed: int) -> list[CampaignSpec]:
             raise ConfigError("campaigns: generator form requires a count")
         kwargs = {}
         if "budget_range" in obj:
-            kwargs["budget_range"] = tuple(obj["budget_range"])
+            kwargs["budget_range"] = _as_range(obj["budget_range"], "campaigns.budget_range")
         if "recall_range" in obj:
-            kwargs["recall_range"] = tuple(obj["recall_range"])
+            kwargs["recall_range"] = _as_range(obj["recall_range"], "campaigns.recall_range", 1.0)
         if "supply_margin" in obj:
-            kwargs["supply_margin"] = float(obj["supply_margin"])
+            margin = obj["supply_margin"]
+            if not (_is_number(margin) and 0 < margin <= sys.float_info.max):
+                raise ConfigError(f"campaigns.supply_margin must be finite and > 0, got {margin!r}")
+            kwargs["supply_margin"] = float(margin)
         return synth_campaigns(_as_int(obj["count"], "campaigns.count"), total_requests,
                                seed=seed, **kwargs)
     if not isinstance(obj, list):

@@ -6,13 +6,10 @@ columnar edge form (request position, campaign id, quality) sorted by
 consumed edge by edge in exactly this order, so two runs that differ only
 in control formulas consume identical randomness.
 
-CSV schema (UTF-8, LF, header required)::
-
-    request_id,period,campaign_id,ctr
-
-with ctr a decimal in (0, 1) carrying at most 6 fractional digits.  A
-request that recalls no campaign has no rows, so such no-op requests are
-not representable in the schema; generated streams avoid relying on them.
+CSV schema (UTF-8, LF, header required): ``request_id,period,campaign_id,ctr``,
+ids ASCII decimal int64 integers, ctr a decimal in (0, 1) with at most 6
+fractional digits.  A row is an edge: a request recalling no campaign and an
+empty period have no rows, so `save_stream_csv` refuses them, not drops them.
 """
 
 from __future__ import annotations
@@ -20,25 +17,18 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 
 _CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
+_HEADER = ["request_id", "period", "campaign_id", "ctr"]
 
 
 class StreamFormatError(ValueError):
-    """Malformed stream CSV; message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class ImpressionRequest:
-    """One ad display opportunity with its recalled campaigns' qualities."""
-
-    request_id: int
-    period: int
-    qualities: dict[int, float]
+    """Malformed stream CSV (the message carries the line) or uncarriable stream."""
 
 
 @dataclass
@@ -75,10 +65,6 @@ class ImpressionStream:
     def total_edges(self) -> int:
         return sum(p.n_edges for p in self.periods)
 
-    @property
-    def avg_requests_per_period(self) -> float:
-        return self.total_requests / max(1, self.n_periods)
-
     def fingerprint(self) -> str:
         """Content hash tying traces to the exact instance they ran on.
 
@@ -105,74 +91,40 @@ class ImpressionStream:
             for key in ("request_ids", "req", "camp", "v"))
 
 
-def from_requests(requests: list[ImpressionRequest]) -> ImpressionStream:
-    """Build a stream from request records; periods keep first-seen order."""
-    by_period: dict[int, list[ImpressionRequest]] = {}
-    order: list[int] = []
-    for r in requests:
-        if r.period not in by_period:
-            by_period[r.period] = []
-            order.append(r.period)
-        by_period[r.period].append(r)
-
-    periods = []
-    for t in order:
-        reqs = by_period[t]
-        ids, rpos, camps, vals = [], [], [], []
-        for pos, r in enumerate(reqs):
-            ids.append(r.request_id)
-            for c in sorted(r.qualities):
-                rpos.append(pos)
-                camps.append(c)
-                vals.append(r.qualities[c])
-        periods.append(PeriodBatch(
-            request_ids=np.asarray(ids, dtype=np.int64),
-            req=np.asarray(rpos, dtype=np.int64),
-            camp=np.asarray(camps, dtype=np.int64),
-            v=np.asarray(vals, dtype=np.float64),
-        ))
-    return ImpressionStream(periods=periods)
-
-
 def save_stream_csv(stream: ImpressionStream, path) -> None:
-    """Write the stream in the 4-column schema, qualities at 6 decimals."""
+    """Write the 4-column schema at 6 decimals; refuse empty requests and periods first."""
+    for t, p in enumerate(stream.periods):
+        empty = np.flatnonzero(np.bincount(p.req, minlength=p.n_requests)[:p.n_requests] == 0)
+        if p.n_requests == 0 or empty.size:
+            what = f"request {p.request_ids[empty[0]]} recalls no campaign" if empty.size else \
+                "no requests"
+            raise StreamFormatError(f"period {t}: {what}, which the stream CSV cannot carry")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["request_id", "period", "campaign_id", "ctr"])
+        fh.write(",".join(_HEADER) + "\n")
         for t, p in enumerate(stream.periods):
-            for e in range(p.n_edges):
-                writer.writerow([int(p.request_ids[p.req[e]]), t,
-                                 int(p.camp[e]), f"{p.v[e]:.6f}"])
+            fh.writelines(f"{r},{t},{c},{v:.6f}\n" for r, c, v in zip(
+                p.request_ids[p.req].tolist(), p.camp.tolist(), p.v.tolist()))
 
 
 def load_stream_csv(path) -> ImpressionStream:
     """Parse a stream CSV; raises StreamFormatError with a line number.
 
-    Periods must appear as non-decreasing blocks; a request's rows must be
-    contiguous.  Edges within a request are sorted by campaign id.
+    Periods must come as non-decreasing blocks, a request's rows contiguous.
+    Rows are checked in file order, the ids of a row last; their characters
+    only if the file has a non-ASCII byte or an underscore past the header.
     """
-    requests: list[ImpressionRequest] = []
-    expected_header = ["request_id", "period", "campaign_id", "ctr"]
-
+    with open(path, "rb") as fh:
+        data = fh.read()
+    plain = data.isascii() and data.count(b"_") == 2     # once the header has passed
+    del data
+    rids, periods, cids, ctrs = array("q"), array("q"), array("q"), array("d")
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise StreamFormatError("line 1: missing header") from None
-        if [h.strip() for h in header] != expected_header:
-            raise StreamFormatError(f"line 1: expected header {','.join(expected_header)}")
-
-        cur_req = None
-        cur_period = None
-        cur_map: dict[int, float] = {}
-        last_period = None
-        seen_in_period: set[int] = set()
-
-        def flush():
-            if cur_req is not None:
-                requests.append(ImpressionRequest(cur_req, cur_period, dict(cur_map)))
-
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != _HEADER:
+            raise StreamFormatError("line 1: " + ("missing header" if header is None else
+                                                  f"expected header {','.join(_HEADER)}"))
+        last_period, cur_req, seen_in_period, seen_in_request = None, None, set(), set()
         for row in reader:
             line = reader.line_num
             if not row:
@@ -180,10 +132,7 @@ def load_stream_csv(path) -> ImpressionStream:
             if len(row) != 4:
                 raise StreamFormatError(f"line {line}: expected 4 fields, got {len(row)}")
             try:
-                rid = int(row[0])
-                period = int(row[1])
-                cid = int(row[2])
-                ctr = float(row[3])
+                rid, period, cid, ctr = int(row[0]), int(row[1]), int(row[2]), float(row[3])
             except ValueError as exc:
                 raise StreamFormatError(f"line {line}: {exc}") from None
             if not 0.0 < ctr < 1.0:
@@ -191,26 +140,39 @@ def load_stream_csv(path) -> ImpressionStream:
             if not _CTR_DECIMAL.fullmatch(row[3].strip()):
                 raise StreamFormatError(f"line {line}: ctr must be a decimal with at most "
                                         f"6 fractional digits, got {row[3]!r}")
-            if last_period is not None and period < last_period:
-                raise StreamFormatError(f"line {line}: period {period} after period {last_period}; "
-                                        "periods must be grouped in non-decreasing order")
             if period != last_period:
-                flush()
-                cur_req = None
-                cur_map = {}
-                seen_in_period = set()
-                last_period = period
+                if last_period is not None and period < last_period:
+                    raise StreamFormatError(f"line {line}: period {period} after period "
+                                            f"{last_period}; periods must be grouped in "
+                                            "non-decreasing order")
+                last_period, cur_req, seen_in_period = period, None, set()
             if rid != cur_req:
                 if rid in seen_in_period:
                     raise StreamFormatError(f"line {line}: request {rid} rows are not contiguous")
-                flush()
                 seen_in_period.add(rid)
-                cur_req = rid
-                cur_period = period
-                cur_map = {}
-            if cid in cur_map:
+                cur_req, seen_in_request = rid, set()
+            if cid in seen_in_request:
                 raise StreamFormatError(f"line {line}: duplicate campaign {cid} for request {rid}")
-            cur_map[cid] = ctr
-        flush()
+            seen_in_request.add(cid)
+            if not plain and any(not x.isascii() or "_" in x for x in row[:3]):
+                raise StreamFormatError(f"line {line}: ids must be plain ASCII decimal integers, "
+                                        f"got {row[:3]!r}")
+            try:
+                rids.append(rid)            # an int64 array refuses a larger id
+                periods.append(period)
+                cids.append(cid)
+            except OverflowError:
+                raise StreamFormatError(f"line {line}: ids must lie in the int64 range, "
+                                        f"got {row[:3]!r}") from None
+            ctrs.append(ctr)
 
-    return from_requests(requests)
+    rid, per, camp = (np.frombuffer(c, dtype=np.int64) for c in (rids, periods, cids))
+    starts = np.flatnonzero(np.diff(per, prepend=per[:1] - 1)).tolist()   # periods' first rows
+    first_row = np.diff(rid, prepend=rid[:1] - 1) != 0                   # requests' first rows,
+    first_row[starts] = True                                             # one at each period start
+    ordinal = np.cumsum(first_row) - 1
+    order = np.lexsort((camp, ordinal))
+    camp, v = camp[order], np.frombuffer(ctrs, dtype=np.float64)[order]
+    return ImpressionStream(periods=[
+        PeriodBatch(rid[lo:hi][first_row[lo:hi]], ordinal[lo:hi] - ordinal[lo], camp[lo:hi],
+                    v[lo:hi]) for lo, hi in zip(starts, starts[1:] + [rid.size])])

@@ -1,6 +1,6 @@
 """Sequential scalar reference implementations of the three delivery policies
-and of the Box-Cox lambda fit, and the request-by-request stream views
-they replay.
+and of the Box-Cox lambda fit, the request-by-request stream views they
+replay, and the record-based stream CSV reader and writer.
 
 The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
@@ -16,11 +16,17 @@ pass.  `fit_windows` gathers fit windows period by period, against which
 the engine's campaign-major layout is checked.  `psi_inverse`
 is the sequential bisection that `gdpacer.pacing.psi_inverse` computes as a
 verified predicted path, and the replayed adaptive clip runs on it.
+`ImpressionRequest` records build hand-made streams (`from_requests`);
+`load_stream_csv` and `save_stream_csv` are the per-request, per-row CSV
+reference the columnar `gdpacer.streams` reader and writer are checked
+against, message for message and byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -32,9 +38,135 @@ from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
                              backward_transform_clipped, boxcox, normal_cdf)
-from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch
+from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
 SMART_PTR_FLOOR = 0.01
+_CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
+
+
+@dataclass(frozen=True)
+class ImpressionRequest:
+    """One ad display opportunity with its recalled campaigns' qualities."""
+
+    request_id: int
+    period: int
+    qualities: dict[int, float]
+
+
+def from_requests(requests: list[ImpressionRequest]) -> ImpressionStream:
+    """Build a stream from request records; periods keep first-seen order."""
+    by_period: dict[int, list[ImpressionRequest]] = {}
+    order: list[int] = []
+    for r in requests:
+        if r.period not in by_period:
+            by_period[r.period] = []
+            order.append(r.period)
+        by_period[r.period].append(r)
+
+    periods = []
+    for t in order:
+        reqs = by_period[t]
+        ids, rpos, camps, vals = [], [], [], []
+        for pos, r in enumerate(reqs):
+            ids.append(r.request_id)
+            for c in sorted(r.qualities):
+                rpos.append(pos)
+                camps.append(c)
+                vals.append(r.qualities[c])
+        periods.append(PeriodBatch(
+            request_ids=np.asarray(ids, dtype=np.int64),
+            req=np.asarray(rpos, dtype=np.int64),
+            camp=np.asarray(camps, dtype=np.int64),
+            v=np.asarray(vals, dtype=np.float64),
+        ))
+    return ImpressionStream(periods=periods)
+
+
+def avg_requests_per_period(stream: ImpressionStream) -> float:
+    return stream.total_requests / max(1, stream.n_periods)
+
+
+def save_stream_csv(stream: ImpressionStream, path) -> None:
+    """Write the stream in the 4-column schema, row by row through
+    `csv.writer`; requests without edges and empty periods leave no rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["request_id", "period", "campaign_id", "ctr"])
+        for t, p in enumerate(stream.periods):
+            for e in range(p.n_edges):
+                writer.writerow([int(p.request_ids[p.req[e]]), t,
+                                 int(p.camp[e]), f"{p.v[e]:.6f}"])
+
+
+def load_stream_csv(path) -> ImpressionStream:
+    """Parse a stream CSV into request records, then `from_requests`.
+
+    Raises StreamFormatError with a line number; ids are whatever `int`
+    accepts, and one beyond int64 escapes as OverflowError.
+    """
+    requests: list[ImpressionRequest] = []
+    expected_header = ["request_id", "period", "campaign_id", "ctr"]
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise StreamFormatError("line 1: missing header") from None
+        if [h.strip() for h in header] != expected_header:
+            raise StreamFormatError(f"line 1: expected header {','.join(expected_header)}")
+
+        cur_req = None
+        cur_period = None
+        cur_map: dict[int, float] = {}
+        last_period = None
+        seen_in_period: set[int] = set()
+
+        def flush():
+            if cur_req is not None:
+                requests.append(ImpressionRequest(cur_req, cur_period, dict(cur_map)))
+
+        for row in reader:
+            line = reader.line_num
+            if not row:
+                continue
+            if len(row) != 4:
+                raise StreamFormatError(f"line {line}: expected 4 fields, got {len(row)}")
+            try:
+                rid = int(row[0])
+                period = int(row[1])
+                cid = int(row[2])
+                ctr = float(row[3])
+            except ValueError as exc:
+                raise StreamFormatError(f"line {line}: {exc}") from None
+            if not 0.0 < ctr < 1.0:
+                raise StreamFormatError(f"line {line}: ctr must lie strictly in (0, 1), got {ctr}")
+            if not _CTR_DECIMAL.fullmatch(row[3].strip()):
+                raise StreamFormatError(f"line {line}: ctr must be a decimal with at most "
+                                        f"6 fractional digits, got {row[3]!r}")
+            if last_period is not None and period < last_period:
+                raise StreamFormatError(f"line {line}: period {period} after period {last_period}; "
+                                        "periods must be grouped in non-decreasing order")
+            if period != last_period:
+                flush()
+                cur_req = None
+                cur_map = {}
+                seen_in_period = set()
+                last_period = period
+            if rid != cur_req:
+                if rid in seen_in_period:
+                    raise StreamFormatError(f"line {line}: request {rid} rows are not contiguous")
+                flush()
+                seen_in_period.add(rid)
+                cur_req = rid
+                cur_period = period
+                cur_map = {}
+            if cid in cur_map:
+                raise StreamFormatError(f"line {line}: duplicate campaign {cid} for request {rid}")
+            cur_map[cid] = ctr
+        flush()
+
+    return from_requests(requests)
 
 
 def iter_requests(stream: ImpressionStream):
@@ -483,7 +615,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     camps = init_campaign_states(specs, stream, params)
     M, T = camps.ids.size, stream.n_periods
     index = {int(c): i for i, c in enumerate(camps.ids)}
-    avg = stream.avg_requests_per_period
+    avg = avg_requests_per_period(stream)
     rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS[algorithm])
     out = Replay(np.zeros((M, T), dtype=np.int64), np.zeros((M, T)), np.zeros((M, T)),
                  np.ones((M, T)), camps.remaining)

@@ -330,6 +330,8 @@ def test_report_single_row_file(tmp_path, capsys):
     (ROUNDS_HEADER + "\ndmd,0,1.0\n", ":2: expected 6 fields"),
     (ROUNDS_HEADER + "\ndmd,zero,1.0,2.0,3.0,\n", ":2:"),
     (ROUNDS_HEADER + "\n", "no data rows"),
+    (ROUNDS_HEADER + "\nrcpacing,0,nan,inf,0.08,\n", ":2: metric values must be finite"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,\ndmd,1,0.9,7.5,0.08,-inf\n", ":3: metric values"),
 ])
 def test_report_malformed_inputs(tmp_path, capsys, body, needle):
     path = tmp_path / "bad.csv"

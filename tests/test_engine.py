@@ -23,8 +23,8 @@ from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
 from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError, fit_boxcox_batch
 from gdpacer.simulate import CampaignSpec
-from gdpacer.streams import ImpressionRequest, ImpressionStream, PeriodBatch, from_requests
-from oracle import campaigns, dmd_decide, rcp_decide
+from gdpacer.streams import ImpressionStream, PeriodBatch
+from oracle import ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
 
 
 def _spec(j, budget, recall=1.0, m=2.0, n=5.0):
@@ -567,7 +567,7 @@ def test_per_impression_prepare_matches_densified_rechunk():
         ref = _densify(chunks, sorted(ids))
         assert got.n_periods == len(ref) == stream.total_requests
         assert got.total_requests == chunks.total_requests
-        assert got.avg_requests_per_period == chunks.avg_requests_per_period
+        assert got.avg_requests_per_period == oracle.avg_requests_per_period(chunks)
         for a, b in zip(got.periods, ref):
             assert a.n_requests == b.n_requests == 1
             for name in ("req", "camp", "v", "starts", "seg_idx"):

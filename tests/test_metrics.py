@@ -23,7 +23,7 @@ from gdpacer.metrics import (ALGORITHM_ORDER, HindsightOptimum, InstanceMismatch
                              hindsight_optimum, regret, unsmoothness)
 from gdpacer.quality import BetaQualityModel
 from gdpacer.simulate import CampaignSpec, ScenarioConfig, generate_stream
-from gdpacer.streams import ImpressionRequest, from_requests
+from oracle import ImpressionRequest, from_requests
 
 
 def _trace(wins, budgets, quality=None, stream_id="s", campaign_ids=None):

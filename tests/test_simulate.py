@@ -316,6 +316,18 @@ def test_scenario_from_dict_drift_models():
     (lambda d: d["campaigns"].__setitem__(0, "x"), "expected an object"),
     (lambda d: d.update(campaigns={"budget_range": [1, 2]}), "requires a count"),
     (lambda d: d.update(campaigns={"count": 2, "weird": 1}), "unknown generator keys"),
+    (lambda d: d.update(campaigns={"count": 2, "budget_range": [-5, 50]}), "budget_range"),
+    (lambda d: d.update(campaigns={"count": 2, "budget_range": [50, 10]}), "budget_range"),
+    (lambda d: d.update(campaigns={"count": 2, "budget_range": [1, float("inf")]}),
+     "budget_range"),
+    (lambda d: d.update(campaigns={"count": 2, "budget_range": "ab"}), "budget_range"),
+    (lambda d: d.update(campaigns={"count": 2, "recall_range": [0.5]}), "recall_range"),
+    (lambda d: d.update(campaigns={"count": 2, "recall_range": [0.5, -1]}), "recall_range"),
+    (lambda d: d.update(campaigns={"count": 2, "recall_range": [0.2, 1.5]}), "recall_range"),
+    (lambda d: d.update(campaigns={"count": 2, "recall_range": [0, 0.5]}), "recall_range"),
+    (lambda d: d.update(campaigns={"count": 2, "supply_margin": 0}), "supply_margin"),
+    (lambda d: d.update(campaigns={"count": 2, "supply_margin": float("nan")}), "supply_margin"),
+    (lambda d: d.update(campaigns={"count": 2, "supply_margin": "3"}), "supply_margin"),
 ])
 def test_scenario_from_dict_rejects_malformed(mutate, msg):
     data = _valid_dict()

@@ -1,12 +1,23 @@
 """Stream container and CSV serialization tests."""
 
+import csv
+import io
+import math
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from gdpacer.streams import (ImpressionRequest, ImpressionStream, PeriodBatch,
-                             StreamFormatError, from_requests, load_stream_csv,
+import oracle
+from gdpacer.quality import BetaQualityModel
+from gdpacer.simulate import CampaignSpec, ScenarioConfig, default_scenario, generate_stream
+from gdpacer.streams import (ImpressionStream, PeriodBatch, StreamFormatError, load_stream_csv,
                              save_stream_csv)
-from oracle import campaign_ids, iter_requests, per_impression
+from oracle import ImpressionRequest, campaign_ids, from_requests, iter_requests, per_impression
 
 
 def _demo_stream() -> ImpressionStream:
@@ -81,6 +92,10 @@ def test_three_row_single_request(tmp_path):
     ("request_id,period,campaign_id,ctr\n1,1,2,0.5\n2,0,2,0.5\n", 3),
     ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n1,0,3,0.123456789\n", 3),
     ("request_id,period,campaign_id,ctr\n1,0,2,5e-1\n", 2),
+    (f"request_id,period,campaign_id,ctr\n1,0,2,0.5\n{2**70},0,2,0.5\n", 3),
+    ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n2,0,-9223372036854775809,0.5\n", 3),
+    ("request_id,period,campaign_id,ctr\n1_0,0,2,0.5\n", 2),
+    ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n\u0663,0,2,0.5\n", 3),
 ])
 def test_loader_errors_carry_line_numbers(tmp_path, body, line):
     path = tmp_path / "bad.csv"
@@ -139,3 +154,222 @@ def test_empty_period_batch_counts():
                     v=np.empty(0))
     s = ImpressionStream(periods=[p])
     assert s.total_requests == 1 and s.total_edges == 0
+
+
+HEADER = "request_id,period,campaign_id,ctr\n"
+
+
+def test_ids_allow_spaces_signs_and_the_int64_extremes(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text(HEADER + f" 7 ,+0, 2 , 0.5 \n{-2**63},1,{2**63 - 1},0.25\n")
+    p0, p1 = load_stream_csv(path).periods
+    assert p0.request_ids.tolist() == [7] and p0.camp.tolist() == [2]
+    assert p1.request_ids.tolist() == [-2**63] and p1.camp.tolist() == [2**63 - 1]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1_0,0,2,1.5\n", "line 2: ctr must lie"),
+    ("1_0,0,2,0.5\n2,0,2,1.5\n", "line 2: ids must be plain ASCII decimal integers"),
+    (f"1,0,2,0.5\n1,0,{2**63},0.5\n", "line 3: ids must lie in the int64 range"),
+    (f"1,0,2,0.5\n1,0,{2**63},0.5\n1,0,2,0.5\n", "line 3: ids must lie in the int64 range"),
+])
+def test_id_errors_come_in_file_order_after_the_rows_other_checks(tmp_path, body, message):
+    path = tmp_path / "ids.csv"
+    path.write_text(HEADER + body)
+    with pytest.raises(StreamFormatError, match=message):
+        load_stream_csv(path)
+
+
+@pytest.mark.parametrize("body", [
+    "",
+    "bad,header,row,x\n",
+    HEADER + "1,0,2\n",
+    HEADER + "1,0,2,0.5,9\n",
+    HEADER + "1,0,x,0.5\n",
+    HEADER + "1,0,2,0.5\n2,0,2,1.5\n",
+    HEADER + "1,0,2,0.0\n",
+    HEADER + "1,0,2,nan\n",
+    HEADER + "1,0,2,5e-1\n",
+    HEADER + "1,0,2,0.1234567\n",
+    HEADER + "1,1,2,0.5\n2,0,2,0.5\n",
+    HEADER + "1,0,2,0.5\n2,0,2,0.5\n1,0,3,0.5\n",
+    HEADER + "1,0,2,0.5\n\n1,0,2,0.25\n",
+    HEADER + '"1\n",0,2,0.5\n1,0,2,0.5\n',
+])
+def test_loader_messages_match_the_reference(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(StreamFormatError) as ref:
+        oracle.load_stream_csv(path)
+    with pytest.raises(StreamFormatError) as got:
+        load_stream_csv(path)
+    assert str(got.value) == str(ref.value)
+
+
+# --- differential test of the loader over mutated files ------------------------
+
+_TOKENS = ["", "x", " 5 ", "+4", "-3", "0", "7", "1_0", "٣", " 5", str(2**63),
+           str(-2**63), "0.5", "1.5", "0.0", "0.1234567", "5e-1", ".25", "nan", '"9"']
+_PLAIN_INT = re.compile(r" *[+-]?[0-9]+ *")
+
+
+def _base_file() -> str:
+    rows = ["1,0,2,0.5", "1,0,4,0.25", "2,0,3,0.125", "3,1,2,0.75", "3,1,3,0.5",
+            "4,1,2,0.0625", "4,2,1,0.9", "5,2,1,0.3"]
+    return HEADER + "".join(row + "\n" for row in rows)
+
+
+@st.composite
+def _mutated_files(draw):
+    lines = _base_file().split("\n")[:-1]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        op = draw(st.sampled_from(["field", "field", "drop", "dup", "swap", "blank", "extra"]))
+        fields = lines[k].split(",")
+        if op == "field":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_TOKENS))
+            lines[k] = ",".join(fields)
+        elif op == "drop":
+            del lines[k]
+        elif op == "dup":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+        elif op == "blank":
+            lines.insert(k, "")
+        else:
+            lines[k] += ",1"
+    return "\n".join(lines) + "\n"
+
+
+def _first_line_with_unplain_ids(text: str) -> int | None:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader, None)
+    for row in reader:
+        if not all(_PLAIN_INT.fullmatch(f) and -2**63 <= int(f) < 2**63 for f in row[:3]):
+            return reader.line_num
+    return None
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_mutated_files())
+def test_loader_matches_the_reference_loader(text):
+    # the reference's message wherever it refuses a row no later than the
+    # first row with ids that are not plain int64 decimals, a refusal of
+    # that row wherever it comes first, and an equal stream otherwise
+    bad_ids = _first_line_with_unplain_ids(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            ref, refusal = oracle.load_stream_csv(path), None
+        except StreamFormatError as exc:
+            ref, refusal = None, str(exc)
+        except OverflowError:                   # only for an id beyond int64
+            ref, refusal = None, None
+        refused_line = int(re.match(r"line (\d+)", refusal)[1]) if refusal else math.inf
+        if bad_ids is not None and bad_ids < refused_line:
+            with pytest.raises(StreamFormatError, match=f"^line {bad_ids}: ids must "):
+                load_stream_csv(path)
+        elif refusal is not None:
+            with pytest.raises(StreamFormatError) as got:
+                load_stream_csv(path)
+            assert str(got.value) == refusal
+        else:
+            got = load_stream_csv(path)
+            assert got == ref and got.fingerprint() == ref.fingerprint()
+
+
+# --- the writer ------------------------------------------------------------------
+
+def _per_impression_shape(seed: int = 0) -> ScenarioConfig:
+    # the per-impression benchmark's instances: 5 campaigns, recall 0.4, T = 500
+    models = ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))
+    specs = [CampaignSpec(id=j, budget=max(1, round(share * 500)), recall_prob=0.4,
+                          quality_model=BetaQualityModel(m, n))
+             for j, (share, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12), models))]
+    return ScenarioConfig(num_periods=50, requests_per_period=10, campaigns=specs, seed=seed)
+
+
+def test_save_refuses_a_request_without_edges(tmp_path):
+    # the reference writer drops such requests: 44 of 500 are lost on a
+    # stream of the per-impression benchmark's shape
+    s = generate_stream(_per_impression_shape())
+    ref = tmp_path / "ref.csv"
+    oracle.save_stream_csv(s, ref)
+    assert load_stream_csv(ref).total_requests == 456 < s.total_requests == 500
+    t, p = next((t, p) for t, p in enumerate(s.periods)
+                if np.bincount(p.req, minlength=p.n_requests).min() == 0)
+    rid = p.request_ids[np.bincount(p.req, minlength=p.n_requests).argmin()]
+    path = tmp_path / "s.csv"
+    with pytest.raises(StreamFormatError, match=f"period {t}: request {rid} recalls no campaign"):
+        save_stream_csv(s, path)
+    assert not path.exists()
+
+
+def test_save_refuses_an_empty_period(tmp_path):
+    s = _demo_stream()
+    s.periods.insert(1, PeriodBatch(request_ids=np.empty(0, dtype=np.int64),
+                                    req=np.empty(0, dtype=np.int64),
+                                    camp=np.empty(0, dtype=np.int64), v=np.empty(0)))
+    path = tmp_path / "s.csv"
+    with pytest.raises(StreamFormatError, match="period 1: no requests"):
+        save_stream_csv(s, path)
+    assert not path.exists()
+
+
+def test_desk_stream_round_trips_through_the_reference_bytes(tmp_path):
+    s = generate_stream(default_scenario(seed=0))
+    path, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
+    save_stream_csv(s, path)
+    oracle.save_stream_csv(s, ref)
+    assert path.read_bytes() == ref.read_bytes()
+    loaded = load_stream_csv(path)
+    assert loaded == s and loaded.fingerprint() == s.fingerprint()
+
+
+@st.composite
+def _scenarios(draw):
+    M = draw(st.integers(1, 4))
+    specs = [CampaignSpec(id=draw(st.integers(0, 3)) * 4 + j, budget=10,
+                          recall_prob=draw(st.sampled_from([0.05, 0.3, 0.9, 1.0])),
+                          quality_model=BetaQualityModel(draw(st.sampled_from([2.0, 5.0, 8.0])),
+                                                         draw(st.sampled_from([2.0, 5.0, 8.0]))))
+             for j in range(M)]
+    T = draw(st.integers(1, 6))
+    drift = draw(st.none() | st.integers(0, T - 1))
+    return ScenarioConfig(num_periods=T, requests_per_period=draw(st.integers(1, 8)),
+                          campaigns=specs, seed=draw(st.integers(0, 2**16)), drift_period=drift,
+                          drift_models=None if drift is None else
+                          {specs[0].id: BetaQualityModel(8.0, 2.0)})
+
+
+def _one_campaign(recall: float, R: int, drift: bool) -> ScenarioConfig:
+    spec = CampaignSpec(id=3, budget=5, recall_prob=recall, quality_model=BetaQualityModel(2, 5))
+    return ScenarioConfig(num_periods=4, requests_per_period=R, campaigns=[spec], seed=1,
+                          drift_period=2 if drift else None,
+                          drift_models={3: BetaQualityModel(8, 2)} if drift else None)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=_scenarios())
+@example(cfg=_one_campaign(1.0, 1, drift=True))      # M = 1, R = 1, drift: carried
+@example(cfg=_one_campaign(0.05, 6, drift=False))    # low recall: refused
+def test_save_load_round_trip_property(cfg):
+    # whenever save accepts a stream, loading gives it back and the bytes are
+    # the reference writer's; it refuses exactly the streams with a request
+    # that recalls nothing
+    s = generate_stream(cfg)
+    carriable = all(r.qualities for r in iter_requests(s))
+    with tempfile.TemporaryDirectory() as tmp:
+        path, ref = Path(tmp) / "s.csv", Path(tmp) / "ref.csv"
+        if not carriable:
+            with pytest.raises(StreamFormatError, match="recalls no campaign"):
+                save_stream_csv(s, path)
+            assert not path.exists()
+            return
+        save_stream_csv(s, path)
+        oracle.save_stream_csv(s, ref)
+        assert path.read_bytes() == ref.read_bytes()
+        assert load_stream_csv(path) == s
