@@ -17,7 +17,7 @@ from .metrics import ALGORITHM_ORDER, METRIC_NAMES, MetricsReport, aggregate_rou
 from .simulate import (
     ConfigError,
     ScenarioConfig,
-    default_scenario,
+    read_scenario_json,
     run_ablation,
     run_experiment_detailed,
     scenario_from_dict,
@@ -59,17 +59,15 @@ def write_rounds_csv(path: Path, reports: list[MetricsReport]) -> None:
 
 
 def write_rounds_json(path: Path, reports: list[MetricsReport]) -> None:
-    objs = []
-    for r in reports:
-        objs.append({
-            "algorithm": r.algorithm,
-            "round_index": r.round_index,
-            "delivery_rate": r.delivery_rate,
-            "unsmoothness": r.unsmoothness,
-            "avg_ctr": r.avg_ctr,
-            "regret": r.regret,
-            "per_period_spend": r.per_period_spend.astype(int).tolist(),
-        })
+    objs = [{
+        "algorithm": r.algorithm,
+        "round_index": r.round_index,
+        "delivery_rate": r.delivery_rate,
+        "unsmoothness": r.unsmoothness,
+        "avg_ctr": r.avg_ctr,
+        "regret": r.regret,
+        "per_period_spend": r.per_period_spend.astype(int).tolist(),
+    } for r in reports]
     _write_text(path, json.dumps(objs, indent=2) + "\n")
 
 
@@ -139,41 +137,26 @@ def render_aggregate_table(agg: dict) -> str:
 # --- invocation helpers ---------------------------------------------------------
 
 
-def _resolve_seed(args, raw_config: dict | None) -> int | None:
-    """Precedence: --seed flag, then config file, then GDPACER_SEED, then the
-    built-in default (signalled as None)."""
-    if args.seed is not None:
-        return args.seed
-    if raw_config is not None and "seed" in raw_config:
-        return raw_config["seed"]       # checked with the rest of the config
-    env = os.environ.get("GDPACER_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"GDPACER_SEED must be an integer, got {env!r}") from None
-    return None
+# what `default_scenario` builds, read when no --config is given
+_BUILT_IN_CONFIG = {"campaigns": {"count": 30}}
 
 
 def _load_config(args) -> ScenarioConfig:
-    raw = None
-    if args.config is not None:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON ({exc})") from None
-    seed = _resolve_seed(args, raw)
-    if raw is not None:
-        if seed is not None:
-            raw = dict(raw, seed=seed)
-        cfg = scenario_from_dict(raw)
-    else:
-        cfg = default_scenario(seed=seed if seed is not None else 0)
+    """The config file's scenario, or the built-in one, with the flags applied.
+    Seed precedence: --seed, the config's seed, GDPACER_SEED, then 0."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    raw = _BUILT_IN_CONFIG if args.config is None else read_scenario_json(args.config)
+    seed, env = args.seed, os.environ.get("GDPACER_SEED")
+    if seed is None and "seed" not in raw and env is not None:
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError(f"GDPACER_SEED must be an integer, got {env!r}") from None
+    cfg = scenario_from_dict(raw if seed is None else dict(raw, seed=seed))
     if args.algorithms:
-        algos = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-        cfg.algorithms = algos
-    cfg.validate()
+        cfg.algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
+        cfg.validate()
     return cfg
 
 
@@ -183,8 +166,7 @@ def _prepare_out(args, filenames: list[str]) -> Path:
     if not args.force:
         clashes = [f for f in filenames if (out / f).exists()]
         if clashes:
-            raise ConfigError(
-                f"refusing to overwrite {', '.join(clashes)} in {out}; pass --force")
+            raise ConfigError(f"refusing to overwrite {', '.join(clashes)} in {out}; pass --force")
     return out
 
 
@@ -194,10 +176,8 @@ def _prepare_out(args, filenames: list[str]) -> Path:
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args)
-        names = ["series.csv"]
-        names.append("rounds.json" if args.format == "json" else "rounds.csv")
-        names.append("aggregate.json" if args.format == "json" else "aggregate.csv")
-        out = _prepare_out(args, names)
+        out = _prepare_out(args, ["series.csv", f"rounds.{args.format}",
+                                  f"aggregate.{args.format}"])
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -234,8 +214,7 @@ def cmd_ablate(args) -> int:
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
-    lines = []
-    header_metrics = []
+    lines, header_metrics = [], []
     for overrides, agg in results:
         for algo, row in agg.items():
             if not header_metrics:
@@ -249,9 +228,8 @@ def cmd_ablate(args) -> int:
         print(f"[{label}]")
         print(render_aggregate_table(agg))
         print()
-    header = list(cfg.ablation) + ["algorithm"]
-    for metric in header_metrics:
-        header.extend([f"{metric}_mean", f"{metric}_std"])
+    header = list(cfg.ablation) + ["algorithm"] + [f"{metric}_{stat}" for metric in header_metrics
+                                                   for stat in ("mean", "std")]
     _write_text(out / "ablation.csv", ",".join(header) + "\n" + "\n".join(lines) + "\n")
     return 0
 

@@ -39,6 +39,7 @@ _TAG_RUN = 2
 _TAG_PRIOR = 4
 _PRIOR_CHUNK = 8                # campaigns per batched prior fit
 _PRIOR_SAMPLES = 4096           # draws per prior fit
+_REFIT_WINDOW = 2               # periods of logs per transform refit
 _ALGO_TAGS = {"dmd": 0, "rcpacing": 1, "smart": 2}
 
 _NEUTRAL_SIGMA = 1.0 / math.sqrt(12.0)  # std of a uniform quality prior under lambda=1
@@ -57,7 +58,6 @@ class RunConfig:
     # missed; "absolute" keeps raw per-request units, the convention the
     # sublinear-regret analysis assumes for per-impression runs
     gradient_mode: str = "relative"
-    refit_window: int = 2           # periods of logs per transform refit
 
     def __post_init__(self):
         if self.gradient_mode not in ("relative", "absolute"):
@@ -304,30 +304,27 @@ class PreparedStream:
     total_requests: int
     total_edges: int                # the benchmark's edges_per_s reads it off a runner's stream
     avg_requests_per_period: float
-    _fits: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_periods(self) -> int:
         return len(self.periods)
 
-    def fit_memo(self, refit_window: int) -> list[_WindowFits | None]:
-        """Period t's fits over periods t - refit_window .. t - 1, None until
-        `window_fits` makes them; all windows of fewer than 30 qualities in
-        all, too few for any fit, share one no-fit entry."""
-        if refit_window not in self._fits:
-            ends = np.cumsum([0] + [p.v.size for p in self.periods])
-            lo = np.maximum(0, np.arange(self.n_periods) - refit_window)
-            small = ends[:-1] - ends[lo] < MIN_LAMBDA_SAMPLES
-            no_fit = _WindowFits(*np.full((3, len(self.campaign_ids)), np.nan), None)
-            self._fits[refit_window] = [no_fit if s else None for s in small.tolist()]
-        return self._fits[refit_window]
+    @functools.cached_property
+    def fit_memo(self) -> list[_WindowFits | None]:
+        """Period t's fits over periods t - `_REFIT_WINDOW` .. t - 1, None
+        until `window_fits` makes them; all windows of fewer than 30
+        qualities in all, too few for any fit, share one no-fit entry."""
+        ends = np.cumsum([0] + [p.v.size for p in self.periods])
+        lo = np.maximum(0, np.arange(self.n_periods) - _REFIT_WINDOW)
+        small = ends[:-1] - ends[lo] < MIN_LAMBDA_SAMPLES
+        no_fit = _WindowFits(*np.full((3, len(self.campaign_ids)), np.nan), None)
+        return [no_fit if s else None for s in small.tolist()]
 
-    def window_fits(self, t: int, refit_window: int) -> _WindowFits:
+    def window_fits(self, t: int) -> _WindowFits:
         """Period t's entry of `fit_memo`, computed on first use."""
-        memo = self.fit_memo(refit_window)
-        if memo[t] is None:
-            memo[t] = _fit_window(*self.campaign_major, max(0, t - refit_window), t)
-        return memo[t]
+        if self.fit_memo[t] is None:
+            self.fit_memo[t] = _fit_window(*self.campaign_major, max(0, t - _REFIT_WINDOW), t)
+        return self.fit_memo[t]
 
     @functools.cached_property
     def campaign_major(self) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +483,7 @@ class _FitManager:
     """Per-period Box-Cox fits with prior fallback.
 
     At period t, a campaign uses its own logged qualities from the last
-    `refit_window` periods when they have a fit (`quality.fit_boxcox_batch`),
+    `_REFIT_WINDOW` periods when they have a fit (`quality.fit_boxcox_batch`),
     else the pooled logs of all campaigns over the same window, else a fit
     sampled once from the campaign's generating quality model; the last
     resort is a fixed neutral fit (lambda=1 around a uniform quality prior).
@@ -499,7 +496,7 @@ class _FitManager:
     def __init__(self, specs, config: RunConfig, stream: PreparedStream):
         self.specs, self.config, self.stream = specs, config, stream
         self.eps = config.params.epsilon
-        self.memo = stream.fit_memo(config.refit_window)
+        self.memo = stream.fit_memo
         self.applied = None         # the period fits now in the campaign arrays
 
     @functools.cached_property
@@ -519,7 +516,7 @@ class _FitManager:
         return np.where(np.isnan(out[2]), _NEUTRAL_FIT, out)
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
-        fits = self.memo[t] or self.stream.window_fits(t, self.config.refit_window)
+        fits = self.memo[t] or self.stream.window_fits(t)
         if fits is self.applied:
             return
         self.applied = fits

@@ -11,6 +11,7 @@ report as computing it within a longer round loop.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -69,26 +70,36 @@ class ScenarioConfig:
     ablation: dict[str, list] | None = None
 
     def validate(self) -> None:
-        if self.num_periods < 1 or self.requests_per_period < 1:
-            raise ConfigError("num_periods and requests_per_period must be >= 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
+        self._validate_settings()
         if not self.campaigns:
             raise ConfigError("scenario has no campaigns")
         ids = [c.id for c in self.campaigns]
         if len(set(ids)) != len(ids):
             raise ConfigError("campaign ids must be unique")
+        unknown = sorted(set(self.drift_models or ()) - set(ids))
+        if unknown:
+            raise ConfigError(f"drift_models names unknown campaigns {unknown}")
+
+    def _validate_settings(self) -> None:
+        """The checks that involve no campaign, made before any is synthesized."""
+        if self.num_periods < 1 or self.requests_per_period < 1:
+            raise ConfigError("num_periods and requests_per_period must be >= 1")
+        if self.rounds < 1:
+            raise ConfigError("rounds must be >= 1")
+        if not 0 <= self.seed < 2 ** 63:
+            raise ConfigError(f"seed must lie in [0, 2^63), got {self.seed}")
         lo, hi = self.budget_scale_range
         if not 0.0 < lo <= hi:
             raise ConfigError(f"invalid budget_scale_range {self.budget_scale_range}")
+        if not self.algorithms:
+            raise ConfigError("algorithms must name at least one algorithm")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ConfigError(f"algorithms must not repeat, got {list(self.algorithms)}")
         unknown = [a for a in self.algorithms if a not in RUNNERS]
         if unknown:
             raise ConfigError(f"unknown algorithms {unknown}; choose from {sorted(RUNNERS)}")
         if self.drift_period is not None and not 0 <= self.drift_period < self.num_periods:
             raise ConfigError(f"drift_period {self.drift_period} outside the horizon")
-        unknown = sorted(set(self.drift_models or ()) - set(ids))
-        if unknown:
-            raise ConfigError(f"drift_models names unknown campaigns {unknown}")
 
     @property
     def total_requests(self) -> int:
@@ -109,14 +120,12 @@ def synth_campaigns(count: int, total_requests: int, seed: int = 0,
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _TAG_SYNTH])))
     specs = []
     for j in range(count):
-        budget = int(round(float(np.exp(rng.uniform(np.log(budget_range[0]),
-                                                    np.log(budget_range[1]))))))
-        budget = max(1, budget)
+        budget = max(1, int(round(float(np.exp(rng.uniform(np.log(budget_range[0]),
+                                                           np.log(budget_range[1])))))))
         floor = min(recall_range[1], supply_margin * budget / total_requests)
         lo = max(recall_range[0], floor)
         recall = float(rng.uniform(lo, recall_range[1])) if lo < recall_range[1] else lo
-        m = float(rng.uniform(2.0, 6.0))
-        n = float(rng.uniform(2.0, 8.0))
+        m, n = float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 8.0))
         specs.append(CampaignSpec(id=j, budget=budget, recall_prob=recall,
                                   quality_model=BetaQualityModel(m, n)))
     return specs
@@ -162,12 +171,8 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
         v_mat = np.zeros((R, M))
         v_mat[rows, cols] = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
         rows, cols = np.nonzero(mask)          # row-major: (request, ascending campaign)
-        periods.append(PeriodBatch(
-            request_ids=np.arange(next_id, next_id + R, dtype=np.int64),
-            req=rows.astype(np.int64),
-            camp=ids[cols],
-            v=v_mat[rows, cols],
-        ))
+        periods.append(PeriodBatch(request_ids=np.arange(next_id, next_id + R, dtype=np.int64),
+                                   req=rows.astype(np.int64), camp=ids[cols], v=v_mat[rows, cols]))
         next_id += R
     return ImpressionStream(periods=periods)
 
@@ -179,10 +184,8 @@ def scale_budgets(specs: list[CampaignSpec], round_index: int, seed: int,
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence([seed, _TAG_SCALE, round_index])))
     factors = rng.uniform(scale_range[0], scale_range[1], size=len(specs))
-    out = []
-    for spec, f in zip(sorted(specs, key=lambda s: s.id), factors):
-        out.append(replace(spec, budget=max(1, int(round(spec.budget * f)))))
-    return out
+    return [replace(spec, budget=max(1, int(round(spec.budget * f))))
+            for spec, f in zip(sorted(specs, key=lambda s: s.id), factors)]
 
 
 def _prepared_stream(config: ScenarioConfig, seed: int | None = None) -> PreparedStream:
@@ -266,151 +269,158 @@ def run_ablation(config: ScenarioConfig, jobs: int = 1,
 
 # --- config file IO -------------------------------------------------------------
 
-_HYPER_FIELDS = {f.name for f in fields(PacingHyperParams)}
+# The JSON kind of each scalar scenario key; a hyperparameter's is its
+# default's, and a campaign's fields have theirs in `_parse_campaigns`.
+_SCALARS = {"num_periods": int, "requests_per_period": int, "seed": int, "rounds": int,
+            "drift_period": int, "regenerate_stream_per_round": bool}
+_HYPER_KINDS = {f.name: type(f.default) for f in fields(PacingHyperParams)}
 _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
+_NULLABLE = {f.name for f in fields(ScenarioConfig) if f.default is None}
+_KIND_TEXT = {int: "an integer within int64", float: "finite and numeric",
+              bool: "a JSON boolean", str: "a string"}
+_CAMPAIGN_ID = re.compile(r"-?[1-9][0-9]{0,18}|0")     # a canonical decimal
+_MAX_SYNTH_CAMPAIGNS = 10_000       # synthesis is a Python loop over the campaigns
 
 
-def _as_int(value, where: str) -> int:
-    """An integer config value; a non-integral number is refused, not truncated."""
-    if not _is_number(value) or not float(value).is_integer():
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return int(value)
+def _read(value, kind: type, where: str):
+    """`value` as a config value of `kind`, or a ConfigError naming `where`; no
+    value is coerced or truncated.  An int is an int or integral float within
+    int64, a float a number of magnitude <= the largest double (NaN fails that),
+    neither a bool; a bool is a JSON boolean, a str a string."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and -2 ** 63 <= value < 2 ** 63 and value == int(value) if kind is int else
+            number and abs(value) <= sys.float_info.max if kind is float else
+            isinstance(value, kind)):
+        raise ConfigError(f"{where} must be {_KIND_TEXT[kind]}, got {value!r}")
+    return kind(value)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _keys(obj, where: str, allowed, noun: str = "keys", required=()) -> dict:
+    """`obj` if it is a JSON object whose keys are among `allowed` and include `required`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    for problem, names in ((f"unknown {noun}", set(obj) - set(allowed)),
+                           ("missing keys", set(required) - set(obj))):
+        if names:
+            raise ConfigError(f"{where}: {problem} {sorted(names)}")
+    return obj
 
 
 def _as_range(value, where: str, top: float = sys.float_info.max) -> tuple[float, float]:
-    """A [low, high] config pair of finite numbers with 0 < low <= high <= top."""
-    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
-            and 0 < value[0] <= value[1] <= top):
-        raise ConfigError(f"{where} must be a [low, high] pair of finite numbers with "
-                          f"0 < low <= high <= {top:g}, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
-def _drift_id(key) -> int:
-    """A `drift_models` key: a campaign id, as a JSON object key string."""
-    try:
-        return int(key)
-    except (TypeError, ValueError):
-        raise ConfigError(f"drift_models key {key!r} is not a campaign id") from None
+    """A [low, high] config pair of numbers with 0 < low <= high <= top."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{where} must be a [low, high] pair, got {value!r}")
+    low, high = (_read(x, float, f"{where}[{i}]") for i, x in enumerate(value))
+    if not 0 < low <= high <= top:
+        raise ConfigError(f"{where} must satisfy 0 < low <= high <= {top:g}, got {value!r}")
+    return low, high
 
 
 def _parse_model(obj, where: str) -> BetaQualityModel:
     if not isinstance(obj, dict) or set(obj) != {"m", "n"}:
-        raise ConfigError(f"{where}: quality model must be an object with keys m, n")
+        raise ConfigError(f"{where} must be an object with keys m, n")
     try:
-        return BetaQualityModel(float(obj["m"]), float(obj["n"]))
+        return BetaQualityModel(*(_read(obj[k], float, f"{where}.{k}") for k in "mn"))
     except DomainError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _parse_campaigns(obj, total_requests: int, seed: int) -> list[CampaignSpec]:
+def _parse_campaigns(obj, cfg: ScenarioConfig) -> list[CampaignSpec]:
     if isinstance(obj, dict):
-        unknown = set(obj) - {"count", "budget_range", "recall_range", "supply_margin"}
-        if unknown:
-            raise ConfigError(f"campaigns: unknown generator keys {sorted(unknown)}")
-        if "count" not in obj:
+        gen = _keys(obj, "campaigns", ("count", "budget_range", "recall_range", "supply_margin"),
+                    "generator keys")
+        if "count" not in gen:
             raise ConfigError("campaigns: generator form requires a count")
-        kwargs = {}
-        if "budget_range" in obj:
-            kwargs["budget_range"] = _as_range(obj["budget_range"], "campaigns.budget_range")
-        if "recall_range" in obj:
-            kwargs["recall_range"] = _as_range(obj["recall_range"], "campaigns.recall_range", 1.0)
-        if "supply_margin" in obj:
-            margin = obj["supply_margin"]
-            if not (_is_number(margin) and 0 < margin <= sys.float_info.max):
-                raise ConfigError(f"campaigns.supply_margin must be finite and > 0, got {margin!r}")
-            kwargs["supply_margin"] = float(margin)
-        return synth_campaigns(_as_int(obj["count"], "campaigns.count"), total_requests,
-                               seed=seed, **kwargs)
+        count = _read(gen["count"], int, "campaigns.count")
+        if count > _MAX_SYNTH_CAMPAIGNS:
+            raise ConfigError(f"campaigns.count must be <= {_MAX_SYNTH_CAMPAIGNS}, got {count}")
+        kwargs = {key: _as_range(gen[key], f"campaigns.{key}", top)
+                  for key, top in (("budget_range", sys.float_info.max), ("recall_range", 1.0))
+                  if key in gen}
+        if "supply_margin" in gen:
+            margin = _read(gen["supply_margin"], float, "campaigns.supply_margin")
+            if margin <= 0:
+                raise ConfigError(f"campaigns.supply_margin must be > 0, got {margin}")
+            kwargs["supply_margin"] = margin
+        cfg._validate_settings()        # synthesis divides by the horizon and seeds from the seed
+        return synth_campaigns(count, cfg.total_requests, seed=cfg.seed, **kwargs)
     if not isinstance(obj, list):
         raise ConfigError("campaigns must be a list of campaign objects or a generator object")
+    keys = ("id", "budget", "recall_prob", "quality_model")
     specs = []
     for k, entry in enumerate(obj):
         where = f"campaigns[{k}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where}: expected an object")
-        unknown = set(entry) - {"id", "budget", "recall_prob", "quality_model"}
-        if unknown:
-            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-        missing = {"id", "budget", "recall_prob", "quality_model"} - set(entry)
-        if missing:
-            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        _keys(entry, where, keys, required=keys)
         specs.append(CampaignSpec(
-            id=_as_int(entry["id"], f"{where}.id"),
-            budget=_as_int(entry["budget"], f"{where}.budget"),
-            recall_prob=float(entry["recall_prob"]),
-            quality_model=_parse_model(entry["quality_model"], where),
-        ))
+            id=_read(entry["id"], int, f"{where}.id"),
+            budget=_read(entry["budget"], int, f"{where}.budget"),
+            recall_prob=_read(entry["recall_prob"], float, f"{where}.recall_prob"),
+            quality_model=_parse_model(entry["quality_model"], f"{where}.quality_model")))
     return specs
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("scenario config must be a JSON object")
-    unknown = set(data) - _SCENARIO_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown scenario keys {sorted(unknown)}")
-
-    cfg = ScenarioConfig()
-    for key in ("num_periods", "requests_per_period", "seed", "rounds"):
-        if key in data:
-            setattr(cfg, key, _as_int(data[key], key))
+    """The scenario a config object describes.  Each value is read once, by
+    its field's kind (`_read`); the domain checks are those of `CampaignSpec`,
+    `BetaQualityModel`, `PacingHyperParams` and `ScenarioConfig.validate`."""
+    _keys(data, "scenario config", _SCENARIO_FIELDS, "scenario keys")
+    data = {k: v for k, v in data.items() if v is not None or k not in _NULLABLE}
+    cfg = ScenarioConfig(**{k: _read(data[k], kind, k) for k, kind in _SCALARS.items()
+                            if k in data})
     if "algorithms" in data:
-        cfg.algorithms = tuple(data["algorithms"])
+        names = data["algorithms"]
+        if not isinstance(names, list):
+            raise ConfigError(f"algorithms must be a list of names, got {names!r}")
+        cfg.algorithms = tuple(_read(a, str, f"algorithms[{i}]") for i, a in enumerate(names))
     if "budget_scale_range" in data:
-        pair = data["budget_scale_range"]
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError("budget_scale_range must be a [low, high] pair")
-        cfg.budget_scale_range = (float(pair[0]), float(pair[1]))
-    if "regenerate_stream_per_round" in data:
-        cfg.regenerate_stream_per_round = bool(data["regenerate_stream_per_round"])
+        cfg.budget_scale_range = _as_range(data["budget_scale_range"], "budget_scale_range")
     if "hyperparams" in data:
-        hp = data["hyperparams"]
-        if not isinstance(hp, dict):
-            raise ConfigError("hyperparams must be an object")
-        unknown = set(hp) - _HYPER_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown hyperparameter keys {sorted(unknown)}")
+        hp = _keys(data["hyperparams"], "hyperparams", _HYPER_KINDS, "hyperparameter keys")
         try:
-            cfg.hyperparams = PacingHyperParams(**hp)
-        except (DomainError, TypeError) as exc:
+            cfg.hyperparams = PacingHyperParams(**{
+                k: _read(v, _HYPER_KINDS[k], f"hyperparams.{k}") for k, v in hp.items()})
+        except DomainError as exc:
             raise ConfigError(str(exc)) from None
-    if "drift_period" in data and data["drift_period"] is not None:
-        cfg.drift_period = _as_int(data["drift_period"], "drift_period")
-    if "drift_models" in data and data["drift_models"] is not None:
+    if "drift_models" in data:
         models = data["drift_models"]
         if not isinstance(models, dict):
             raise ConfigError("drift_models must map campaign id -> quality model")
-        cfg.drift_models = {_drift_id(cid): _parse_model(m, f"drift_models[{cid}]")
-                            for cid, m in models.items()}
-    if "ablation" in data and data["ablation"] is not None:
-        ab = data["ablation"]
-        if not (isinstance(ab, dict) and all(isinstance(vs, list) for vs in ab.values())):
-            raise ConfigError("ablation must map hyperparameter name -> list of values")
-        unknown = set(ab) - _HYPER_FIELDS
-        if unknown:
-            raise ConfigError(f"ablation: unknown hyperparameter keys {sorted(unknown)}")
-        cfg.ablation = {k: list(vs) for k, vs in ab.items()}
+        cfg.drift_models = {}
+        for key, model in models.items():
+            if not _CAMPAIGN_ID.fullmatch(str(key)):
+                raise ConfigError(f"drift_models key {key!r} is not a campaign id in canonical "
+                                  "decimal form")
+            cfg.drift_models[_read(int(key), int, f"drift_models key {key}")] = \
+                _parse_model(model, f"drift_models[{key}]")
+    if "ablation" in data:
+        grid = _keys(data["ablation"], "ablation", _HYPER_KINDS, "hyperparameter keys")
+        for name, values in grid.items():
+            if not (isinstance(values, list) and values):
+                raise ConfigError(f"ablation.{name} must be a non-empty list of values, "
+                                  f"got {values!r}")
+        cfg.ablation = {name: [_read(v, _HYPER_KINDS[name], f"an ablation cell's {name}")
+                               for v in values] for name, values in grid.items()}
         for overrides in ablation_cells(cfg):
             try:
                 replace(cfg.hyperparams, **overrides)
-            except (DomainError, TypeError) as exc:
+            except DomainError as exc:
                 raise ConfigError(f"ablation cell {overrides}: {exc}") from None
     if "campaigns" in data:
-        cfg.campaigns = _parse_campaigns(data["campaigns"], cfg.total_requests, cfg.seed)
+        cfg.campaigns = _parse_campaigns(data["campaigns"], cfg)
 
     cfg.validate()
     return cfg
 
 
-def load_scenario_config(path) -> ScenarioConfig:
+def read_scenario_json(path) -> dict:
+    """The JSON object in the scenario config file at `path`."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # bad JSON or UTF-8, or an int past the digit limit
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return scenario_from_dict(data)
+    return _keys(data, str(path), _SCENARIO_FIELDS, "scenario keys")
+
+
+def load_scenario_config(path) -> ScenarioConfig:
+    return scenario_from_dict(read_scenario_json(path))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-_CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
+_CTR_DECIMAL = re.compile(r"[0-9]*\.?[0-9]{0,6}")
 _HEADER = ["request_id", "period", "campaign_id", "ctr"]
 
 
@@ -92,12 +92,20 @@ class ImpressionStream:
 
 
 def save_stream_csv(stream: ImpressionStream, path) -> None:
-    """Write the 4-column schema at 6 decimals; refuse empty requests and periods first."""
+    """Write the 4-column schema at 6 decimals.  First refuse what it cannot
+    carry: an empty period or request, a request id repeated within a period
+    (its rows would load as one request), and a quality that 6 decimals write
+    as 0 or 1 (those are the doubles outside (5e-7, 0.9999995))."""
     for t, p in enumerate(stream.periods):
-        empty = np.flatnonzero(np.bincount(p.req, minlength=p.n_requests)[:p.n_requests] == 0)
-        if p.n_requests == 0 or empty.size:
-            what = f"request {p.request_ids[empty[0]]} recalls no campaign" if empty.size else \
-                "no requests"
+        edges = np.bincount(p.req, minlength=p.n_requests)[:p.n_requests]
+        ids, counts = np.unique(p.request_ids, return_counts=True)
+        bad = np.flatnonzero(~((p.v > 5e-7) & (p.v < 0.9999995)))
+        what = ("no requests" if p.n_requests == 0 else
+                f"request {p.request_ids[edges.argmin()]} recalls no campaign" if edges.min() == 0
+                else f"request id {ids[counts.argmax()]} is repeated" if counts.max() > 1
+                else f"request {p.request_ids[p.req[bad[0]]]} has quality {float(p.v[bad[0]])}"
+                if bad.size else None)
+        if what:
             raise StreamFormatError(f"period {t}: {what}, which the stream CSV cannot carry")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_HEADER) + "\n")

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _TAG_PRIOR, _TAG_RUN,
-                            CampaignArrays, RunConfig, _Smart, _substream, init_campaign_states)
+from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAG_PRIOR,
+                            _TAG_RUN, CampaignArrays, RunConfig, _Smart, _substream,
+                            init_campaign_states)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
@@ -41,7 +42,7 @@ from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
 SMART_PTR_FLOOR = 0.01
-_CTR_DECIMAL = re.compile(r"\d*\.?\d{0,6}")
+_CTR_DECIMAL = re.compile(r"[0-9]*\.?[0-9]{0,6}")
 
 
 @dataclass(frozen=True)
@@ -620,7 +621,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     out = Replay(np.zeros((M, T), dtype=np.int64), np.zeros((M, T)), np.zeros((M, T)),
                  np.ones((M, T)), camps.remaining)
     if algorithm == "rcpacing":
-        window = deque(maxlen=config.refit_window)
+        window = deque(maxlen=_REFIT_WINDOW)
         sorted_specs = sorted(specs, key=lambda s: s.id)
     else:
         camps.eptr[:] = 1.0

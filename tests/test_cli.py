@@ -198,6 +198,77 @@ def test_run_rejects_bad_drift_models_key(tmp_path, key, needle, capsys):
     assert needle in capsys.readouterr().err
 
 
+_BIG = "1" + "0" * 400       # a 401-digit integer, past any float
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda d: d.update(budget_scale_range=["a", 1]), "budget_scale_range[0] must be finite"),
+    (lambda d: d.update(algorithms=5), "algorithms must be a list"),
+    (lambda d: d["campaigns"][0].update(recall_prob="x"), "campaigns[0].recall_prob must be"),
+    (lambda d: d.update(num_periods="BIG"), "num_periods must be an integer"),
+    (lambda d: d.update(seed=-1), "seed must lie in [0, 2^63)"),
+    (lambda d: d.update(seed=2 ** 63), "seed must be an integer within int64"),
+    (lambda d: d.update(algorithms=[]), "algorithms must name at least one"),
+    (lambda d: d.update(algorithms=["dmd", "dmd"]), "algorithms must not repeat"),
+    (lambda d: d.update(regenerate_stream_per_round="no"),
+     "regenerate_stream_per_round must be a JSON boolean"),
+    (lambda d: d.update(hyperparams={"clip_enabled": "no"}),
+     "hyperparams.clip_enabled must be a JSON boolean"),
+    (lambda d: d["campaigns"][0].update(quality_model={"m": "2", "n": 5}),
+     "campaigns[0].quality_model.m must be finite"),
+    (lambda d: d["campaigns"][0].update(id=10 ** 30 - 1), "campaigns[0].id must be an integer"),
+    (lambda d: d.update(campaigns={"count": 3}, seed=-1), "seed must lie in [0, 2^63)"),
+    (lambda d: d.update(campaigns={"count": 3}, num_periods=0), "num_periods"),
+    (lambda d: d.update(drift_period=2, drift_models={"0": {"m": 5, "n": 2},
+                                                       "00": {"m": 2, "n": 5}}),
+     "drift_models key '00' is not a campaign id"),
+], ids=["range-end", "algorithms-kind", "recall-kind", "huge-int", "negative-seed", "seed-2^63",
+        "no-algorithms", "repeated-algorithm", "bool-scenario", "bool-hyperparam", "model-kind",
+        "huge-id", "generator-negative-seed", "generator-empty-horizon", "drift-key-zeros"])
+def test_run_refuses_mistyped_config_values(tmp_path, capsys, edit, needle):
+    data = _config_dict()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data).replace('"BIG"', _BIG))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("config error: ") and needle in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, env, needle", [
+    (["--seed", "-1"], None, "seed must lie in [0, 2^63)"),
+    (["--seed", str(2 ** 63)], None, "seed must "),
+    ([], "-1", "seed must lie in [0, 2^63)"),
+    (["--algorithms", ","], None, "algorithms must name at least one"),
+    (["--algorithms", "dmd,dmd"], None, "algorithms must not repeat"),
+    (["--jobs", "0"], None, "--jobs must be >= 1, got 0"),
+    (["--jobs", "-3"], None, "--jobs must be >= 1, got -3"),
+], ids=["flag-seed", "flag-seed-2^63", "env-seed", "no-algorithms", "repeated-algorithm",
+        "jobs-0", "jobs-neg"])
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "built-in"])
+def test_flags_and_environment_pass_the_config_checks(tmp_path, monkeypatch, capsys,
+                                                      argv, env, needle, with_config):
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(_config_dict(seed=None)))
+    if env is not None:
+        monkeypatch.setenv("GDPACER_SEED", env)
+    config = ["--config", str(bare)] if with_config else []
+    code = main(["run", *config, "--out", str(tmp_path / "o"), *argv])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("config error: ") and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_ablate_refuses_an_empty_axis(tmp_path, capsys):
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(dict(_config_dict(), ablation={"eta": [0.2], "slope_k": []})))
+    code = main(["ablate", "--config", str(path), "--out", str(tmp_path / "ab")])
+    assert code == 1
+    assert "ablation.slope_k must be a non-empty list" in capsys.readouterr().err
+    assert not (tmp_path / "ab").exists()
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "ghost.json"),
                  "--out", str(tmp_path / "o")])
@@ -247,7 +318,7 @@ def test_ablate_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra, needle", [
-    ({"hyperparams": {"eta": "fast"}}, "not supported"),
+    ({"hyperparams": {"eta": "fast"}}, "hyperparams.eta must be finite and numeric"),
     ({"ablation": {"eta": 0.2}}, "list of values"),
     ({"ablation": {"eta": [0.2, "fast"]}}, "ablation cell"),
 ])

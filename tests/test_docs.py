@@ -43,3 +43,14 @@ def test_readme_names_every_config_and_no_missing_script():
     named = set(re.findall(r"\b\w+\.py\b", text))
     assert "run_regret_scaling.py" in named
     assert named <= existing, sorted(named - existing)
+
+
+def test_readme_names_every_config_key():
+    from dataclasses import fields
+
+    from gdpacer.pacing import PacingHyperParams
+    from gdpacer.simulate import ScenarioConfig
+    text = README.read_text(encoding="utf-8")
+    for cls in (ScenarioConfig, PacingHyperParams):
+        for f in fields(cls):
+            assert f"`{f.name}`" in text, f"{cls.__name__}.{f.name}"

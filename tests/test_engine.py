@@ -461,17 +461,16 @@ def test_epsilon_pulls_transforms_toward_half(transforms):
 
 # --- prepared streams ---------------------------------------------------------------
 
-@pytest.mark.parametrize("per_impression,refit_window", [(False, 2), (True, 60)])
-def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, refit_window,
-                                                              transforms):
+@pytest.mark.parametrize("per_impression", [False, True])
+def test_prepared_stream_shared_by_runs_matches_fresh_streams(per_impression, transforms):
     # one prepared stream serves runs that differ in policy, epsilon and eta;
     # each trace, and each captured transform, equals that of a run on a fresh
-    # stream.  The windows are wide enough for own-window fits in both modes.
+    # stream.  Periods get own-window fits; per impression, prior fits only.
     specs = [_spec(0, 40, m=2, n=5), _spec(1, 60, m=3, n=3), _spec(2, 90, m=5, n=2)]
     prepared = prepare(_rand_stream(3, 8, 40, seed=21), [2, 0, 1], per_impression)
     for algo, runner in RUNNERS.items():
         for eps, eta in ((0.0, 0.5), (0.5, 0.5), (0.1, 2.0)):
-            cfg = RunConfig(seed=5, per_impression=per_impression, refit_window=refit_window,
+            cfg = RunConfig(seed=5, per_impression=per_impression,
                             params=PacingHyperParams(epsilon=eps, eta=eta))
             transforms.clear()
             shared = runner(prepared, specs, cfg)
@@ -603,21 +602,22 @@ def test_one_request_winner_matches_repair_loop(score, elig, remaining):
     assert one.dtype == two.dtype and one.tolist() == two.tolist()
 
 
-def test_per_impression_rcpacing_own_fits_start_mid_run():
-    # one-request periods of 2 edges under a 40-period window: the first 15
+def test_per_impression_rcpacing_pooled_fits_start_mid_run():
+    # one-request periods of 16 edges under the 2-period window: the first 2
     # windows hold fewer than 30 qualities and share one no-fit entry, which
-    # a run applies once; then the pooled fit takes over, and from period 30
-    # on every campaign has its own fit, a new one each period
-    stream = _rand_stream(2, 2, 60, seed=32, recall=1.0)
-    specs = [_spec(0, 40, m=2, n=5), _spec(1, 40, m=5, n=2)]
-    cfg = RunConfig(seed=6, per_impression=True, refit_window=40)
-    prepared = prepare(stream, [0, 1], per_impression=True)
+    # a run applies once; from period 2 on the pooled fit of 32 qualities
+    # serves every campaign, since no campaign's own window reaches 30
+    M = 16
+    stream = _rand_stream(M, 1, 40, seed=32, recall=1.0)
+    specs = [_spec(j, 10, m=2 + j % 4, n=5) for j in range(M)]
+    cfg = RunConfig(seed=6, per_impression=True)
+    prepared = prepare(stream, list(range(M)), per_impression=True)
     _assert_matches_replay(run_rcpacing(prepared, specs, cfg),
                            oracle.replay("rcpacing", stream, specs, cfg))
-    memo = prepared.fit_memo(40)
-    assert all(memo[t] is memo[0] for t in range(15)) and memo[0].pooled is None
-    assert all(memo[t].pooled is not None for t in range(15, 30))
-    assert all(np.isfinite(memo[t].lam).all() for t in range(30, 120))
+    memo = prepared.fit_memo
+    assert memo[1] is memo[0] and memo[0].pooled is None
+    assert all(memo[t].pooled is not None and np.isnan(memo[t].lam).all()
+               for t in range(2, 40))
 
 
 # --- scalar vs vectorized differentials -------------------------------------------
@@ -661,11 +661,10 @@ def test_run_smart_matches_scalar_replay():
 def _instances(draw):
     """Small instances: tight budgets so campaigns run out mid-period,
     qualities on a coarse grid so bids tie, and periods with no requests
-    or with requests that recall no campaign.  A 40-period window lets the
-    pooled and own fits start mid-run, per impression too; a 1000-period
-    window is longer than any run."""
+    or with requests that recall no campaign.  Periods of 24 requests
+    let the pooled and own fits start mid-run."""
     M = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6)
+    sizes = draw(st.lists(st.integers(0, 7) | st.just(24), min_size=1, max_size=6)
                  .filter(lambda xs: sum(xs) > 0))
     levels = draw(st.sampled_from([3, 5, 1000]))
     recall = draw(st.floats(0.2, 1.0))
@@ -682,7 +681,6 @@ def _instances(draw):
     specs = [_spec(j, b, recall=recall, m=2.0 + j, n=5.0) for j, b in enumerate(budgets)]
     cfg = RunConfig(seed=draw(st.integers(0, 2**32 - 1)),
                     per_impression=draw(st.booleans()),
-                    refit_window=draw(st.sampled_from([2, 40, 1000])),
                     gradient_mode=draw(st.sampled_from(["relative", "absolute"])),
                     params=PacingHyperParams(eta=draw(st.sampled_from([0.2, 2.0])),
                                              initial_trial_rate=draw(st.sampled_from([0.3, 1.0]))))
@@ -713,8 +711,8 @@ def test_runners_match_scalar_oracles(inst):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(inst=_instances(), refit_window=st.sampled_from([1, 2, 5, 1000]))
-def test_campaign_major_windows_match_per_period_gather(inst, refit_window):
+@given(inst=_instances(), data=st.data())
+def test_campaign_major_windows_match_per_period_gather(inst, data):
     # every own and pooled fit window read from the campaign-major layout
     # equals the per-period gather, with empty periods, requests without
     # recall, a campaign without edges (id 99) and one-request periods
@@ -724,7 +722,7 @@ def test_campaign_major_windows_match_per_period_gather(inst, refit_window):
     v, off = prepared.campaign_major
     assert v.size == sum(p.v.size for p in prepared.periods)
     for hi in range(prepared.n_periods + 1):
-        lo = max(0, hi - refit_window)
+        lo = data.draw(st.integers(0, hi))
         own, pooled = oracle.fit_windows(prepared.periods, lo, hi, len(ids))
         for j, ref in enumerate(own):
             assert np.array_equal(v[off[j, lo]:off[j, hi]], ref), (lo, hi, j)

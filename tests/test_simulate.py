@@ -1,12 +1,16 @@
 """Scenario construction, stream synthesis, and experiment-driver tests."""
 
+import copy
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gdpacer.metrics import MetricsReport
+from gdpacer.pacing import PacingHyperParams
 from gdpacer.quality import BetaQualityModel
 from gdpacer.simulate import (CampaignSpec, ConfigError, ScenarioConfig, ablation_cells,
                               default_scenario, generate_stream,
@@ -373,6 +377,85 @@ def test_load_scenario_config_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_scenario_config(path)
+
+
+def test_scenario_from_dict_reads_values_by_their_field_kind():
+    # an integral float is an int, an int is a float where the field is one,
+    # and a drift_models key is a canonical decimal
+    data = _valid_dict()
+    data.update(seed=4.0, hyperparams={"eta": 1, "clip_enabled": False},
+                ablation={"slope_k": [0, 10]}, drift_period=2,
+                drift_models={"-0": {"m": 8, "n": 2}})
+    with pytest.raises(ConfigError, match="drift_models key '-0' is not a campaign id"):
+        scenario_from_dict(data)
+    data["drift_models"] = {"1": {"m": 8, "n": 2}}
+    cfg = scenario_from_dict(data)
+    assert type(cfg.seed) is int and cfg.seed == 4
+    assert type(cfg.hyperparams.eta) is float and cfg.hyperparams.clip_enabled is False
+    assert cfg.ablation == {"slope_k": [0.0, 10.0]} and type(cfg.ablation["slope_k"][0]) is float
+    assert list(cfg.drift_models) == [1]
+
+
+# --- any JSON value at any key path ---------------------------------------------------
+
+def _kitchen_sink() -> list[dict]:
+    """Two valid configs that use every key: listed campaigns, and generated ones."""
+    listed = dict(_valid_dict(), drift_period=3, drift_models={"1": {"m": 8, "n": 2}},
+                  hyperparams={"eta": 0.5, "clip_enabled": False, "divergence": "euclidean"},
+                  ablation={"slope_k": [0.0, 10.0], "adaptive_clip_enabled": [True, False]},
+                  algorithms=["dmd", "rcpacing"], budget_scale_range=[0.9, 1.1],
+                  regenerate_stream_per_round=False)
+    generated = dict(listed, campaigns={"count": 3, "budget_range": [10, 40],
+                                        "recall_range": [0.1, 0.5], "supply_margin": 2.0})
+    return [listed, generated]
+
+
+_KEYS = st.sampled_from(["0", "00", "-0", "1", " 1", "+1", "\u0663", "x", "9" * 19, "9" * 25,
+                         "eta", "count", "m"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.sampled_from(["", "1", "2.5", "-3", "nan", "inf", "1e3", "true", "dmd", "itakura"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6)
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) \
+        if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_json_value_at_any_key_path_is_read_or_refused(data):
+    # a config with one or two values replaced by arbitrary JSON, including
+    # the root, every list entry and every key of every object, gives a
+    # config whose values have their fields' kinds, or a ConfigError
+    cfg = copy.deepcopy(data.draw(st.sampled_from(_kitchen_sink())))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(cfg))))
+        value = data.draw(_JSON)
+        if not path:
+            cfg = value
+            continue
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    try:
+        out = scenario_from_dict(cfg)
+    except ConfigError:
+        return
+    out.validate()
+    for name in ("num_periods", "requests_per_period", "seed", "rounds"):
+        assert type(getattr(out, name)) is int and 0 <= getattr(out, name) < 2 ** 63
+    assert all(type(getattr(out.hyperparams, f.name)) is type(f.default)
+               for f in fields(PacingHyperParams))
+    assert type(out.regenerate_stream_per_round) is bool
+    assert all(type(c.id) is int and type(c.budget) is int and type(c.recall_prob) is float
+               for c in out.campaigns)
 
 
 # --- synthetic populations ------------------------------------------------------------------

@@ -96,6 +96,7 @@ def test_three_row_single_request(tmp_path):
     ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n2,0,-9223372036854775809,0.5\n", 3),
     ("request_id,period,campaign_id,ctr\n1_0,0,2,0.5\n", 2),
     ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n\u0663,0,2,0.5\n", 3),
+    ("request_id,period,campaign_id,ctr\n1,0,2,0.5\n2,0,2,\u0660.\u0665\n", 3),
 ])
 def test_loader_errors_carry_line_numbers(tmp_path, body, line):
     path = tmp_path / "bad.csv"
@@ -195,6 +196,7 @@ def test_id_errors_come_in_file_order_after_the_rows_other_checks(tmp_path, body
     HEADER + "1,0,2,0.5\n2,0,2,0.5\n1,0,3,0.5\n",
     HEADER + "1,0,2,0.5\n\n1,0,2,0.25\n",
     HEADER + '"1\n",0,2,0.5\n1,0,2,0.5\n',
+    HEADER + "1,0,2,\u0660.\u0665\n",
 ])
 def test_loader_messages_match_the_reference(tmp_path, body):
     path = tmp_path / "bad.csv"
@@ -209,7 +211,8 @@ def test_loader_messages_match_the_reference(tmp_path, body):
 # --- differential test of the loader over mutated files ------------------------
 
 _TOKENS = ["", "x", " 5 ", "+4", "-3", "0", "7", "1_0", "٣", " 5", str(2**63),
-           str(-2**63), "0.5", "1.5", "0.0", "0.1234567", "5e-1", ".25", "nan", '"9"']
+           str(-2**63), "0.5", "1.5", "0.0", "0.1234567", "5e-1", ".25", "nan", '"9"',
+           "\u0660.\u0665"]
 _PLAIN_INT = re.compile(r" *[+-]?[0-9]+ *")
 
 
@@ -319,6 +322,22 @@ def test_save_refuses_an_empty_period(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("edit, needle", [
+    (lambda p: p.v.__setitem__(1, 0.9999996), "period 1: request 3 has quality 0.9999996"),
+    (lambda p: p.v.__setitem__(0, 4e-7), "period 1: request 2 has quality 4e-07"),
+    (lambda p: p.request_ids.__setitem__(2, 2), "period 1: request id 2 is repeated"),
+])
+def test_save_refuses_what_the_loader_cannot_give_back(tmp_path, edit, needle):
+    # 6 decimals write the first two qualities as 1.000000 and 0.000000, and
+    # a repeated request id loads back as one request
+    s = _demo_stream()
+    edit(s.periods[1])
+    path = tmp_path / "s.csv"
+    with pytest.raises(StreamFormatError, match=f"^{needle}, which the stream CSV cannot carry"):
+        save_stream_csv(s, path)
+    assert not path.exists()
+
+
 def test_desk_stream_round_trips_through_the_reference_bytes(tmp_path):
     s = generate_stream(default_scenario(seed=0))
     path, ref = tmp_path / "s.csv", tmp_path / "ref.csv"
@@ -352,24 +371,52 @@ def _one_campaign(recall: float, R: int, drift: bool) -> ScenarioConfig:
                           drift_models={3: BetaQualityModel(8, 2)} if drift else None)
 
 
+def _refusal(s: ImpressionStream) -> str | None:
+    """What the first period the CSV cannot carry has wrong, checked through
+    the records and the written digits."""
+    for p in s.periods:
+        qualities = [r.qualities for r in iter_requests(ImpressionStream([p]))]
+        if not all(qualities):
+            return "recalls no campaign"
+        if len(set(p.request_ids.tolist())) < p.n_requests:
+            return "is repeated"
+        if any(f"{v:.6f}" in ("0.000000", "1.000000") for q in qualities for v in q.values()):
+            return "has quality"
+    return None
+
+
+# qualities at and next to the two doubles where 6 decimals start to write 0 or 1
+_EDGE_QUALITIES = [4e-7, 5e-7, float(np.nextafter(5e-7, 1.0)), float(np.nextafter(0.9999995, 0.0)),
+                   0.9999995, 0.9999996]
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=_scenarios())
-@example(cfg=_one_campaign(1.0, 1, drift=True))      # M = 1, R = 1, drift: carried
-@example(cfg=_one_campaign(0.05, 6, drift=False))    # low recall: refused
-def test_save_load_round_trip_property(cfg):
+@given(cfg=_scenarios(), edit=st.sampled_from([None, "quality", "repeat"]),
+       at=st.integers(0, 2**16), v=st.sampled_from(_EDGE_QUALITIES))
+@example(cfg=_one_campaign(1.0, 1, drift=True), edit=None, at=0, v=0.5)     # M = R = 1: carried
+@example(cfg=_one_campaign(0.05, 6, drift=False), edit=None, at=0, v=0.5)   # low recall: refused
+def test_save_load_round_trip_property(cfg, edit, at, v):
     # whenever save accepts a stream, loading gives it back and the bytes are
     # the reference writer's; it refuses exactly the streams with a request
-    # that recalls nothing
+    # that recalls nothing, a request id repeated within a period, or a
+    # quality written as 0 or 1
     s = generate_stream(cfg)
-    carriable = all(r.qualities for r in iter_requests(s))
+    p = s.periods[at % s.n_periods]
+    if edit == "quality" and p.n_edges:
+        p.v[at % p.n_edges] = v
+    elif edit == "repeat" and p.n_requests > 1:
+        p.request_ids[1 + at % (p.n_requests - 1)] = p.request_ids[0]
+    refusal = _refusal(s)
     with tempfile.TemporaryDirectory() as tmp:
         path, ref = Path(tmp) / "s.csv", Path(tmp) / "ref.csv"
-        if not carriable:
-            with pytest.raises(StreamFormatError, match="recalls no campaign"):
+        if refusal is not None:
+            with pytest.raises(StreamFormatError, match=refusal):
                 save_stream_csv(s, path)
             assert not path.exists()
             return
         save_stream_csv(s, path)
         oracle.save_stream_csv(s, ref)
         assert path.read_bytes() == ref.read_bytes()
+        if edit == "quality" and p.n_edges:
+            p.v[at % p.n_edges] = float(f"{v:.6f}")      # what the file carries
         assert load_stream_csv(path) == s
