@@ -17,6 +17,7 @@ from .metrics import ALGORITHM_ORDER, METRIC_NAMES, MetricsReport, aggregate_rou
 from .simulate import (
     ConfigError,
     ScenarioConfig,
+    read_decimal,
     read_scenario_json,
     run_ablation,
     run_experiment_detailed,
@@ -148,11 +149,10 @@ def _load_config(args) -> ScenarioConfig:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     raw = _BUILT_IN_CONFIG if args.config is None else read_scenario_json(args.config)
     seed, env = args.seed, os.environ.get("GDPACER_SEED")
-    if seed is None and "seed" not in raw and env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"GDPACER_SEED must be an integer, got {env!r}") from None
+    if seed is not None:
+        seed = read_decimal(seed, "--seed")
+    elif "seed" not in raw and env is not None:
+        seed = read_decimal(env, "GDPACER_SEED")
     cfg = scenario_from_dict(raw if seed is None else dict(raw, seed=seed))
     if args.algorithms:
         cfg.algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
@@ -307,7 +307,7 @@ def cmd_report(args) -> int:
 
 def _add_common(sub, out_default: str) -> None:
     sub.add_argument("--config", default=None, help="scenario config JSON")
-    sub.add_argument("--seed", type=int, default=None,
+    sub.add_argument("--seed", default=None,
                      help="seed override (falls back to config, then GDPACER_SEED)")
     sub.add_argument("--out", default=out_default, help="output directory")
     sub.add_argument("--algorithms", default=None,

@@ -218,8 +218,11 @@ class _DensePeriod:
     req: np.ndarray
     camp: np.ndarray            # dense campaign index into the campaign arrays
     v: np.ndarray
-    starts: np.ndarray          # first edge per request present in this period
-    seg_idx: np.ndarray         # per-edge segment index
+
+
+def _firsts(x: np.ndarray) -> np.ndarray:
+    """Where a sorted array `x` takes a new value."""
+    return np.concatenate(([True], x[1:] != x[:-1]))[:x.size]
 
 
 def _densify(stream: ImpressionStream, spec_ids: list[int],
@@ -228,7 +231,8 @@ def _densify(stream: ImpressionStream, spec_ids: list[int],
     `per_impression` one period of views per request; DomainError unless a
     period's (request, campaign id) pairs strictly increase over its requests."""
     id_arr, M = np.asarray(spec_ids, dtype=np.int64), len(spec_ids)
-    zeros = [np.zeros(k, dtype=np.int64) for k in range(M + 1)]  # a request has <= M edges
+    zero = np.zeros(M, dtype=np.int64)
+    zeros = [zero[:k] for k in range(M + 1)]    # shared `req` of a request's <= M edges
     out = []
     for t, p in enumerate(stream.periods):
         pos = np.minimum(np.searchsorted(id_arr, p.camp), M - 1)
@@ -236,20 +240,16 @@ def _densify(stream: ImpressionStream, spec_ids: list[int],
         req, camp, v = p.req, pos, p.v
         if not keep.all():
             req, camp, v = req[keep], camp[keep], v[keep]
-        new = np.concatenate(([True], req[1:] != req[:-1]))[:req.size]  # a request starts
+        new = _firsts(req)
         if req.size and (req[0] < 0 or req[-1] >= p.n_requests or np.any(
                 (req[1:] < req[:-1]) | ~new[1:] & (camp[1:] <= camp[:-1]))):
             raise DomainError(f"period {t}: edges not sorted by (request, campaign id)")
         if not per_impression:
-            seg_idx = np.cumsum(new)    # in place below: fewer int temporaries, lower peak RSS
-            seg_idx -= 1
-            out.append(_DensePeriod(p.n_requests, req, camp, v, np.flatnonzero(new), seg_idx))
+            out.append(_DensePeriod(p.n_requests, req, camp, v))
             continue
         bounds = np.searchsorted(req, np.arange(p.n_requests + 1)).tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            k = hi - lo
-            out.append(_DensePeriod(1, zeros[k], camp[lo:hi], v[lo:hi], zeros[min(k, 1)],
-                                    zeros[k]))
+            out.append(_DensePeriod(1, zeros[hi - lo], camp[lo:hi], v[lo:hi]))
     return out
 
 
@@ -333,6 +333,7 @@ class PreparedStream:
         periods lo..hi-1 are `v[off[j, lo]:off[j, hi]]`.  Built period by
         period when a fit first needs them."""
         M, T = len(self.campaign_ids), self.n_periods
+        key = np.min_scalar_type(M - 1)         # <= 16 bits: numpy's stable sort is a radix sort
         off = np.zeros((M, T + 1), dtype=np.int64)
         for t, p in enumerate(self.periods):
             off[:, t + 1] = np.bincount(p.camp, minlength=M)
@@ -341,7 +342,7 @@ class PreparedStream:
         for t, p in enumerate(self.periods):
             n = off[:, t + 1] - off[:, t]
             dest = np.repeat(off[:, t] - np.cumsum(n) + n, n) + np.arange(p.v.size)
-            v[dest] = p.v[np.argsort(p.camp, kind="stable")]
+            v[dest] = p.v[np.argsort(p.camp.astype(key), kind="stable")]
         return v, off
 
 
@@ -369,41 +370,43 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
                      remaining: np.ndarray) -> np.ndarray:
     """Edge indices of period winners under sequential budget semantics.
 
-    Winners are recomputed with a campaign cut at the request where it runs
-    out whenever the optimistic pass over-allocates someone; only the
-    earliest violation is applied per iteration so the prefix before it is
-    already sequentially correct.  In a one-request period whose winner can
-    pay, that is the first pass's pick: the first eligible edge of top score.
+    Request by request, a campaign competes while it has budget left; the
+    first of a request's eligible live edges of top score wins, and none
+    does when one of them scores NaN.  The pass over the eligible edges is
+    optimistic, every campaign live all period; it departs from the
+    sequential one first where a campaign acts (wins, or blocks with a NaN)
+    after its budget is spent.  That campaign is cut there and the period
+    re-resolved, one cut per pass, so the prefix before it is already
+    sequentially correct.  In a one-request period whose winner can pay,
+    that is the first pass's pick.
     """
     if dp.req.size == 0:
         return np.empty(0, dtype=np.int64)
     if dp.n_requests == 1:
         s = np.where(elig, score, -np.inf)
-        first = np.flatnonzero(elig & (s == s.max()))[:1]
-        if first.size == 0 or remaining[dp.camp[first[0]]] >= 1:
-            return first
-    cut = np.full(remaining.size, dp.n_requests, dtype=np.int64)
-    while True:
-        ok = elig & (dp.req < cut[dp.camp])
-        s = np.where(ok, score, -np.inf)
-        seg_max = np.maximum.reduceat(s, dp.starts)
-        cand = ok & (s == seg_max[dp.seg_idx])
-        cand_edges = np.flatnonzero(cand)
-        _, first = np.unique(dp.req[cand_edges], return_index=True)
-        winner_edges = cand_edges[first]
-        counts = np.bincount(dp.camp[winner_edges], minlength=remaining.size)
-        over = np.flatnonzero(counts > remaining)
-        if over.size == 0:
-            return winner_edges
-        best_j = -1
-        best_pos = None
-        wcamp = dp.camp[winner_edges]
-        wreq = dp.req[winner_edges]
-        for j in over:
-            pos = wreq[wcamp == j][int(remaining[j])]   # first unaffordable win
-            if best_pos is None or pos < best_pos:
-                best_pos, best_j = pos, j
-        cut[best_j] = best_pos
+        top = s.max()
+        first = np.flatnonzero(elig & (s == top))[:1]
+        if remaining[dp.camp[first[0]]] >= 1 if first.size else not math.isnan(top):
+            return first            # a winner that can pay, or no eligible edge
+    e = np.flatnonzero(elig)
+    while e.size:
+        req, camp, s = dp.req[e], dp.camp[e], score[e]
+        starts = np.flatnonzero(_firsts(req))
+        top = np.repeat(np.maximum.reduceat(s, starts), np.diff(starts, append=e.size))
+        cand = np.flatnonzero(s == top)
+        first = cand[_firsts(req[cand])]
+        wcamp = camp[first]
+        over = np.bincount(wcamp, minlength=remaining.size) > remaining
+        late = {j: first[wcamp == j][remaining[j]] for j in np.flatnonzero(over).tolist()}
+        for i in np.flatnonzero(np.isnan(s)).tolist():     # a spent campaign's NaN must not block
+            j = camp[i]
+            if np.count_nonzero(first[wcamp == j] < i) >= remaining[j]:
+                late[j] = min(late.get(j, i), i)
+        if not late:
+            return e[first]
+        j = min(late, key=late.get)
+        e = e[(camp != j) | (req < req[late[j]])]
+    return e
 
 
 def _boxcox_edges(lam: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -162,18 +162,16 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
     base = shapes(s.quality_model for s in specs)
     drifted = shapes(drift.get(s.id, s.quality_model) for s in specs)
     periods = []
-    next_id = 0
+    v_cm = np.empty(M * R)                     # campaign-major: v_cm[j * R + r] is edge (r, j)
     for t in range(config.num_periods):
         mask = rng.random((R, M)) < p
         mn = drifted if config.drift_period is not None and t >= config.drift_period else base
-        cols, rows = np.nonzero(mask.T)        # campaign-major: one campaign's draws after another
-        draws = rng.beta(mn[cols, 0], mn[cols, 1])
-        v_mat = np.zeros((R, M))
-        v_mat[rows, cols] = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
-        rows, cols = np.nonzero(mask)          # row-major: (request, ascending campaign)
-        periods.append(PeriodBatch(request_ids=np.arange(next_id, next_id + R, dtype=np.int64),
-                                   req=rows.astype(np.int64), camp=ids[cols], v=v_mat[rows, cols]))
-        next_id += R
+        n = np.count_nonzero(mask, axis=0)     # one campaign's draws after another
+        draws = rng.beta(np.repeat(mn[:, 0], n), np.repeat(mn[:, 1], n))
+        v_cm[np.flatnonzero(mask.T)] = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
+        req, col = np.divmod(np.flatnonzero(mask), M)  # row-major: (request, ascending campaign)
+        periods.append(PeriodBatch(request_ids=np.arange(t * R, (t + 1) * R, dtype=np.int64),
+                                   req=req, camp=ids[col], v=v_cm[col * R + req]))
     return ImpressionStream(periods=periods)
 
 
@@ -278,7 +276,7 @@ _SCENARIO_FIELDS = {f.name for f in fields(ScenarioConfig)}
 _NULLABLE = {f.name for f in fields(ScenarioConfig) if f.default is None}
 _KIND_TEXT = {int: "an integer within int64", float: "finite and numeric",
               bool: "a JSON boolean", str: "a string"}
-_CAMPAIGN_ID = re.compile(r"-?[1-9][0-9]{0,18}|0")     # a canonical decimal
+_DECIMAL = re.compile(r"-?[1-9][0-9]{0,18}|0")     # a canonical ASCII decimal
 _MAX_SYNTH_CAMPAIGNS = 10_000       # synthesis is a Python loop over the campaigns
 
 
@@ -293,6 +291,26 @@ def _read(value, kind: type, where: str):
             isinstance(value, kind)):
         raise ConfigError(f"{where} must be {_KIND_TEXT[kind]}, got {value!r}")
     return kind(value)
+
+
+def read_decimal(text: str, where: str, what: str = "an integer") -> int:
+    """`text` as a config int, or a ConfigError naming `where`: it must be a
+    canonical ASCII decimal (no sign but '-', no leading zero, space or '_')
+    within int64."""
+    if not _DECIMAL.fullmatch(text):
+        raise ConfigError(f"{where} {text!r} is not {what} in canonical decimal form")
+    return _read(int(text), int, where)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; ConfigError on a repeated key, which json
+    would otherwise resolve silently to its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def _keys(obj, where: str, allowed, noun: str = "keys", required=()) -> dict:
@@ -387,10 +405,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             raise ConfigError("drift_models must map campaign id -> quality model")
         cfg.drift_models = {}
         for key, model in models.items():
-            if not _CAMPAIGN_ID.fullmatch(str(key)):
-                raise ConfigError(f"drift_models key {key!r} is not a campaign id in canonical "
-                                  "decimal form")
-            cfg.drift_models[_read(int(key), int, f"drift_models key {key}")] = \
+            cfg.drift_models[read_decimal(str(key), "drift_models key", "a campaign id")] = \
                 _parse_model(model, f"drift_models[{key}]")
     if "ablation" in data:
         grid = _keys(data["ablation"], "ablation", _HYPER_KINDS, "hyperparameter keys")
@@ -416,7 +431,9 @@ def read_scenario_json(path) -> dict:
     """The JSON object in the scenario config file at `path`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
         except ValueError as exc:       # bad JSON or UTF-8, or an int past the digit limit
             raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return _keys(data, str(path), _SCENARIO_FIELDS, "scenario keys")

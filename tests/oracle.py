@@ -16,6 +16,10 @@ pass.  `fit_windows` gathers fit windows period by period, against which
 the engine's campaign-major layout is checked.  `psi_inverse`
 is the sequential bisection that `gdpacer.pacing.psi_inverse` computes as a
 verified predicted path, and the replayed adaptive clip runs on it.
+`resolve_winners` is the request-by-request auction of one period that
+`gdpacer.engine._resolve_winners` resolves with optimistic passes and cuts,
+and `generate_stream` the dense-matrix generator whose draws the flat-index
+`gdpacer.simulate.generate_stream` reproduces.
 `ImpressionRequest` records build hand-made streams (`from_requests`);
 `load_stream_csv` and `save_stream_csv` are the per-request, per-row CSV
 reference the columnar `gdpacer.streams` reader and writer are checked
@@ -39,6 +43,7 @@ from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
                              backward_transform_clipped, boxcox, normal_cdf)
+from gdpacer.simulate import _QUALITY_QUANTUM, _TAG_STREAM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
 SMART_PTR_FLOOR = 0.01
@@ -201,6 +206,63 @@ def per_impression(stream: ImpressionStream) -> ImpressionStream:
                 v=p.v[lo:hi].copy(),
             ))
     return ImpressionStream(periods=periods)
+
+
+def generate_stream(config, seed: int | None = None) -> ImpressionStream:
+    """The dense-matrix generator `gdpacer.simulate.generate_stream` replaced:
+    per period, the recall mask is scanned with two 2-D `np.nonzero` calls
+    and the rounded qualities are scattered into a zeroed (R, M) matrix.  It
+    makes the same draws in the same order."""
+    specs = sorted(config.campaigns, key=lambda s: s.id)
+    rng = np.random.Generator(np.random.Philox(
+        np.random.SeedSequence([seed if seed is not None else config.seed, _TAG_STREAM])))
+    M = len(specs)
+    R = config.requests_per_period
+    p = np.array([s.recall_prob for s in specs])
+    ids = np.asarray([spec.id for spec in specs], dtype=np.int64)
+    drift = config.drift_models or {}
+
+    def shapes(models) -> np.ndarray:      # (M, 2): each campaign's beta m, n
+        return np.array([(q.m, q.n) for q in models]).reshape(M, 2)
+    base = shapes(s.quality_model for s in specs)
+    drifted = shapes(drift.get(s.id, s.quality_model) for s in specs)
+    periods = []
+    next_id = 0
+    for t in range(config.num_periods):
+        mask = rng.random((R, M)) < p
+        mn = drifted if config.drift_period is not None and t >= config.drift_period else base
+        cols, rows = np.nonzero(mask.T)        # campaign-major: one campaign's draws after another
+        draws = rng.beta(mn[cols, 0], mn[cols, 1])
+        v_mat = np.zeros((R, M))
+        v_mat[rows, cols] = np.clip(np.round(draws, _QUALITY_QUANTUM), 1e-6, 1.0 - 1e-6)
+        rows, cols = np.nonzero(mask)          # row-major: (request, ascending campaign)
+        periods.append(PeriodBatch(request_ids=np.arange(next_id, next_id + R, dtype=np.int64),
+                                   req=rows.astype(np.int64), camp=ids[cols], v=v_mat[rows, cols]))
+        next_id += R
+    return ImpressionStream(periods=periods)
+
+
+def resolve_winners(req, camp, score, elig, remaining) -> np.ndarray:
+    """The winning edges of one period's edges (`req`, `camp`, sorted by
+    request, then campaign), auctioned one request at a time.  A campaign is
+    live while it has budget left after this period's earlier wins.  A
+    request with a NaN score on an eligible live edge has no winner;
+    otherwise its top score wins, -inf included, and a tie goes to the
+    lowest campaign."""
+    left = [int(x) for x in remaining]
+    winners = []
+    for r in sorted(set(int(x) for x in req)):
+        live = [i for i in range(len(req))
+                if req[i] == r and elig[i] and left[camp[i]] >= 1]
+        if not live or any(math.isnan(score[i]) for i in live):
+            continue
+        best = live[0]
+        for i in live[1:]:
+            if score[i] > score[best]:
+                best = i
+        left[camp[best]] -= 1
+        winners.append(best)
+    return np.array(winners, dtype=np.int64)
 
 
 def campaigns(n: int = 1, **fields) -> CampaignArrays:

@@ -260,6 +260,43 @@ def test_flags_and_environment_pass_the_config_checks(tmp_path, monkeypatch, cap
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--seed", "\u0665"], None), (["--seed", "1_0"], None), (["--seed", " 5 "], None),
+    ([], "\u0665"), ([], "1_0"), ([], " 5 "),
+], ids=["flag-arabic-indic", "flag-underscore", "flag-spaces", "env-arabic-indic",
+        "env-underscore", "env-spaces"])
+def test_seed_text_is_a_canonical_ascii_decimal(tmp_path, monkeypatch, capsys, argv, env):
+    # Python's int() takes all three; the config file and stream CSV do not
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(_config_dict(seed=None)))
+    if env is not None:
+        monkeypatch.setenv("GDPACER_SEED", env)
+    code = main(["run", "--config", str(bare), "--out", str(tmp_path / "o"), *argv])
+    err = capsys.readouterr().err
+    name = "--seed" if argv else "GDPACER_SEED"
+    assert code == 1 and err.startswith(f"config error: {name} ") and "canonical decimal" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ('"seed": 3', '"seed": 1, "seed": 2', "seed"),
+    ('"eta": 0.2', '"eta": 0.2, "eta": 0.5', "eta"),
+    ('"budget": 20', '"budget": 20, "budget": 25', "budget"),
+    ('"slope_k": [0, 10]', '"slope_k": [0], "slope_k": [10]', "slope_k"),
+], ids=["top-level", "hyperparams", "campaign", "ablation"])
+def test_run_refuses_a_repeated_config_key(tmp_path, capsys, old, new, key):
+    # json keeps the last of two equal keys, so the first would be ignored
+    path = tmp_path / "dup.json"
+    text = json.dumps(dict(_config_dict(), hyperparams={"eta": 0.2},
+                           ablation={"slope_k": [0, 10]}))
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("config error: ") and f"repeated key '{key}'" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_ablate_refuses_an_empty_axis(tmp_path, capsys):
     path = tmp_path / "ab.json"
     path.write_text(json.dumps(dict(_config_dict(), ablation={"eta": [0.2], "slope_k": []})))

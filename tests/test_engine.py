@@ -10,7 +10,7 @@ draw-consumption contract.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -543,12 +543,6 @@ def test_unsorted_period_edges_are_refused():
                 run_dmd(ImpressionStream([bad]), specs, RunConfig(per_impression=per_impression))
 
 
-def _unique_layout(req):
-    """`starts` and `seg_idx` as np.unique gives them, for a sorted `req`."""
-    present, starts = np.unique(req, return_index=True)
-    return starts, np.searchsorted(present, req)
-
-
 def test_per_impression_prepare_matches_densified_rechunk():
     # requests with no recall, and requests and periods whose only edges
     # belong to campaigns outside the run, empty periods with and without
@@ -569,12 +563,9 @@ def test_per_impression_prepare_matches_densified_rechunk():
         assert got.avg_requests_per_period == oracle.avg_requests_per_period(chunks)
         for a, b in zip(got.periods, ref):
             assert a.n_requests == b.n_requests == 1
-            for name in ("req", "camp", "v", "starts", "seg_idx"):
+            for name in ("req", "camp", "v"):
                 x, y = getattr(a, name), getattr(b, name)
                 assert x.dtype == y.dtype and np.array_equal(x, y), name
-        for dp in _densify(stream, sorted(ids)) + ref:
-            starts, seg_idx = _unique_layout(dp.req)
-            assert np.array_equal(dp.starts, starts) and np.array_equal(dp.seg_idx, seg_idx)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -585,6 +576,7 @@ _NAN, _INF = float("nan"), float("inf")
     ([0.3, 0.9, 0.5], [1, 0, 1], [2, 2, 2]),            # the top score is not eligible
     ([0.3, _NAN, 0.5], [1, 1, 1], [2, 2, 2]),           # a NaN score: no winner
     ([0.3, _NAN, 0.5], [1, 0, 1], [2, 2, 2]),           # ... unless it is not eligible
+    ([0.3, _NAN, 0.5], [1, 1, 1], [2, 0, 2]),           # ... or its campaign cannot pay
     ([-_INF, -_INF, 0.5], [1, 1, 0], [2, 2, 2]),        # -inf scores still win
     ([0.3, 0.9, 0.5], [0, 0, 0], [2, 2, 2]),            # no eligible edge
     ([0.3, 0.9, 0.5], [1, 1, 1], [2, 0, 2]),            # the top campaign cannot pay
@@ -597,9 +589,10 @@ def test_one_request_winner_matches_repair_loop(score, elig, remaining):
     camp = np.array([0, 1, 3])
     zeros = np.zeros(3, dtype=np.int64)
     args = (np.array(score), np.array(elig, dtype=bool), np.array(remaining + [2]))
-    one = _resolve_winners(_DensePeriod(1, zeros, camp, np.ones(3), zeros[:1], zeros), *args)
-    two = _resolve_winners(_DensePeriod(2, zeros, camp, np.ones(3), zeros[:1], zeros), *args)
+    one = _resolve_winners(_DensePeriod(1, zeros, camp, np.ones(3)), *args)
+    two = _resolve_winners(_DensePeriod(2, zeros, camp, np.ones(3)), *args)
     assert one.dtype == two.dtype and one.tolist() == two.tolist()
+    assert one.tolist() == oracle.resolve_winners(zeros, camp, *args).tolist()
 
 
 def test_per_impression_rcpacing_pooled_fits_start_mid_run():
@@ -710,23 +703,69 @@ def test_runners_match_scalar_oracles(inst):
             assert trace.total_quality <= opt.value + 1e-9
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(inst=_instances(), data=st.data())
-def test_campaign_major_windows_match_per_period_gather(inst, data):
+@pytest.mark.parametrize("width,examples", [(None, 60), (1, 10), (256, 10), (257, 10),
+                                            (65_537, 3)])
+def test_campaign_major_windows_match_per_period_gather(width, examples):
     # every own and pooled fit window read from the campaign-major layout
     # equals the per-period gather, with empty periods, requests without
-    # recall, a campaign without edges (id 99) and one-request periods
-    stream, specs, cfg = inst
-    ids = [s.id for s in specs] + [99]
-    prepared = prepare(stream, ids, cfg.per_impression)
-    v, off = prepared.campaign_major
-    assert v.size == sum(p.v.size for p in prepared.periods)
-    for hi in range(prepared.n_periods + 1):
-        lo = data.draw(st.integers(0, hi))
-        own, pooled = oracle.fit_windows(prepared.periods, lo, hi, len(ids))
-        for j, ref in enumerate(own):
-            assert np.array_equal(v[off[j, lo]:off[j, hi]], ref), (lo, hi, j)
-        assert np.array_equal(_pooled_window(v, off, lo, hi), pooled), (lo, hi)
+    # recall, a campaign without edges (id 99) and one-request periods.  A
+    # `width` runs M = width campaigns: campaign 0 alone, or ids 0..M-1 with
+    # campaign 0 first and the instance's others moved to the top ids, so
+    # the dense indices straddle each narrower key: they sort as uint8
+    # (M <= 256), uint16 (M <= 65,536) or uint32 keys
+    @settings(max_examples=examples, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(inst=_instances(), data=st.data())
+    def check(inst, data):
+        stream, specs, cfg = inst
+        ids = [s.id for s in specs] + [99]
+        if width == 1:
+            ids = [0]
+        elif width is not None:
+            assume(len(specs) > 1)
+            top = width - len(specs)
+            stream = ImpressionStream([PeriodBatch(p.request_ids, p.req,
+                                                   np.where(p.camp > 0, p.camp + top, 0), p.v)
+                                       for p in stream.periods])
+            ids = list(range(width))
+        prepared = prepare(stream, ids, cfg.per_impression and width in (None, 1))
+        v, off = prepared.campaign_major
+        assert v.size == sum(p.v.size for p in prepared.periods)
+        for hi in range(prepared.n_periods + 1):
+            lo = data.draw(st.integers(0, hi))
+            own, pooled = oracle.fit_windows(prepared.periods, lo, hi, len(ids))
+            assert np.array_equal(off[:, hi] - off[:, lo], [ref.size for ref in own])
+            for j in np.flatnonzero(off[:, hi] > off[:, lo]):
+                assert np.array_equal(v[off[j, lo]:off[j, hi]], own[j]), (lo, hi, j)
+            assert np.array_equal(_pooled_window(v, off, lo, hi), pooled), (lo, hi)
+    check()
+
+
+@st.composite
+def _auctions(draw):
+    """One period's edges, scores, eligibility and budgets: up to 8 requests
+    (none, one, some recalling nothing), scores on a coarse grid so they tie,
+    with -inf and NaN among them, and budgets of 0 to 3 so campaigns run out
+    mid-period or never take part."""
+    M, R = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=R * M, max_size=R * M)),
+                    dtype=bool).reshape(R, M)
+    req, camp = np.nonzero(mask)
+    n = req.size
+    scores = [0.1, 0.5, 0.9, -_INF] + ([_NAN] if draw(st.booleans()) else [])
+    score = np.array(draw(st.lists(st.sampled_from(scores), min_size=n, max_size=n)))
+    elig = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    remaining = np.array(draw(st.lists(st.integers(0, 3), min_size=M, max_size=M)))
+    return _DensePeriod(R, req, camp, np.ones(n)), score, elig, remaining
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_auctions())
+def test_resolve_winners_matches_sequential_auction(case):
+    dp, score, elig, remaining = case
+    got = _resolve_winners(dp, score, elig, remaining)
+    ref = oracle.resolve_winners(dp.req, dp.camp, score, elig, remaining)
+    assert got.dtype == np.int64 and got.tolist() == ref.tolist()
 
 
 def test_generator_array_fill_matches_sequential_draws():

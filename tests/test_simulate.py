@@ -3,11 +3,14 @@
 import copy
 import json
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+import oracle
 
 from gdpacer.metrics import MetricsReport
 from gdpacer.pacing import PacingHyperParams
@@ -111,6 +114,44 @@ def test_generate_stream_drift_switches_law():
     assert mean_v(0, 0) == pytest.approx(2.0 / 7.0, abs=0.02)
     assert mean_v(2, 0) == pytest.approx(0.8, abs=0.02)       # drifted law
     assert mean_v(3, 1) == pytest.approx(2.0 / 7.0, abs=0.02)  # unlisted: unchanged
+
+
+def _generator_config(ids, recalls, T, R, drift_period, drifted, seed) -> ScenarioConfig:
+    # campaigns as plain records: the generator reads id, recall_prob and
+    # quality_model, and a recall_prob of 0 is what CampaignSpec refuses
+    camps = [SimpleNamespace(id=j, recall_prob=p, quality_model=BetaQualityModel(2.0 + k, 5.0))
+             for k, (j, p) in enumerate(zip(ids, recalls))]
+    return ScenarioConfig(num_periods=T, requests_per_period=R, campaigns=camps, seed=seed,
+                          drift_period=drift_period,
+                          drift_models={j: BetaQualityModel(8.0, 2.0) for j in drifted})
+
+
+@st.composite
+def _generator_configs(draw):
+    """1-4 campaigns with non-contiguous ids in any order, recall
+    probabilities with 0 and 1 among them, 1-30 requests per period, and
+    drift from period 0, from mid-horizon, or none."""
+    M, T = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(-50, 10 ** 6), min_size=M, max_size=M, unique=True))
+    recalls = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                            min_size=M, max_size=M))
+    drift_period = draw(st.none() | st.integers(0, T - 1))
+    drifted = draw(st.lists(st.sampled_from(ids), unique=True))
+    return _generator_config(ids, recalls, T, draw(st.integers(1, 30)), drift_period, drifted,
+                             draw(st.integers(0, 2 ** 63 - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cfg=_generator_configs())
+@example(cfg=_generator_config([7], [1.0], 3, 1, 0, [7], 1))              # M = 1, R = 1
+@example(cfg=_generator_config([40, -3, 5], [0.0, 0.5, 1.0], 4, 9, 2, [5, -3], 2))
+def test_generate_stream_matches_dense_matrix_generator(cfg):
+    got, ref = generate_stream(cfg), oracle.generate_stream(cfg)
+    assert got == ref and got.fingerprint() == ref.fingerprint()
+    for p, q in zip(got.periods, ref.periods):
+        for name in ("request_ids", "req", "camp", "v"):
+            assert getattr(p, name).dtype == getattr(q, name).dtype, name
+    assert generate_stream(cfg, seed=5) == oracle.generate_stream(cfg, seed=5)
 
 
 # --- budget scaling ------------------------------------------------------------------
