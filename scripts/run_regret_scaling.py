@@ -20,7 +20,8 @@ from gdpacer.engine import RunConfig, prepare, run_dmd, run_rcpacing, run_seed
 from gdpacer.metrics import hindsight_optimum, regret
 from gdpacer.pacing import PacingHyperParams
 from gdpacer.quality import BetaQualityModel
-from gdpacer.simulate import CampaignSpec, ScenarioConfig, generate_stream
+from gdpacer.simulate import (CampaignSpec, ConfigError, ScenarioConfig, generate_stream,
+                              read_decimal)
 
 SHARES = (0.28, 0.24, 0.20, 0.16, 0.12)        # of T, sums to 1.0
 MODELS = ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))
@@ -48,17 +49,27 @@ def run_once(T: int, seed: int, eta_coeff: float) -> dict[str, float]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--horizons", type=int, nargs="+", default=[1000, 4000, 16000])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--horizons", nargs="+", default=["1000", "4000", "16000"])
+    ap.add_argument("--seed", default="0")
     ap.add_argument("--eta-coeff", type=float, default=2.0)
     ap.add_argument("--out", default="out/regret")
     args = ap.parse_args(argv)
+    try:
+        seed = read_decimal(args.seed, "--seed")
+        horizons = [read_decimal(T, "horizon") for T in args.horizons]
+    except ConfigError as exc:
+        ap.error(str(exc))
+    if seed < 0:
+        ap.error(f"--seed must be >= 0, got {seed}")
+    if not (np.isfinite(args.eta_coeff) and args.eta_coeff > 0.0):
+        ap.error(f"--eta-coeff must be finite and > 0, got {args.eta_coeff}")
+    for T in horizons:
+        if T <= 0 or T % 50:
+            ap.error(f"horizon {T} must be a positive multiple of the 50-period grid")
 
     rows = {algo: [] for algo, _ in RUNNERS}
-    for T in args.horizons:
-        if T % 50:
-            ap.error(f"horizon {T} must be a multiple of the 50-period grid")
-        res = run_once(T, args.seed, args.eta_coeff)
+    for T in horizons:
+        res = run_once(T, seed, args.eta_coeff)
         for algo, r in res.items():
             rows[algo].append(r)
 
@@ -67,7 +78,7 @@ def main(argv=None) -> int:
     lines = ["algorithm,T,regret,ratio_vs_prev"]
     print(f"{'algorithm':<10} {'T':>7} {'regret':>10} {'ratio':>7}")
     for algo, regs in rows.items():
-        for i, (T, r) in enumerate(zip(args.horizons, regs)):
+        for i, (T, r) in enumerate(zip(horizons, regs)):
             ratio = "" if i == 0 else f"{regs[i] / regs[i - 1]:.3f}"
             print(f"{algo:<10} {T:>7} {r:>10.2f} {ratio:>7}")
             lines.append(f"{algo},{T},{r:.6f},{ratio}")

@@ -22,7 +22,7 @@ from .metrics import (
     unsmoothness,
 )
 from .pacing import PacingHyperParams
-from .quality import BetaQualityModel, BoxCoxFit, fit_boxcox
+from .quality import BetaQualityModel
 from .simulate import (
     CampaignSpec,
     ScenarioConfig,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetaQualityModel",
-    "BoxCoxFit",
     "CampaignSpec",
     "DeliveryTrace",
     "HindsightOptimum",
@@ -54,7 +53,6 @@ __all__ = [
     "build_report",
     "default_scenario",
     "delivery_rate",
-    "fit_boxcox",
     "generate_stream",
     "hindsight_optimum",
     "load_scenario_config",

@@ -264,9 +264,12 @@ def _parse_rounds_csv(path: str) -> list[MetricsReport]:
             if len(parts) != 6:
                 raise ConfigError(f"{path}:{ln}: expected 6 fields, got {len(parts)}")
             try:
+                round_index = read_decimal(parts[1], "round")
+                if round_index < 0:
+                    raise ValueError(f"round must be >= 0, got {round_index}")
                 reports.append(MetricsReport(
                     algorithm=parts[0],
-                    round_index=int(parts[1]),
+                    round_index=round_index,
                     delivery_rate=float(parts[2]),
                     unsmoothness=float(parts[3]),
                     avg_ctr=float(parts[4]),

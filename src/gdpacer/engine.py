@@ -31,8 +31,8 @@ import numpy as np
 
 from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
-from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform_clipped,
-                      fit_boxcox_batch, normal_cdf)
+from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform, fit_boxcox_batch,
+                      forward_transform)
 from .streams import ImpressionStream
 
 _TAG_RUN = 2
@@ -409,13 +409,6 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
     return e
 
 
-def _boxcox_edges(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Box-Cox with a per-edge lambda."""
-    log_branch = np.abs(lam) < 1e-9
-    safe_lam = np.where(log_branch, 1.0, lam)
-    return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
-
-
 def _drive(stream: ImpressionStream | PreparedStream, specs, config: RunConfig,
            policy) -> DeliveryTrace:
     """The period loop of every policy.
@@ -547,10 +540,9 @@ class _RCPacing:
     def score(self, t: int, dp: _DensePeriod):
         camps, params = self.camps, self.config.params
         self.fits.assign_fits(camps, t)
-        camps.alpha = backward_transform_clipped(camps.lam, camps.mu, camps.scale,
-                                                 camps.alpha_bar)
+        camps.alpha = backward_transform(camps.lam, camps.mu, camps.scale, camps.alpha_bar)
         c = dp.camp
-        v_bar = normal_cdf((_boxcox_edges(camps.lam[c], dp.v) - camps.mu[c]) / camps.scale[c])
+        v_bar = forward_transform(camps.lam[c], camps.mu[c], camps.scale[c], dp.v)
         raw = camps.ptr_base[c] * fp(camps.alpha_bar, params.p_ub)[c] \
             * fv(camps.alpha_bar[c], v_bar, params.slope_k)
         ptr = np.minimum(1.0, raw) * camps.eptr[c]

@@ -6,7 +6,10 @@ into percentile space, where the pacing controller keeps its dual
 variables, and the inverse composition maps a percentile dual back into
 an auction threshold in quality units.
 
-All transform functions broadcast over numpy arrays; scalar in, scalar out.
+`forward_transform` and `backward_transform` are the one map in each
+direction: the engine's throttle and threshold, and the `validate` round
+trip, all call them.  They take a fit as its parts (lambda, mu and the
+normal scale) and broadcast over numpy arrays; scalar in, scalar out.
 """
 
 from __future__ import annotations
@@ -24,10 +27,6 @@ _SQRT2 = math.sqrt(2.0)
 
 class DomainError(ValueError):
     """Input lies outside the mathematical domain of a transform."""
-
-
-class DegenerateSampleError(ValueError):
-    """Sample set carries no usable signal (too small or zero variance)."""
 
 
 @dataclass(frozen=True)
@@ -49,29 +48,12 @@ class BetaQualityModel:
         return self.m / (self.m + self.n)
 
 
-def boxcox(lmbda: float, v):
-    """Box-Cox power transform; the log branch is taken for |lambda| < 1e-9."""
-    arr = np.asarray(v, dtype=float)
-    if np.any(arr <= 0.0):
-        raise DomainError("Box-Cox input must be strictly positive")
-    if abs(lmbda) < _LOG_BRANCH_EPS:
-        out = np.log(arr)
-    else:
-        out = (np.power(arr, lmbda) - 1.0) / lmbda
-    return out if out.ndim else float(out)
-
-
-def inverse_boxcox(lmbda: float, y):
-    """Inverse of :func:`boxcox`; raises DomainError when lambda*y + 1 <= 0."""
-    arr = np.asarray(y, dtype=float)
-    if abs(lmbda) < _LOG_BRANCH_EPS:
-        out = np.exp(arr)
-    else:
-        base = lmbda * arr + 1.0
-        if np.any(base <= 0.0):
-            raise DomainError("inverse Box-Cox undefined where lambda*y + 1 <= 0")
-        out = np.power(base, 1.0 / lmbda)
-    return out if out.ndim else float(out)
+def boxcox(lam, v):
+    """Box-Cox power transform with a lambda per element of `v` (broadcast);
+    the log branch is taken where |lambda| < 1e-9."""
+    log_branch = np.abs(lam) < _LOG_BRANCH_EPS
+    safe_lam = np.where(log_branch, 1.0, lam)
+    return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
 
 
 MIN_LAMBDA_SAMPLES = 30
@@ -236,11 +218,11 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
     (slots at 1.0).  Each sum adds the segment to its slot's transform, 0,
     as `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
     The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
-    scalar-exponent fast paths in `boxcox` can round a transform one ulp
-    apart.  A fitted lambda is a Newton point strictly inside its bracket or
-    the midpoint of a bracket narrower than `tol`, so never 2 (or -2), and
-    -1 or 0.5 only by a coincidence of rounding that the tests check does
-    not happen on their samples.  A segment's sigma that is 0 or not finite
+    scalar-exponent fast paths in `boxcox` at one scalar lambda can round a
+    transform one ulp apart.  A fitted lambda is a Newton point strictly
+    inside its bracket or the midpoint of a bracket narrower than `tol`, so
+    never 2 (or -2), and -1 or 0.5 only by a coincidence of rounding that
+    the tests check does not happen on their samples.  A segment's sigma that is 0 or not finite
     is returned as it is, and a NaN lambda gives NaN moments.
     """
     n = reps - 1.0
@@ -260,43 +242,6 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
     return mu, sigma
 
 
-@dataclass(frozen=True)
-class BoxCoxFit:
-    """Fitted transform parameters plus the deliberate skew factor epsilon.
-
-    epsilon > 0 widens the assumed normal scale to sigma*(1+epsilon), pulling
-    forward-transform outputs toward 0.5 and damping percentile swings.
-    """
-
-    lambda_star: float
-    mu: float
-    sigma: float
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DegenerateSampleError(f"sigma must be positive, got {self.sigma}")
-        if self.epsilon < 0.0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
-
-    @property
-    def scale(self) -> float:
-        return self.sigma * (1.0 + self.epsilon)
-
-
-def fit_boxcox(samples, epsilon: float = 0.0) -> BoxCoxFit:
-    """Lambda and moment fit of one sample: the one-segment case of
-    :func:`fit_boxcox_batch`.  Raises DegenerateSampleError for fewer than
-    30 samples or all samples equal, and DomainError for a sample <= 0."""
-    v = np.asarray(samples, dtype=float).ravel()
-    if v.size < MIN_LAMBDA_SAMPLES:
-        raise DegenerateSampleError(f"need at least {MIN_LAMBDA_SAMPLES} samples to fit "
-                                    f"lambda, got {v.size}")
-    if np.any(v <= 0.0):
-        raise DomainError("Box-Cox samples must be strictly positive")
-    return BoxCoxFit(*fit_boxcox_batch([v])[:, 0].tolist(), epsilon)
-
-
 def normal_cdf(x):
     """Standard normal CDF via erf."""
     arr = np.asarray(x, dtype=float)
@@ -313,37 +258,31 @@ def normal_quantile(p):
     return x if x.ndim else float(x)
 
 
-def forward_transform(fit: BoxCoxFit, v):
-    """Quality -> percentile: Phi((boxcox(lambda*, v) - mu) / (sigma*(1+eps)))."""
-    t = boxcox(fit.lambda_star, v)
-    return normal_cdf((t - fit.mu) / fit.scale)
+def forward_transform(lam, mu, scale, v):
+    """Quality -> percentile: Phi((boxcox(lambda, v) - mu) / scale).
+
+    The fit comes as its parts: the Box-Cox lambda, the mean mu of the
+    transformed samples, and the normal scale sigma * (1 + epsilon), where
+    epsilon > 0 widens the scale and pulls percentiles toward 0.5.  Each
+    part broadcasts against `v`, so one call maps every edge of a period
+    under its own campaign's fit.
+    """
+    return normal_cdf((boxcox(lam, v) - mu) / scale)
 
 
-def backward_transform(fit: BoxCoxFit, alpha_bar):
-    """Percentile -> quality threshold; inverse of the forward map.
+def backward_transform(lam, mu, scale, alpha_bar):
+    """Percentile -> quality threshold, the inverse of :func:`forward_transform`
+    on the same fit parts, broadcast over per-campaign fits.
 
     The percentile is clamped to [1e-6, 1 - 1e-6] before inversion.  A
-    DomainError from inverse_boxcox after clamping signals a lambda fit whose
-    image does not cover the requested tail.
-    """
-    a = np.clip(np.asarray(alpha_bar, dtype=float), PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
-    y = fit.mu + normal_quantile(a) * fit.scale
-    return inverse_boxcox(fit.lambda_star, y)
-
-
-def backward_transform_clipped(lmbda, mu, scale, alpha_bar):
-    """Backward transform that saturates instead of raising.
-
-    Takes the fit as its parts (Box-Cox lambda, mean, and normal scale
-    sigma * (1 + epsilon)), so one call broadcasts over per-campaign fits.
-    Inside the delivery loop a clamped percentile near 0 or 1 can land
-    outside the Box-Cox image for the fitted lambda; the correct threshold
-    semantics there is the edge of the representable quality range, so the
-    inverse power base is floored at a tiny positive value.
+    clamped percentile near 0 or 1 can still land outside the Box-Cox image
+    for the fitted lambda; the threshold there is the edge of the
+    representable quality range, so the inverse power base is floored at a
+    tiny positive value instead of raising.
     """
     a = np.clip(np.asarray(alpha_bar, dtype=float), PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
     y = mu + normal_quantile(a) * scale
-    lam = np.asarray(lmbda, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     log_branch = np.abs(lam) < _LOG_BRANCH_EPS
     safe_lam = np.where(log_branch, 1.0, lam)
     out = np.where(log_branch, np.exp(y),

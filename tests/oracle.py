@@ -6,16 +6,20 @@ The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
 the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
-period updates.  `fit_boxcox_lambda` is the scalar twin of the batched
-Newton solve in `gdpacer.quality.fit_boxcox_batch`: the same steps on one
-sample, with `np.sum` reductions and Python-float bookkeeping, which the
-batch matches bit for bit and the replays fit with.  `golden_lambda`, a
-golden-section search to a bracket of width tol, is its accuracy
-reference, and `fit_moments` is the scalar reference of the batch's moment
-pass.  `fit_windows` gathers fit windows period by period, against which
-the engine's campaign-major layout is checked.  `psi_inverse`
-is the sequential bisection that `gdpacer.pacing.psi_inverse` computes as a
-verified predicted path, and the replayed adaptive clip runs on it.
+period updates.  `boxcox` is the scalar-lambda Box-Cox transform, which
+refuses a sample <= 0, and `BoxCoxFit` a fit's parts with its epsilon: the
+independent reference that the replays score with and that the per-edge
+`gdpacer.quality.forward_transform` is checked against.
+`fit_boxcox_lambda` is the scalar twin of the batched Newton solve in
+`gdpacer.quality.fit_boxcox_batch`: the same steps on one sample, with
+`np.sum` reductions and Python-float bookkeeping, which the batch matches
+bit for bit and the replays fit with.  `golden_lambda`, a golden-section
+search to a bracket of width tol, is its accuracy reference, and
+`fit_moments` is the scalar reference of the batch's moment pass.
+`fit_windows` gathers fit windows period by period, against which the
+engine's campaign-major layout is checked.  `psi_inverse` is the sequential
+bisection that `gdpacer.pacing.psi_inverse` computes as a verified
+predicted path, and the replayed adaptive clip runs on it.
 `resolve_winners` is the request-by-request auction of one period that
 `gdpacer.engine._resolve_winners` resolves with optimistic passes and cuts,
 and `generate_stream` the dense-matrix generator whose draws the flat-index
@@ -41,8 +45,7 @@ from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_W
                             init_campaign_states)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
-from gdpacer.quality import (BoxCoxFit, DegenerateSampleError, DomainError,
-                             backward_transform_clipped, boxcox, normal_cdf)
+from gdpacer.quality import _LOG_BRANCH_EPS, DomainError, backward_transform, normal_cdf
 from gdpacer.simulate import _QUALITY_QUANTUM, _TAG_STREAM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
@@ -376,6 +379,48 @@ def smart_decide(request, camps: CampaignArrays, layer_ptr: np.ndarray,
     return _award(request, camps, best, best_bid, throttled)
 
 
+# --- scalar Box-Cox transform and fit record ----------------------------------------
+
+class DegenerateSampleError(ValueError):
+    """Sample set carries no usable signal (too small or zero variance)."""
+
+
+def boxcox(lmbda: float, v):
+    """Box-Cox power transform; the log branch is taken for |lambda| < 1e-9."""
+    arr = np.asarray(v, dtype=float)
+    if np.any(arr <= 0.0):
+        raise DomainError("Box-Cox input must be strictly positive")
+    if abs(lmbda) < _LOG_BRANCH_EPS:
+        out = np.log(arr)
+    else:
+        out = (np.power(arr, lmbda) - 1.0) / lmbda
+    return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class BoxCoxFit:
+    """Fitted transform parameters plus the deliberate skew factor epsilon.
+
+    epsilon > 0 widens the assumed normal scale to sigma*(1+epsilon), pulling
+    forward-transform outputs toward 0.5 and damping percentile swings.
+    """
+
+    lambda_star: float
+    mu: float
+    sigma: float
+    epsilon: float = 0.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
+            raise DegenerateSampleError(f"sigma must be positive, got {self.sigma}")
+        if self.epsilon < 0.0:
+            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+
+    @property
+    def scale(self) -> float:
+        return self.sigma * (1.0 + self.epsilon)
+
+
 # --- Box-Cox lambda search ---------------------------------------------------------
 
 def _profile_loglik(lmbda: float, v: np.ndarray, log_sum: float) -> float:
@@ -698,7 +743,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
         if algorithm == "rcpacing":
             assign_fits(window, sorted_specs, config, camps)
             for i in range(M):
-                camps.alpha[i] = backward_transform_clipped(
+                camps.alpha[i] = backward_transform(
                     camps.lam[i], camps.mu[i], camps.scale[i], camps.alpha_bar[i])
         out.duals[:, t] = camps.alpha_bar if algorithm == "rcpacing" else camps.alpha
         out.eptr[:, t] = camps.eptr

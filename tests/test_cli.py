@@ -440,6 +440,10 @@ def test_report_single_row_file(tmp_path, capsys):
     (ROUNDS_HEADER + "\n", "no data rows"),
     (ROUNDS_HEADER + "\nrcpacing,0,nan,inf,0.08,\n", ":2: metric values must be finite"),
     (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,\ndmd,1,0.9,7.5,0.08,-inf\n", ":3: metric values"),
+    # the round column is a canonical decimal >= 0
+    (ROUNDS_HEADER + "\ndmd,1_0,0.9,7.5,0.08,\n", ":2: round '1_0' is not an integer"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,\ndmd, 3 ,0.9,7.5,0.08,\n", ":3: round ' 3 '"),
+    (ROUNDS_HEADER + "\ndmd,-4,0.9,7.5,0.08,\n", ":2: round must be >= 0, got -4"),
 ])
 def test_report_malformed_inputs(tmp_path, capsys, body, needle):
     path = tmp_path / "bad.csv"

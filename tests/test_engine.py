@@ -21,10 +21,10 @@ from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunC
                             run_dmd, run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
-from gdpacer.quality import BetaQualityModel, BoxCoxFit, DomainError, fit_boxcox_batch
+from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionStream, PeriodBatch
-from oracle import ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
+from oracle import BoxCoxFit, ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
 
 
 def _spec(j, budget, recall=1.0, m=2.0, n=5.0):
@@ -433,13 +433,13 @@ def test_throttle_monotone_in_trial_rate():
 @pytest.fixture
 def transforms(monkeypatch):
     """The forward-transform values v_bar of each period of the rcpacing runs,
-    recorded from the engine's `normal_cdf` calls; clear it between runs."""
-    original, recorded = gdpacer.engine.normal_cdf, []
+    recorded from the engine's `forward_transform` calls; clear it between runs."""
+    original, recorded = gdpacer.engine.forward_transform, []
 
-    def recording(x):
-        recorded.append(original(x))
+    def recording(*args):
+        recorded.append(original(*args))
         return recorded[-1]
-    monkeypatch.setattr(gdpacer.engine, "normal_cdf", recording)
+    monkeypatch.setattr(gdpacer.engine, "forward_transform", recording)
     return recorded
 
 

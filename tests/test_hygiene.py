@@ -1,19 +1,30 @@
-"""Lint by test: no module imports a name it never uses.
+"""Lint by test: no module imports a name it never uses, and `src` holds no
+code that only tests use.
 
 Every module under `src/gdpacer` (apart from the package `__init__`, whose
 imports are its re-exports), `tests/` and `scripts/` is parsed, and each name
 an import statement binds must be read somewhere in the module.
+
+Each top-level function, class and constant of a package module must be
+read outside its own definition somewhere in `src/gdpacer`, `scripts/` or
+`perfbench/`, or be exported in `gdpacer.__all__`.  A read is a loaded name,
+an attribute or an imported name; names are matched by name alone, so a
+read of a same-named definition elsewhere also counts.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
+import gdpacer
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "gdpacer").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")) + list((ROOT / "scripts").glob("*.py")))
+PACKAGE = sorted(p for p in (ROOT / "src" / "gdpacer").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE + list((ROOT / "tests").glob("*.py"))
+                 + list((ROOT / "scripts").glob("*.py")))
+READERS = PACKAGE + sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +52,55 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def defined(stmt: ast.stmt) -> set[str]:
+    """The names a top-level statement defines: a function, a class, or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def names_read(source: str) -> set[str]:
+    """The names the module reads, each outside the statement that defines it."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        here = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+            elif isinstance(node, ast.alias):
+                here.add(node.name)
+        out |= here - defined(stmt)
+    return out
+
+
+def unread_definitions(source: str, read: set[str]) -> list[str]:
+    """The module's top-level definitions whose names are not in `read`."""
+    return [f"line {stmt.lineno}: {name}" for stmt in ast.parse(source).body
+            for name in sorted(defined(stmt) - read)]
+
+
+@functools.cache
+def package_reads() -> frozenset[str]:
+    read = set(gdpacer.__all__)
+    for path in READERS:
+        read |= names_read(path.read_text(encoding="utf-8"))
+    return frozenset(read)
+
+
+def test_unread_definitions_are_found():
+    lib = ("A = 1\nB, C = A, 2\n\ndef f(n):\n    return f(n - 1)\n\n"
+           "class K:\n    pass\n\ndef g():\n    return K()\n")
+    read = names_read(lib) | names_read("import lib\nlib.g()\n") | {"C"}
+    assert unread_definitions(lib, read) == ["line 2: B", "line 4: f"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_test_only_definitions(path):
+    assert unread_definitions(path.read_text(encoding="utf-8"), package_reads()) == []

@@ -17,22 +17,22 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 import oracle
-from gdpacer.quality import (BetaQualityModel, BoxCoxFit, DegenerateSampleError,
-                             DomainError, _fit_moments, backward_transform,
-                             backward_transform_clipped, boxcox, fit_boxcox, fit_boxcox_batch,
-                             forward_transform, inverse_boxcox, normal_cdf, normal_quantile)
-from oracle import fit_moments
+from gdpacer.quality import (BetaQualityModel, DomainError, _fit_moments, backward_transform,
+                             boxcox, fit_boxcox_batch, forward_transform, normal_cdf,
+                             normal_quantile)
+from oracle import BoxCoxFit, DegenerateSampleError, fit_moments
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
 RT_EPSILONS = (0.0, 0.1, 1.0)
 
 
-def _fit_covering(lam: float, eps: float, lo: float = 0.01, hi: float = 0.99) -> BoxCoxFit:
-    """Fit whose forward image of [lo, hi] stays inside the percentile clamp."""
+def _fit_covering(lam: float, eps: float, lo: float = 0.01,
+                  hi: float = 0.99) -> tuple[float, float, float]:
+    """The parts (lambda, mu, scale) of a fit whose forward image of [lo, hi]
+    stays inside the percentile clamp."""
     y = boxcox(lam, np.array([lo, hi]))
-    mu = float(y.mean())
     sigma = float((y[1] - y[0]) / 6.0)
-    return BoxCoxFit(lam, mu, sigma, eps)
+    return lam, float(y.mean()), sigma * (1.0 + eps)
 
 
 # --- power transform ----------------------------------------------------------
@@ -43,6 +43,9 @@ def test_boxcox_frozen_values():
     # (sqrt(0.25) - 1) / 0.5 = -1
     assert boxcox(0.5, 0.25) == pytest.approx(-1.0, abs=1e-12)
     assert boxcox(2.0, 0.5) == pytest.approx(-0.375, abs=1e-12)
+    # one lambda per element
+    out = boxcox(np.array([1.0, 0.0, 0.5, 2.0]), np.array([0.4, 1.0, 0.25, 0.5]))
+    assert out == pytest.approx([-0.6, 0.0, -1.0, -0.375], abs=1e-12)
 
 
 def test_boxcox_log_branch_threshold():
@@ -50,33 +53,12 @@ def test_boxcox_log_branch_threshold():
     assert boxcox(1e-10, v) == pytest.approx(math.log(v), abs=1e-12)
     # just outside the branch cutoff the power form is continuous with log
     assert boxcox(1e-8, v) == pytest.approx(math.log(v), abs=1e-6)
-
-
-def test_boxcox_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        boxcox(0.5, 0.0)
-    with pytest.raises(DomainError):
-        boxcox(1.0, np.array([0.2, -0.1]))
-
-
-def test_inverse_boxcox_frozen_values():
-    assert inverse_boxcox(1.0, -0.6) == pytest.approx(0.4, abs=1e-12)
-    assert inverse_boxcox(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-    assert inverse_boxcox(0.5, -1.0) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_inverse_boxcox_domain_error():
-    # lambda*y + 1 <= 0 has no real preimage
-    with pytest.raises(DomainError):
-        inverse_boxcox(1.0, -1.0)
-    with pytest.raises(DomainError):
-        inverse_boxcox(-0.5, 3.0)
-
-
-@given(lam=st.one_of(st.just(0.0), st.floats(-2.0, 2.0).filter(lambda x: abs(x) > 1e-6)),
-       v=st.floats(0.01, 0.99))
-def test_boxcox_round_trip_property(lam, v):
-    assert inverse_boxcox(lam, boxcox(lam, v)) == pytest.approx(v, rel=1e-9)
+    # per element, the branch is taken where |lambda| < 1e-9 alone
+    lam = np.array([1e-10, -1e-10, 0.0, 1e-8, 0.5])
+    out = boxcox(lam, np.full(lam.size, v))
+    assert out[:3] == pytest.approx([math.log(v)] * 3, abs=1e-12)
+    assert out[3] != math.log(v) and out[3] == pytest.approx(math.log(v), abs=1e-6)
+    assert out[4] == pytest.approx((math.sqrt(v) - 1.0) / 0.5, abs=1e-12)
 
 
 # --- lambda fitting -----------------------------------------------------------
@@ -102,7 +84,7 @@ def _loglik_grid_argmax(v: np.ndarray) -> float:
 def test_fit_lambda_normal_samples_near_one():
     rng = np.random.default_rng(11)
     v = np.clip(rng.normal(0.5, 0.1, size=4000), 1e-3, 1.0 - 1e-3)
-    lam = fit_boxcox(v).lambda_star
+    lam = fit_boxcox_batch([v])[0, 0]
     assert abs(lam - 1.0) <= 0.3
     assert abs(lam - _loglik_grid_argmax(v)) <= 0.01
 
@@ -110,7 +92,7 @@ def test_fit_lambda_normal_samples_near_one():
 def test_fit_lambda_lognormal_samples_near_zero():
     rng = np.random.default_rng(12)
     v = np.clip(np.exp(rng.normal(-2.0, 0.3, size=4000)), 1e-6, 1.0 - 1e-6)
-    lam = fit_boxcox(v).lambda_star
+    lam = fit_boxcox_batch([v])[0, 0]
     assert abs(lam - 0.0) <= 0.3
     assert abs(lam - _loglik_grid_argmax(v)) <= 0.01
 
@@ -120,17 +102,8 @@ def test_fit_lambda_two_point_sample_in_range():
     # score's series is 0 up to rounding; the golden-section search lands
     # within tol/2 of 0
     v = np.array([0.2, 0.6] * 20)
-    lam = fit_boxcox(v).lambda_star
+    lam = fit_boxcox_batch([v])[0, 0]
     assert abs(lam) <= 1e-12 and abs(oracle.golden_lambda(v)) <= 5e-5
-
-
-def test_fit_lambda_rejects_degenerate_and_small():
-    with pytest.raises(DegenerateSampleError):
-        fit_boxcox(np.full(40, 0.25))
-    with pytest.raises(DegenerateSampleError):
-        fit_boxcox(np.linspace(0.1, 0.9, 29))
-    with pytest.raises(DomainError):
-        fit_boxcox(np.linspace(-0.1, 0.9, 40))
 
 
 def test_fit_lambdas_rejects_any_bad_segment():
@@ -194,7 +167,7 @@ def test_fit_lambdas_matches_scalar_search(specs):
 @given(spec=_SEGMENT)
 def test_fit_lambda_as_accurate_as_golden_section_search(spec):
     seg = _segment(*spec)
-    lam, ref = fit_boxcox(seg).lambda_star, oracle.golden_lambda(seg)
+    lam, ref = fit_boxcox_batch([seg])[0, 0], oracle.golden_lambda(seg)
     assert abs(lam - ref) <= 1e-4
     ll_ref = oracle.profile_loglik(seg, ref)
     assert oracle.profile_loglik(seg, lam) >= ll_ref - 1e-9 * abs(ll_ref)
@@ -295,23 +268,6 @@ def test_fit_moments_beta_2_2_identity_lambda():
     assert sigma == pytest.approx(math.sqrt(1.0 / 20.0), abs=0.01)
 
 
-def test_fit_boxcox_bundles_lambda_and_moments():
-    rng = np.random.default_rng(14)
-    v = rng.beta(2.0, 5.0, size=2000)
-    fit = fit_boxcox(v, epsilon=0.1)
-    assert fit.epsilon == 0.1
-    mu, sigma = fit_moments(v, fit.lambda_star)
-    assert fit.mu == pytest.approx(mu) and fit.sigma == pytest.approx(sigma)
-    assert fit.scale == pytest.approx(sigma * 1.1)
-
-
-def test_boxcox_fit_validation():
-    with pytest.raises(DegenerateSampleError):
-        BoxCoxFit(1.0, 0.0, 0.0)
-    with pytest.raises(DomainError):
-        BoxCoxFit(1.0, 0.0, 1.0, epsilon=-0.1)
-
-
 # --- quality model ------------------------------------------------------------
 
 def test_beta_model_validation_and_mean():
@@ -358,27 +314,26 @@ def test_normal_round_trip_and_domain():
 # --- forward/backward percentile maps ------------------------------------------
 
 def test_forward_transform_frozen_examples():
-    fit = BoxCoxFit(1.0, -0.5, 0.1, 0.0)
     # (boxcox(1, 0.6) - mu) / sigma = (-0.4 + 0.5) / 0.1 = 1
-    assert forward_transform(fit, 0.6) == pytest.approx(0.8413447460685429, abs=1e-9)
-    wide = BoxCoxFit(1.0, -0.5, 0.1, 1.0)
-    assert forward_transform(wide, 0.6) == pytest.approx(0.6914624612740131, abs=1e-9)
+    assert forward_transform(1.0, -0.5, 0.1, 0.6) == pytest.approx(0.8413447460685429, abs=1e-9)
+    # epsilon = 1 doubles the scale
+    assert forward_transform(1.0, -0.5, 0.2, 0.6) == pytest.approx(0.6914624612740131, abs=1e-9)
     # any v mapping onto mu lands at the median
-    assert forward_transform(fit, 0.5) == pytest.approx(0.5, abs=1e-12)
+    assert forward_transform(1.0, -0.5, 0.1, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_backward_transform_frozen_examples():
-    fit = BoxCoxFit(1.0, -0.5, 0.1, 0.0)
-    assert backward_transform(fit, 0.8413447460685429) == pytest.approx(0.6, abs=1e-4)
-    assert backward_transform(fit, 0.5) == pytest.approx(inverse_boxcox(1.0, -0.5), abs=1e-12)
+    assert backward_transform(1.0, -0.5, 0.1, 0.8413447460685429) == pytest.approx(0.6, abs=1e-4)
+    # the median maps back onto mu, whose identity-lambda preimage is 0.5
+    assert backward_transform(1.0, -0.5, 0.1, 0.5) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_forward_monotone_and_epsilon_pulls_to_half():
     fit0 = _fit_covering(0.5, 0.0)
     fit1 = _fit_covering(0.5, 1.0)
     v = np.linspace(0.01, 0.99, 199)
-    out0 = forward_transform(fit0, v)
-    out1 = forward_transform(fit1, v)
+    out0 = forward_transform(*fit0, v)
+    out1 = forward_transform(*fit1, v)
     assert np.all(np.diff(out0) > 0.0)
     assert np.all(np.abs(out1 - 0.5) <= np.abs(out0 - 0.5) + 1e-15)
     off_center = np.abs(out0 - 0.5) > 1e-9
@@ -388,7 +343,7 @@ def test_forward_monotone_and_epsilon_pulls_to_half():
 def test_backward_monotone():
     fit = _fit_covering(-1.0, 0.1)
     a = np.linspace(0.01, 0.99, 99)
-    assert np.all(np.diff(backward_transform(fit, a)) > 0.0)
+    assert np.all(np.diff(backward_transform(*fit, a)) > 0.0)
 
 
 @pytest.mark.parametrize("lam", RT_LAMBDAS)
@@ -396,47 +351,73 @@ def test_backward_monotone():
 def test_round_trip_grid(lam, eps):
     fit = _fit_covering(lam, eps)
     v = np.linspace(0.01, 0.99, 99)
-    assert np.max(np.abs(backward_transform(fit, forward_transform(fit, v)) - v)) <= 1e-6
+    assert np.max(np.abs(backward_transform(*fit, forward_transform(*fit, v)) - v)) <= 1e-6
 
 
 def test_round_trip_spot_values():
     fit = _fit_covering(0.5, 0.1, lo=0.05, hi=0.95)
     for v in (0.1, 0.3, 0.7):
-        assert backward_transform(fit, forward_transform(fit, v)) == pytest.approx(v, abs=1e-6)
+        assert backward_transform(*fit, forward_transform(*fit, v)) == pytest.approx(v, abs=1e-6)
 
 
-def test_backward_clipped_saturates_instead_of_raising():
+def test_backward_saturates_instead_of_raising():
     # lambda=-1 has image y < 1; a wide-scale fit pushes mu + q*sigma past it
     # at the upper percentile clamp, where the exact inverse is undefined
-    fit = BoxCoxFit(-1.0, boxcox(-1.0, 0.5), 0.5, 0.0)
-    with pytest.raises(DomainError):
-        backward_transform(fit, 1.0 - 1e-7)
-    parts = (fit.lambda_star, fit.mu, fit.scale)
-    out = backward_transform_clipped(*parts, 1.0 - 1e-7)
-    assert np.isfinite(out) and out > 0.0
-    # agreement with the exact inverse away from the saturated tail
+    lam, mu, scale = -1.0, boxcox(-1.0, 0.5), 0.5
+    top = mu + special.ndtri(1.0 - 1e-6) * scale
+    assert lam * top + 1.0 <= 0.0
+    # the threshold is the floored power base's, finite and positive
+    for a in (1.0 - 1e-7, 1.0 - 1e-6, 1.0):
+        assert backward_transform(lam, mu, scale, a) == pytest.approx(1e12, rel=1e-12)
+    # the exact inverse away from the saturated tail
     a = np.linspace(0.2, 0.8, 25)
-    assert np.max(np.abs(backward_transform_clipped(*parts, a) - backward_transform(fit, a))) <= 1e-12
+    exact = (lam * (mu + special.ndtri(a) * scale) + 1.0) ** (1.0 / lam)
+    assert np.max(np.abs(backward_transform(lam, mu, scale, a) - exact)) <= 1e-12
+
+
+# one kind of fit each: the log branch, tiny and moderate lambdas, and lambdas
+# near the ends of [-2, 2].  Lambdas of exactly -1, 0.5 or 2 are left out: for
+# a scalar exponent of -1, 2 or 0.5 numpy computes the power by reciprocal,
+# square or sqrt, which can differ from pow by an ulp, and a fitted lambda
+# does not land on them.
+def _fits(rng, n: int):
+    lam = rng.choice([-1.5, -0.4, 0.0, 1e-10, 0.3, 1.0, 1.7], size=n)
+    lam += rng.normal(0.0, 0.05, n) * (rng.random(n) < 0.5)
+    return lam, rng.normal(-0.5, 1.0, n), rng.uniform(0.05, 2.0, n)
 
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
-def test_backward_clipped_broadcast_matches_scalar_calls(seed, n):
+def test_broadcast_calls_match_scalar_calls(seed, n):
     # one call over per-campaign fits gives each campaign's scalar result bit
-    # for bit, log branch and saturated tails included.  Lambdas of exactly
-    # -1, 0.5 or 2 are left out: for a scalar exponent of -1, 2 or 0.5 numpy
-    # computes the power by reciprocal, square or sqrt, which can differ
-    # from pow by an ulp, and a fitted lambda does not land on them.
+    # for bit, log branch and saturated tails included
     rng = np.random.default_rng(seed)
-    lam = rng.choice([-1.5, -0.4, 0.0, 1e-10, 0.3, 1.0, 1.7], size=n)
-    lam += rng.normal(0.0, 0.05, n) * (rng.random(n) < 0.5)
-    mu = rng.normal(-0.5, 1.0, n)
-    scale = rng.uniform(0.05, 2.0, n)
+    lam, mu, scale = _fits(rng, n)
     a = np.where(rng.random(n) < 0.5, rng.choice([0.0, 1e-7, 0.9, 1.0 - 1e-7, 1.0], size=n),
                  rng.random(n))
-    out = backward_transform_clipped(lam, mu, scale, a)
-    ref = [backward_transform_clipped(lam[i], mu[i], scale[i], a[i]) for i in range(n)]
+    out = backward_transform(lam, mu, scale, a)
+    ref = [backward_transform(lam[i], mu[i], scale[i], a[i]) for i in range(n)]
     assert out.tobytes() == np.array(ref).tobytes()
+    v = rng.uniform(1e-6, 1.0, n)
+    out = forward_transform(lam, mu, scale, v)
+    ref = [forward_transform(lam[i], mu[i], scale[i], v[i]) for i in range(n)]
+    assert out.tobytes() == np.array(ref).tobytes()
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       eps=st.sampled_from(RT_EPSILONS))
+def test_forward_per_edge_matches_scalar_reference(seed, n, eps):
+    # per-edge lambdas, as the throttle passes them, against the scalar-lambda
+    # Box-Cox and fit record of the oracle, one edge at a time
+    rng = np.random.default_rng(seed)
+    lam, mu, sigma = _fits(rng, n)
+    v = rng.uniform(1e-6, 1.0, n)
+    out = forward_transform(lam, mu, sigma * (1.0 + eps), v)
+    for i in range(n):
+        fit = BoxCoxFit(lam[i], mu[i], sigma[i], eps)
+        ref = special.ndtr((oracle.boxcox(fit.lambda_star, v[i]) - fit.mu) / fit.scale)
+        assert abs(out[i] - ref) <= 1e-12
 
 
 def test_forward_percentiles_near_uniform_ks():
@@ -444,9 +425,9 @@ def test_forward_percentiles_near_uniform_ks():
     # normalize well, while symmetric platykurtic ones (e.g. shapes (2,2))
     # floor near KS 0.035 no matter the exponent
     rng = np.random.default_rng(31)
-    fit = fit_boxcox(rng.beta(2.0, 5.0, size=100_000))
+    lam, mu, sigma = fit_boxcox_batch([rng.beta(2.0, 5.0, size=100_000)])[:, 0]
     fresh = rng.beta(2.0, 5.0, size=100_000)
-    d = stats.kstest(forward_transform(fit, fresh), "uniform").statistic
+    d = stats.kstest(forward_transform(lam, mu, sigma, fresh), "uniform").statistic
     assert d <= 0.02
 
 
@@ -454,4 +435,4 @@ def test_forward_percentiles_near_uniform_ks():
 @given(lam=st.sampled_from(RT_LAMBDAS), eps=st.floats(0.0, 1.0), v=st.floats(0.02, 0.98))
 def test_round_trip_property(lam, eps, v):
     fit = _fit_covering(lam, eps)
-    assert backward_transform(fit, forward_transform(fit, v)) == pytest.approx(v, abs=1e-6)
+    assert backward_transform(*fit, forward_transform(*fit, v)) == pytest.approx(v, abs=1e-6)

@@ -3,14 +3,21 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_run_regret_scaling_writes_csv(tmp_path, capsys, monkeypatch):
+def _regret_scaling():
     spec = importlib.util.spec_from_file_location("run_regret_scaling",
                                                   SCRIPTS / "run_regret_scaling.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_regret_scaling_writes_csv(tmp_path, capsys, monkeypatch):
+    script = _regret_scaling()
     assert script.main(["--horizons", "250", "1000", "--out", str(tmp_path)]) == 0
     # the runners get one prepared stream per horizon; handing them the raw
     # stream instead, which each runner prepares for itself, writes the same bytes
@@ -25,3 +32,24 @@ def test_run_regret_scaling_writes_csv(tmp_path, capsys, monkeypatch):
                                             ("rcpacing", "250"), ("rcpacing", "1000")]
     assert all(float(r[2]) >= 0.0 for r in rows)
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["--seed", " 5 "], "--seed ' 5 ' is not an integer"),
+    (["--seed", "1_0"], "--seed '1_0' is not an integer"),
+    (["--seed", "-1"], "--seed must be >= 0"),
+    (["--horizons", "0", "50"], "horizon 0 must be a positive multiple"),
+    (["--horizons", "-50"], "horizon -50 must be a positive multiple"),
+    (["--horizons", "100", "75"], "horizon 75 must be a positive multiple"),
+    (["--horizons", "1_00"], "horizon '1_00' is not an integer"),
+    (["--eta-coeff", "nan"], "--eta-coeff must be finite and > 0"),
+    (["--eta-coeff", "0"], "--eta-coeff must be finite and > 0"),
+])
+def test_run_regret_scaling_refuses_bad_input(tmp_path, capsys, argv, needle):
+    # a usage error (exit 2) before any horizon runs, nothing written; a
+    # later --horizons replaces the short default given first
+    with pytest.raises(SystemExit) as exc:
+        _regret_scaling().main(["--horizons", "100", *argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
