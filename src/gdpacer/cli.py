@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-from .metrics import ALGORITHM_ORDER, METRIC_NAMES, MetricsReport, aggregate_rounds
+from .engine import RUNNERS
+from .metrics import (ALGORITHM_ORDER, METRIC_NAMES, REGRET_TOLERANCE, MetricsReport,
+                      aggregate_rounds)
 from .simulate import (
     ConfigError,
     ScenarioConfig,
@@ -29,6 +32,9 @@ SERIES_HEADER = "campaign,period,series,value"
 
 # lower is better only for these columns
 _MINIMIZE = {"unsmoothness", "regret"}
+# the values a `rounds.csv` cell can take
+_METRIC_RANGES = {"delivery_rate": (0.0, 1.0), "unsmoothness": (0.0, math.inf),
+                  "avg_ctr": (0.0, 1.0), "regret": (-REGRET_TOLERANCE, math.inf)}
 
 
 def _fmt(x: float) -> str:
@@ -267,17 +273,17 @@ def _parse_rounds_csv(path: str) -> list[MetricsReport]:
                 round_index = read_decimal(parts[1], "round")
                 if round_index < 0:
                     raise ValueError(f"round must be >= 0, got {round_index}")
-                reports.append(MetricsReport(
-                    algorithm=parts[0],
-                    round_index=round_index,
-                    delivery_rate=float(parts[2]),
-                    unsmoothness=float(parts[3]),
-                    avg_ctr=float(parts[4]),
-                    regret=float(parts[5]) if parts[5] else None,
-                    per_period_spend=np.zeros((0, 0)),
-                ))
-                if not np.isfinite([float(x) for x in parts[2:] if x]).all():
+                if parts[0] not in RUNNERS:
+                    raise ValueError(f"unknown algorithm `{parts[0]}`")
+                values = [float(x) for x in parts[2:5]] + [float(parts[5]) if parts[5] else None]
+                if not np.isfinite([x for x in values if x is not None]).all():
                     raise ValueError(f"metric values must be finite, got `{line}`")
+                for name, x in zip(METRIC_NAMES, values):
+                    lo, hi = _METRIC_RANGES[name]
+                    if x is not None and not lo <= x <= hi:
+                        raise ValueError(f"{name} must lie in [{lo:g}, {hi:g}], got {x:g}")
+                reports.append(MetricsReport(*values, per_period_spend=np.zeros((0, 0)),
+                                             algorithm=parts[0], round_index=round_index))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{ln}: {exc}") from None
     if not reports:

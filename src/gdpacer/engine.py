@@ -35,8 +35,6 @@ from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform, fit_b
                       forward_transform)
 from .streams import ImpressionStream
 
-_TAG_RUN = 2
-_TAG_PRIOR = 4
 _PRIOR_CHUNK = 8                # campaigns per batched prior fit
 _PRIOR_SAMPLES = 4096           # draws per prior fit
 _REFIT_WINDOW = 2               # periods of logs per transform refit
@@ -119,14 +117,19 @@ class CampaignArrays:
     scale: np.ndarray
 
 
+# the key after the seed of each substream: one tag per purpose, so no two collide
+_TAGS = {"stream": 1, "run": 2, "scale": 3, "prior": 4, "synth": 5}
+
+
 def _substream(*keys: int) -> np.random.Generator:
+    """The generator of the seed sequence `keys`: (seed, `_TAGS` entry, ...)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(keys))))
 
 
 def run_seed(scenario_seed: int, algorithm: str, round_index: int = 0) -> int:
     """Stable per-(algorithm, round) seed derivation from a scenario seed."""
-    ss = np.random.SeedSequence([scenario_seed, _TAG_RUN, _ALGO_TAGS[algorithm], round_index])
-    return int(ss.generate_state(1, np.uint64)[0])
+    keys = [scenario_seed, _TAGS["run"], _ALGO_TAGS[algorithm], round_index]
+    return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
 def init_campaign_states(specs, stream: ImpressionStream | PreparedStream,
@@ -263,22 +266,20 @@ class _WindowFits:
     pooled: np.ndarray | None   # (3, 1) pooled-window fit, when some campaign lacks its own
 
 
-def _pooled_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The qualities of periods lo..hi-1 of the campaign-major layout
-    (`PreparedStream.campaign_major`) in period-major order, each period's
-    in campaign order: the pooled window's order, which sets its lambda bits."""
-    starts, sizes = off[:, lo:hi].T.ravel(), np.diff(off[:, lo:hi + 1]).T.ravel()
-    return v[np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())]
-
-
-def _fit_window(v: np.ndarray, off: np.ndarray, lo: int, hi: int) -> _WindowFits:
-    """Each campaign's own fit over periods lo..hi-1 of the campaign-major
-    layout, all in one batch; the pooled window is fitted only when some
-    campaign gets no fit of its own."""
-    own = fit_boxcox_batch([v[a:b] for a, b in zip(off[:, lo].tolist(), off[:, hi].tolist())])
+def _fit_window(periods: list[_DensePeriod], M: int) -> _WindowFits:
+    """Each of M campaigns' own fit over the densified `periods`, all in one
+    batch; the pooled window is fitted only when some campaign gets no fit
+    of its own.  A campaign's window is its qualities in period, then edge
+    order, and the pooled window is each period's qualities in campaign
+    order: the orders that set their lambda bits."""
+    key = np.min_scalar_type(M - 1)         # <= 16 bits: numpy's stable sort is a radix sort
+    camp = np.concatenate([np.empty(0, key)] + [p.camp.astype(key) for p in periods])
+    v = np.concatenate([np.empty(0)] + [p.v for p in periods])[np.argsort(camp, kind="stable")]
+    own = fit_boxcox_batch(np.split(v, np.cumsum(np.bincount(camp, minlength=M))[:-1]))
     pooled = None
     if np.isnan(own[2]).any():
-        pooled = fit_boxcox_batch([_pooled_window(v, off, lo, hi)])
+        pooled = fit_boxcox_batch([np.concatenate([np.empty(0)] + [
+            p.v[np.argsort(p.camp.astype(key), kind="stable")] for p in periods])])
     return _WindowFits(*own, None if pooled is None or np.isnan(pooled[2, 0]) else pooled)
 
 
@@ -292,9 +293,10 @@ class PreparedStream:
     when `per_impression`), the stream's fingerprint and sizes, and a memo of
     each period's own-window and pooled transform fits.  Those fits depend
     on the stream alone: a fit window logs every recalled edge, not only the
-    wins.  The memo keeps only their lambda, mu and sigma; the fit windows
-    are slices of one campaign-major copy of the qualities.  Epsilon and the
-    seed-dependent prior fallback are applied per run.
+    wins.  The memo keeps only their lambda, mu and sigma; each window is
+    gathered from the densified periods it spans when its fit is first
+    needed, and the periods are the only copy of the qualities.  Epsilon and
+    the seed-dependent prior fallback are applied per run.
     """
 
     campaign_ids: list[int]         # ascending
@@ -323,27 +325,9 @@ class PreparedStream:
     def window_fits(self, t: int) -> _WindowFits:
         """Period t's entry of `fit_memo`, computed on first use."""
         if self.fit_memo[t] is None:
-            self.fit_memo[t] = _fit_window(*self.campaign_major, max(0, t - _REFIT_WINDOW), t)
+            lo = max(0, t - _REFIT_WINDOW)
+            self.fit_memo[t] = _fit_window(self.periods[lo:t], len(self.campaign_ids))
         return self.fit_memo[t]
-
-    @functools.cached_property
-    def campaign_major(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every quality in campaign-major order (by campaign, then period,
-        then edge) and (M, T + 1) offsets `off`: campaign j's qualities of
-        periods lo..hi-1 are `v[off[j, lo]:off[j, hi]]`.  Built period by
-        period when a fit first needs them."""
-        M, T = len(self.campaign_ids), self.n_periods
-        key = np.min_scalar_type(M - 1)         # <= 16 bits: numpy's stable sort is a radix sort
-        off = np.zeros((M, T + 1), dtype=np.int64)
-        for t, p in enumerate(self.periods):
-            off[:, t + 1] = np.bincount(p.camp, minlength=M)
-        off = off.cumsum().reshape(M, T + 1)    # off[j, 0]: all of campaigns < j
-        v = np.empty(off[-1, -1])
-        for t, p in enumerate(self.periods):
-            n = off[:, t + 1] - off[:, t]
-            dest = np.repeat(off[:, t] - np.cumsum(n) + n, n) + np.arange(p.v.size)
-            v[dest] = p.v[np.argsort(p.camp.astype(key), kind="stable")]
-        return v, off
 
 
 def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False,
@@ -507,7 +491,7 @@ class _FitManager:
         for lo in range(0, len(models), _PRIOR_CHUNK):
             out[:, lo:lo + _PRIOR_CHUNK] = fit_boxcox_batch([
                 np.empty(0) if m is None
-                else _substream(seed, _TAG_PRIOR, i).beta(m.m, m.n, size=_PRIOR_SAMPLES)
+                else _substream(seed, _TAGS["prior"], i).beta(m.m, m.n, size=_PRIOR_SAMPLES)
                 for i, m in enumerate(models[lo:lo + _PRIOR_CHUNK], lo)])
         return np.where(np.isnan(out[2]), _NEUTRAL_FIT, out)
 
@@ -535,7 +519,7 @@ class _RCPacing:
         self.camps, self.config = camps, config
         self.avg_requests = stream.avg_requests_per_period
         self.fits = _FitManager(specs, config, stream)
-        self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["rcpacing"])
+        self.rng = _substream(config.seed, _TAGS["run"], _ALGO_TAGS["rcpacing"])
 
     def score(self, t: int, dp: _DensePeriod):
         camps, params = self.camps, self.config.params
@@ -574,7 +558,7 @@ class _Smart:
         init = np.where(aud > 0, np.minimum(
             1.0, camps.budget / np.where(aud > 0, aud * config.params.wr_glb, 1.0)), 1.0)
         self.layer_ptr = np.repeat(init[:, None], self.LAYERS, axis=1)
-        self.rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS["smart"])
+        self.rng = _substream(config.seed, _TAGS["run"], _ALGO_TAGS["smart"])
 
     def score(self, t: int, dp: _DensePeriod):
         L = self.layer_ptr.shape[1]

@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import prepare
+
 ALGORITHM_ORDER = ("dmd", "smart", "rcpacing")
 
 METRIC_NAMES = ("delivery_rate", "unsmoothness", "avg_ctr", "regret")
+REGRET_TOLERANCE = 1e-9     # how far achieved quality may exceed the optimum in rounding
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -88,46 +91,41 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     one Bellman-Ford over M+2 nodes plus amortized heap maintenance.  Costs
     are negated qualities; augmentation stops at the first non-negative
     shortest path, which by SSP monotonicity is the global optimum.
+
+    The instance is the one the runners see, laid out by `engine.prepare`:
+    edges of campaigns missing from `budgets` are dropped, and a stream whose
+    edges are not sorted by (request, campaign id) raises DomainError.
     """
     ids = sorted(budgets)
     if not ids:
         raise ValueError("no campaign budgets supplied")
-    col = {cid: j for j, cid in enumerate(ids)}
     M = len(ids)
 
-    # flatten the stream into (request ordinal, campaign column, quality)
-    req_parts, camp_parts, v_parts = [], [], []
-    base = 0
-    for batch in stream.periods:
-        keep = np.isin(batch.camp, ids)
-        req_parts.append(batch.req[keep] + base)
-        camp_parts.append(batch.camp[keep])
-        v_parts.append(batch.v[keep])
-        base += len(batch.request_ids)
-    n_requests = base
-    req = np.concatenate(req_parts) if req_parts else np.zeros(0, dtype=np.int64)
-    camp = np.concatenate(camp_parts) if camp_parts else np.zeros(0, dtype=np.int64)
-    v = np.concatenate(v_parts) if v_parts else np.zeros(0)
+    # the runners' edges: (request ordinal, campaign column, quality)
+    inst = prepare(stream, ids)
+    base = np.cumsum([0] + [p.n_requests for p in inst.periods]).tolist()
+    req = np.concatenate([np.empty(0, np.int64)] + [p.req + b for p, b in zip(inst.periods, base)])
+    camp = np.concatenate([np.empty(0, np.int64)] + [p.camp for p in inst.periods])
+    v = np.concatenate([np.empty(0)] + [p.v for p in inst.periods])
     if req.size > max_edges:
         raise InstanceTooLargeError(
             f"{req.size} edges exceed the exact-solver cap of {max_edges}")
     frozen = tuple((cid, int(budgets[cid])) for cid in ids)
     if req.size == 0:
-        return HindsightOptimum(0.0, stream.fingerprint(), frozen)
+        return HindsightOptimum(0.0, inst.stream_id, frozen)
 
-    camp_cols = np.vectorize(col.get, otypes=[np.int64])(camp)
     SRC, SNK = M, M + 1
 
     # adjacency per request, and per-campaign entry heaps over (-v, request)
     adj: dict[int, list[tuple[int, float]]] = {}
     entry: list[list[tuple[float, int]]] = [[] for _ in range(M)]
-    for r, j, vv in zip(req.tolist(), camp_cols.tolist(), v.tolist()):
+    for r, j, vv in zip(req.tolist(), camp.tolist(), v.tolist()):
         adj.setdefault(r, []).append((j, vv))
         entry[j].append((-vv, r))
     for h in entry:
         heapq.heapify(h)
 
-    owner = np.full(n_requests, -1, dtype=np.int64)
+    owner = np.full(inst.total_requests, -1, dtype=np.int64)
     val_of: dict[tuple[int, int], float] = {}   # (request, campaign) -> v
     for r, lst in adj.items():
         for j, vv in lst:
@@ -209,7 +207,7 @@ def hindsight_optimum(stream, budgets: dict[int, int],
         value += -dist[SNK]
         assigned += 1
 
-    return HindsightOptimum(value, stream.fingerprint(), frozen, assigned)
+    return HindsightOptimum(value, inst.stream_id, frozen, assigned)
 
 
 def regret(trace, opt: HindsightOptimum) -> float:
@@ -220,7 +218,7 @@ def regret(trace, opt: HindsightOptimum) -> float:
         raise InstanceMismatchError(
             "trace and optimum were computed on different instances")
     diff = opt.value - float(trace.quality_sum.sum())
-    if diff < -1e-9:
+    if diff < -REGRET_TOLERANCE:
         raise AssertionError(
             f"achieved quality exceeds the exact optimum by {-diff:.3e}")
     return diff

@@ -19,15 +19,12 @@ from itertools import product
 
 import numpy as np
 
-from .engine import RUNNERS, DeliveryTrace, PreparedStream, RunConfig, prepare, run_seed
+from .engine import (_TAGS, RUNNERS, DeliveryTrace, PreparedStream, RunConfig, _substream, prepare,
+                     run_seed)
 from .metrics import ALGORITHM_ORDER, MetricsReport, build_report
 from .pacing import PacingHyperParams
 from .quality import BetaQualityModel, DomainError
 from .streams import ImpressionStream, PeriodBatch
-
-_TAG_STREAM = 1
-_TAG_SCALE = 3
-_TAG_SYNTH = 5
 
 _QUALITY_QUANTUM = 6  # fractional digits in the stream CSV schema
 
@@ -117,7 +114,7 @@ def synth_campaigns(count: int, total_requests: int, seed: int = 0,
     recalled supply covers its budget at least `supply_margin` times over.
     Quality laws are Beta(m, n) with shapes drawn in [2, 8].
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _TAG_SYNTH])))
+    rng = _substream(seed, _TAGS["synth"])
     specs = []
     for j in range(count):
         budget = max(1, int(round(float(np.exp(rng.uniform(np.log(budget_range[0]),
@@ -149,8 +146,7 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
     stream file carries them exactly.
     """
     specs = sorted(config.campaigns, key=lambda s: s.id)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed if seed is not None else config.seed, _TAG_STREAM])))
+    rng = _substream(seed if seed is not None else config.seed, _TAGS["stream"])
     M = len(specs)
     R = config.requests_per_period
     p = np.array([s.recall_prob for s in specs])
@@ -179,8 +175,7 @@ def scale_budgets(specs: list[CampaignSpec], round_index: int, seed: int,
                   scale_range: tuple[float, float] = (0.8, 1.2)) -> list[CampaignSpec]:
     """Per-round budget perturbation: independent uniform factors per
     campaign, rounded to the nearest impression, floored at 1."""
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed, _TAG_SCALE, round_index])))
+    rng = _substream(seed, _TAGS["scale"], round_index)
     factors = rng.uniform(scale_range[0], scale_range[1], size=len(specs))
     return [replace(spec, budget=max(1, int(round(spec.budget * f))))
             for spec, f in zip(sorted(specs, key=lambda s: s.id), factors)]

@@ -17,7 +17,7 @@ bit for bit and the replays fit with.  `golden_lambda`, a golden-section
 search to a bracket of width tol, is its accuracy reference, and
 `fit_moments` is the scalar reference of the batch's moment pass.
 `fit_windows` gathers fit windows period by period, against which the
-engine's campaign-major layout is checked.  `psi_inverse` is the sequential
+engine's one-sort window gather is checked.  `psi_inverse` is the sequential
 bisection that `gdpacer.pacing.psi_inverse` computes as a verified
 predicted path, and the replayed adaptive clip runs on it.
 `resolve_winners` is the request-by-request auction of one period that
@@ -40,13 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAG_PRIOR,
-                            _TAG_RUN, CampaignArrays, RunConfig, _Smart, _substream,
-                            init_campaign_states)
+from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAGS,
+                            CampaignArrays, RunConfig, _Smart, _substream, init_campaign_states)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import _LOG_BRANCH_EPS, DomainError, backward_transform, normal_cdf
-from gdpacer.simulate import _QUALITY_QUANTUM, _TAG_STREAM
+from gdpacer.simulate import _QUALITY_QUANTUM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
 SMART_PTR_FLOOR = 0.01
@@ -218,7 +217,7 @@ def generate_stream(config, seed: int | None = None) -> ImpressionStream:
     makes the same draws in the same order."""
     specs = sorted(config.campaigns, key=lambda s: s.id)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence([seed if seed is not None else config.seed, _TAG_STREAM])))
+        np.random.SeedSequence([seed if seed is not None else config.seed, _TAGS["stream"]])))
     M = len(specs)
     R = config.requests_per_period
     p = np.array([s.recall_prob for s in specs])
@@ -594,7 +593,7 @@ def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None
         fit = _scalar_fit(own, eps) or _scalar_fit(pooled, eps)
         model = specs[i].quality_model
         if fit is None and model is not None:
-            rng = _substream(config.seed, _TAG_PRIOR, i)
+            rng = _substream(config.seed, _TAGS["prior"], i)
             fit = _scalar_fit(rng.beta(model.m, model.n, size=_PRIOR_SAMPLES), eps)
         fit = fit or BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, eps)
         camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
@@ -724,7 +723,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     M, T = camps.ids.size, stream.n_periods
     index = {int(c): i for i, c in enumerate(camps.ids)}
     avg = avg_requests_per_period(stream)
-    rng = _substream(config.seed, _TAG_RUN, _ALGO_TAGS[algorithm])
+    rng = _substream(config.seed, _TAGS["run"], _ALGO_TAGS[algorithm])
     out = Replay(np.zeros((M, T), dtype=np.int64), np.zeros((M, T)), np.zeros((M, T)),
                  np.ones((M, T)), camps.remaining)
     if algorithm == "rcpacing":

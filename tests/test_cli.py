@@ -444,12 +444,27 @@ def test_report_single_row_file(tmp_path, capsys):
     (ROUNDS_HEADER + "\ndmd,1_0,0.9,7.5,0.08,\n", ":2: round '1_0' is not an integer"),
     (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,\ndmd, 3 ,0.9,7.5,0.08,\n", ":3: round ' 3 '"),
     (ROUNDS_HEADER + "\ndmd,-4,0.9,7.5,0.08,\n", ":2: round must be >= 0, got -4"),
+    # a metric cell must hold a value its metric can take, for a known algorithm
+    (ROUNDS_HEADER + "\ndmd,0,1.5,7.5,0.08,\n", ":2: delivery_rate must lie in [0, 1], got 1.5"),
+    (ROUNDS_HEADER + "\ndmd,0,-0.1,7.5,0.08,\n", ":2: delivery_rate must lie in [0, 1]"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,1.2,\n", ":2: avg_ctr must lie in [0, 1], got 1.2"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,-0.08,\n", ":2: avg_ctr must lie in [0, 1]"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,-7.5,0.08,\n", ":2: unsmoothness must lie in [0, inf], got -7.5"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,-3\n", ":2: regret must lie in [-1e-09, inf], got -3"),
+    (ROUNDS_HEADER + "\ndmd,0,0.9,7.5,0.08,\nfoo,0,0.9,7.5,0.08,\n", ":3: unknown algorithm `foo`"),
 ])
 def test_report_malformed_inputs(tmp_path, capsys, body, needle):
     path = tmp_path / "bad.csv"
     path.write_text(body)
     assert main(["report", str(path)]) == 1
     assert needle in capsys.readouterr().err
+
+
+def test_report_accepts_metric_bounds(tmp_path, capsys):
+    # the ends of each range, and a regret within rounding of the optimum
+    path = tmp_path / "edges.csv"
+    path.write_text(ROUNDS_HEADER + "\ndmd,0,1,0,1,-1e-9\nsmart,0,0,0,0,0\n")
+    assert main(["report", str(path)]) == 0
 
 
 def test_report_missing_file(tmp_path, capsys):

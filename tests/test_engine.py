@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 import oracle
 import gdpacer.engine
-from gdpacer.engine import (_ALGO_TAGS, _DensePeriod, _FitManager, RUNNERS, RunConfig, _densify,
-                            _fit_window, _pooled_window, _resolve_winners, _substream,
-                            dmd_period_update, init_campaign_states, prepare, rcp_period_update,
-                            run_dmd, run_rcpacing, run_seed, run_smart_baseline)
+from gdpacer.engine import (_ALGO_TAGS, _TAGS, _DensePeriod, _FitManager, RUNNERS, RunConfig,
+                            _densify, _fit_window, _resolve_winners, _substream, dmd_period_update,
+                            init_campaign_states, prepare, rcp_period_update, run_dmd,
+                            run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
 from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch
@@ -269,7 +269,7 @@ def test_empty_first_window_falls_back_to_priors():
     # takes its prior (an empty window used to end a run in np.concatenate([]))
     specs = [_spec(0, 30, m=2, n=5), _spec(1, 30, m=5, n=2)]
     fits, t = _logged(specs, RunConfig(seed=3), [])
-    empty = _fit_window(*fits.stream.campaign_major, 0, 0)
+    empty = _fit_window([], 2)
     assert np.isnan(empty.sigma).all() and empty.pooled is None
     c = campaigns(2)
     fits.assign_fits(c, t)
@@ -325,6 +325,12 @@ def test_assign_fits_matches_per_campaign_chain(nonpositive, own_size):
 def test_gradient_mode_validated():
     with pytest.raises(DomainError, match="gradient_mode"):
         RunConfig(gradient_mode="bogus")
+
+
+def test_substream_tags_are_one_per_purpose():
+    # the streams, runs, budget scales, priors and campaign populations each
+    # draw from their own tag, at the values every pinned output was drawn with
+    assert _TAGS == {"stream": 1, "run": 2, "scale": 3, "prior": 4, "synth": 5}
 
 
 def test_run_seed_stable_and_distinct():
@@ -705,14 +711,20 @@ def test_runners_match_scalar_oracles(inst):
 
 @pytest.mark.parametrize("width,examples", [(None, 60), (1, 10), (256, 10), (257, 10),
                                             (65_537, 3)])
-def test_campaign_major_windows_match_per_period_gather(width, examples):
-    # every own and pooled fit window read from the campaign-major layout
-    # equals the per-period gather, with empty periods, requests without
-    # recall, a campaign without edges (id 99) and one-request periods.  A
-    # `width` runs M = width campaigns: campaign 0 alone, or ids 0..M-1 with
+def test_fit_windows_match_per_period_gather(width, examples):
+    # `_fit_window` over periods lo..hi-1 of the densified periods fits the
+    # own and pooled windows of the per-period gather: the segments it hands
+    # the batch fit are those windows, and its fits are their batch fits,
+    # bit for bit; the pooled window is fitted only when some campaign has
+    # no fit of its own.  With empty periods, requests without recall, a
+    # campaign without edges (id 99) and one-request periods.  A `width`
+    # runs M = width campaigns: campaign 0 alone, or ids 0..M-1 with
     # campaign 0 first and the instance's others moved to the top ids, so
     # the dense indices straddle each narrower key: they sort as uint8
     # (M <= 256), uint16 (M <= 65,536) or uint32 keys
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.int64)
+
     @settings(max_examples=examples, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     @given(inst=_instances(), data=st.data())
@@ -728,16 +740,26 @@ def test_campaign_major_windows_match_per_period_gather(width, examples):
                                                    np.where(p.camp > 0, p.camp + top, 0), p.v)
                                        for p in stream.periods])
             ids = list(range(width))
-        prepared = prepare(stream, ids, cfg.per_impression and width in (None, 1))
-        v, off = prepared.campaign_major
-        assert v.size == sum(p.v.size for p in prepared.periods)
+        prepared, M = prepare(stream, ids, cfg.per_impression and width in (None, 1)), len(ids)
         for hi in range(prepared.n_periods + 1):
             lo = data.draw(st.integers(0, hi))
-            own, pooled = oracle.fit_windows(prepared.periods, lo, hi, len(ids))
-            assert np.array_equal(off[:, hi] - off[:, lo], [ref.size for ref in own])
-            for j in np.flatnonzero(off[:, hi] > off[:, lo]):
-                assert np.array_equal(v[off[j, lo]:off[j, hi]], own[j]), (lo, hi, j)
-            assert np.array_equal(_pooled_window(v, off, lo, hi), pooled), (lo, hi)
+            own, pooled = oracle.fit_windows(prepared.periods, lo, hi, M)
+            seen = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gdpacer.engine, "fit_boxcox_batch",
+                           lambda segs: seen.append(segs) or fit_boxcox_batch(segs))
+                got = _fit_window(prepared.periods[lo:hi], M)
+            assert [s.size for s in seen[0]] == [s.size for s in own], (lo, hi)
+            assert np.array_equal(np.concatenate(seen[0]), np.concatenate(own)), (lo, hi)
+            ref = fit_boxcox_batch(own)
+            assert np.array_equal(bits([got.lam, got.mu, got.sigma]), bits(ref)), (lo, hi)
+            if not np.isnan(ref[2]).any():
+                assert len(seen) == 1 and got.pooled is None
+                continue
+            assert np.array_equal(seen[1][0], pooled), (lo, hi)
+            ref = fit_boxcox_batch([pooled])
+            assert got.pooled is None if np.isnan(ref[2, 0]) else \
+                np.array_equal(bits(got.pooled), bits(ref)), (lo, hi)
     check()
 
 

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import oracle
-from gdpacer.engine import RunConfig, run_dmd, run_rcpacing, run_smart_baseline
+from gdpacer.engine import RunConfig, prepare, run_dmd, run_rcpacing, run_smart_baseline
 from gdpacer.metrics import (ALGORITHM_ORDER, HindsightOptimum, InstanceMismatchError,
                              InstanceTooLargeError, MetricsReport, aggregate_rounds,
                              average_ctr, build_report, delivery_rate,
                              hindsight_optimum, regret, unsmoothness)
-from gdpacer.quality import BetaQualityModel
+from gdpacer.quality import BetaQualityModel, DomainError
 from gdpacer.simulate import CampaignSpec, ScenarioConfig, generate_stream
+from gdpacer.streams import ImpressionStream, PeriodBatch
 from oracle import ImpressionRequest, from_requests
 
 
@@ -151,6 +152,41 @@ def test_hindsight_edge_cap():
     with pytest.raises(InstanceTooLargeError):
         hindsight_optimum(stream, {0: 1, 1: 1}, max_edges=5)
 
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_hindsight_drops_unbudgeted_campaigns_as_runners_do(seed):
+    # campaign 1 has no budget: the optimum drops its edges as `prepare`
+    # does for a run, so the edge cap counts the runners' edges, the value
+    # is the brute force over campaigns 0 and 2, and the optimum carries the
+    # stream id a run on the same stream records
+    rng = np.random.default_rng(seed)
+    stream = from_requests([
+        ImpressionRequest(i, i // 6, {j: float(rng.uniform(0.01, 0.99))
+                                      for j in range(3) if rng.random() < 0.6})
+        for i in range(18)])
+    budgets = {0: int(rng.integers(1, 4)), 2: int(rng.integers(1, 4))}
+    prepared = prepare(stream, sorted(budgets))
+    edges = sum(p.v.size for p in prepared.periods)
+    opt = hindsight_optimum(stream, budgets, max_edges=edges)
+    assert opt.value == pytest.approx(brute_force_opt(stream, budgets), abs=1e-9)
+    assert opt.stream_id == prepared.stream_id
+    with pytest.raises(InstanceTooLargeError):
+        hindsight_optimum(stream, budgets, max_edges=edges - 1)
+    specs = [CampaignSpec(id=j, budget=b, recall_prob=0.6, quality_model=BetaQualityModel(2, 4))
+             for j, b in budgets.items()]
+    assert regret(run_dmd(stream, specs, RunConfig()), opt) >= 0.0
+
+
+def test_hindsight_refuses_an_unsorted_stream_as_runners_do():
+    p = from_requests([ImpressionRequest(0, 0, {0: 0.4, 1: 0.6})]).periods[0]
+    unsorted = ImpressionStream([PeriodBatch(p.request_ids, p.req, p.camp[::-1], p.v[::-1])])
+    specs = [CampaignSpec(id=j, budget=1, recall_prob=1.0, quality_model=BetaQualityModel(2, 4))
+             for j in (0, 1)]
+    with pytest.raises(DomainError, match="not sorted"):
+        hindsight_optimum(unsorted, {0: 1, 1: 1})
+    with pytest.raises(DomainError, match="not sorted"):
+        run_dmd(unsorted, specs, RunConfig())
 
 def _micro_instance(seed):
     """1-3 campaigns over 20 requests; every other seed quantizes qualities
