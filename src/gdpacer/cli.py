@@ -160,7 +160,7 @@ def _load_config(args) -> ScenarioConfig:
     elif "seed" not in raw and env is not None:
         seed = read_decimal(env, "GDPACER_SEED")
     cfg = scenario_from_dict(raw if seed is None else dict(raw, seed=seed))
-    if args.algorithms:
+    if args.algorithms is not None:
         cfg.algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
         cfg.validate()
     return cfg

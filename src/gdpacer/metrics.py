@@ -6,7 +6,8 @@ as a transportation problem (min-cost flow with unit request capacities); the
 solver below contracts the request layer away and runs successive shortest
 paths on a campaign-level multigraph with lazily maintained best-edge heaps,
 which keeps the per-augmentation graph at M+2 nodes regardless of stream
-length.
+length.  Each augmentation relaxes one list of arcs, and the list's order
+fixes the optimum's bits.
 """
 
 from __future__ import annotations
@@ -83,14 +84,19 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     campaign budgets.
 
     Successive shortest paths on the campaign-contracted residual graph.
-    Nodes are campaigns plus source/sink; a direct edge j -> sink is "win the
-    best still-unassigned request j recalls", a transfer edge a -> b is "a
-    takes b's best transferable request, b's freed unit continues".  Both
-    edge families sit in heaps with lazy invalidation (entries are revived by
-    re-push whenever a request's owner changes), so each augmentation costs
-    one Bellman-Ford over M+2 nodes plus amortized heap maintenance.  Costs
-    are negated qualities; augmentation stops at the first non-negative
-    shortest path, which by SSP monotonicity is the global optimum.
+    Nodes are campaigns plus source/sink, and each augmentation lists the
+    residual arcs once, as (tail, head, cost, request): source -> each
+    campaign with budget left; a move arc a -> b, "a takes b's best
+    transferable request, b's freed unit continues"; and j -> sink, "j wins
+    its best still-unassigned request".  The requests behind move and sink
+    arcs sit in heaps with lazy invalidation (entries are revived by re-push
+    whenever a request's owner changes), so an augmentation costs one
+    Bellman-Ford over M+2 nodes plus amortized heap maintenance.  Costs are
+    negated qualities; augmentation stops at the first non-negative
+    shortest path, which by SSP monotonicity is the global optimum.  The
+    list's order (source arcs by campaign, move arcs in the order their
+    heaps were first filled, sink arcs by campaign) picks among equal
+    paths, and so fixes the optimum's bits.
 
     The instance is the one the runners see, laid out by `engine.prepare`:
     edges of campaigns missing from `budgets` are dropped, and a stream whose
@@ -100,110 +106,72 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     if not ids:
         raise ValueError("no campaign budgets supplied")
     M = len(ids)
-
-    # the runners' edges: (request ordinal, campaign column, quality)
-    inst = prepare(stream, ids)
-    base = np.cumsum([0] + [p.n_requests for p in inst.periods]).tolist()
-    req = np.concatenate([np.empty(0, np.int64)] + [p.req + b for p, b in zip(inst.periods, base)])
-    camp = np.concatenate([np.empty(0, np.int64)] + [p.camp for p in inst.periods])
-    v = np.concatenate([np.empty(0)] + [p.v for p in inst.periods])
-    if req.size > max_edges:
-        raise InstanceTooLargeError(
-            f"{req.size} edges exceed the exact-solver cap of {max_edges}")
-    frozen = tuple((cid, int(budgets[cid])) for cid in ids)
-    if req.size == 0:
-        return HindsightOptimum(0.0, inst.stream_id, frozen)
-
     SRC, SNK = M, M + 1
+    inst = prepare(stream, ids)
+    n_edges = sum(p.v.size for p in inst.periods)
+    if n_edges > max_edges:
+        raise InstanceTooLargeError(
+            f"{n_edges} edges exceed the exact-solver cap of {max_edges}")
+    frozen = tuple((cid, int(budgets[cid])) for cid in ids)
 
-    # adjacency per request, and per-campaign entry heaps over (-v, request)
-    adj: dict[int, list[tuple[int, float]]] = {}
-    entry: list[list[tuple[float, int]]] = [[] for _ in range(M)]
-    for r, j, vv in zip(req.tolist(), camp.tolist(), v.tolist()):
-        adj.setdefault(r, []).append((j, vv))
-        entry[j].append((-vv, r))
-    for h in entry:
+    # quality[request] = {campaign column: v}, columns ascending; free[j] is a
+    # heap of (-v_rj, request) over the requests j recalls, and moves[a, b] one
+    # of (v_rb - v_ra, request) over the requests b holds that a also recalls
+    quality: dict[int, dict[int, float]] = {}
+    free: list[list[tuple[float, int]]] = [[] for _ in range(M)]
+    base = 0
+    for p in inst.periods:
+        for r, j, v in zip((p.req + base).tolist(), p.camp.tolist(), p.v.tolist()):
+            quality.setdefault(r, {})[j] = v
+            free[j].append((-v, r))
+        base += p.n_requests
+    for h in free:
         heapq.heapify(h)
-
-    owner = np.full(inst.total_requests, -1, dtype=np.int64)
-    val_of: dict[tuple[int, int], float] = {}   # (request, campaign) -> v
-    for r, lst in adj.items():
-        for j, vv in lst:
-            val_of[(r, j)] = vv
-    transfer: dict[tuple[int, int], list[tuple[float, int]]] = {}
-
-    def assign(r: int, j: int) -> None:
-        owner[r] = j
-        v_rj = val_of[(r, j)]
-        for a, v_ra in adj[r]:
-            if a != j:
-                heapq.heappush(transfer.setdefault((a, j), []),
-                               (-v_ra + v_rj, r))
-
-    remaining = np.array([budgets[cid] for cid in ids], dtype=np.int64)
-    value = 0.0
-    assigned = 0
-    INF = float("inf")
+    moves: dict[tuple[int, int], list[tuple[float, int]]] = {}
+    owner = [-1] * inst.total_requests
+    remaining = [b for _, b in frozen]
+    value, assigned = 0.0, 0
 
     while True:
-        # refresh lazily maintained best edges
-        direct: list[tuple[float, int] | None] = [None] * M
-        for j in range(M):
-            h = entry[j]
-            while h and owner[h[0][1]] != -1:
-                heapq.heappop(h)
-            if h:
-                direct[j] = (h[0][0], h[0][1])
-        trans_best: dict[tuple[int, int], tuple[float, int]] = {}
-        for (a, b), h in transfer.items():
+        # the residual arcs, in relaxation order; stale heap tops are dropped
+        arcs = [(SRC, j, 0.0, -1) for j in range(M) if remaining[j] > 0]
+        for (a, b), h in moves.items():
             while h and owner[h[0][1]] != b:
                 heapq.heappop(h)
             if h:
-                trans_best[(a, b)] = (h[0][0], h[0][1])
+                arcs.append((a, b, *h[0]))
+        for j, h in enumerate(free):
+            while h and owner[h[0][1]] != -1:
+                heapq.heappop(h)
+            if h:
+                arcs.append((j, SNK, *h[0]))
 
         # Bellman-Ford on the contracted graph
-        dist = [INF] * (M + 2)
-        parent: list[tuple[int, int] | None] = [None] * (M + 2)
+        dist = [float("inf")] * (M + 2)
         dist[SRC] = 0.0
+        parent: list[tuple[int, int]] = [(-1, -1)] * (M + 2)
         for _ in range(M + 1):
             changed = False
-            for j in range(M):
-                if remaining[j] > 0 and dist[SRC] < dist[j]:
-                    dist[j] = 0.0
-                    parent[j] = (SRC, -1)
+            for tail, head, cost, r in arcs:
+                if dist[tail] + cost < dist[head] - 1e-15:
+                    dist[head] = dist[tail] + cost
+                    parent[head] = (tail, r)
                     changed = True
-            for (a, b), (c, r) in trans_best.items():
-                if dist[a] + c < dist[b] - 1e-15:
-                    dist[b] = dist[a] + c
-                    parent[b] = (a, r)
-                    changed = True
-            for j in range(M):
-                if direct[j] is not None:
-                    c, r = direct[j]
-                    if dist[j] + c < dist[SNK] - 1e-15:
-                        dist[SNK] = dist[j] + c
-                        parent[SNK] = (j, r)
-                        changed = True
             if not changed:
                 break
-
         if dist[SNK] >= -1e-12:
             break
 
-        # walk parents sink -> source; each edge (prev -> node) means prev
-        # takes request r (from node when node is a campaign, fresh when SNK)
-        node = SNK
-        path: list[tuple[int, int]] = []     # (campaign taking, request)
-        while True:
-            prev, r = parent[node]
-            if prev == SRC:
-                j0 = node
-                break
-            path.append((prev, r))
-            node = prev
-        remaining[j0] -= 1
-        for taker, r in path:
-            assign(r, taker)
+        # walk the path back from the sink; each arc's tail takes its request
+        node, (tail, r) = SNK, parent[SNK]
+        while tail != SRC:
+            owner[r] = tail
+            q = quality[r]
+            for a, v in q.items():
+                if a != tail:
+                    heapq.heappush(moves.setdefault((a, tail), []), (q[tail] - v, r))
+            node, (tail, r) = tail, parent[tail]
+        remaining[node] -= 1
         value += -dist[SNK]
         assigned += 1
 

@@ -552,14 +552,17 @@ def fit_moments(samples, lmbda: float) -> tuple[float, float]:
 def fit_windows(periods, lo: int, hi: int, M: int) -> tuple[list[np.ndarray], np.ndarray]:
     """The own window of each of M campaigns and the pooled window over
     densified periods lo..hi-1, gathered period by period: each period's
-    qualities in stable campaign order, sliced per campaign by its counts."""
+    qualities in stable campaign order, sliced per campaign by its counts.
+    Campaigns with no edge in the window are not visited: their windows are
+    empty."""
     window = periods[lo:hi]
     by_camp = [p.v[np.argsort(p.camp, kind="stable")] for p in window]
     counts = [np.bincount(p.camp, minlength=M) for p in window]
     bounds = [np.cumsum(c) - c for c in counts]
-    own = [np.concatenate([np.empty(0)] + [v[b[j]:b[j] + c[j]]
-                                           for v, b, c in zip(by_camp, bounds, counts)])
-           for j in range(M)]
+    own = [np.empty(0)] * M
+    for j in np.flatnonzero(sum(counts, np.zeros(M, np.int64))).tolist():
+        own[j] = np.concatenate([np.empty(0)] + [v[b[j]:b[j] + c[j]]
+                                                 for v, b, c in zip(by_camp, bounds, counts)])
     return own, np.concatenate([np.empty(0)] + by_camp)
 
 

@@ -392,6 +392,18 @@ def test_ablate_refuses_format(tmp_path, capsys):
     assert not (tmp_path / "ab").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_empty_algorithms_flag_is_refused(tmp_path, capsys, command):
+    # an empty --algorithms names no algorithm; it must not fall back to the config's
+    path = tmp_path / "ab.json"
+    path.write_text(json.dumps(dict(_config_dict(), ablation={"eta": [0.2, 0.3]})))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--algorithms", ""])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("config error: ")
+    assert "algorithms must name at least one" in err and not (tmp_path / "o").exists()
+
+
 def test_ablate_requires_grid(tmp_path, config_path, capsys):
     code = main(["ablate", "--config", config_path, "--out", str(tmp_path / "x")])
     assert code == 1

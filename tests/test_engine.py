@@ -721,7 +721,9 @@ def test_fit_windows_match_per_period_gather(width, examples):
     # runs M = width campaigns: campaign 0 alone, or ids 0..M-1 with
     # campaign 0 first and the instance's others moved to the top ids, so
     # the dense indices straddle each narrower key: they sort as uint8
-    # (M <= 256), uint16 (M <= 65,536) or uint32 keys
+    # (M <= 256), uint16 (M <= 65,536) or uint32 keys.  A uint32-key example
+    # checks one window, the whole horizon, which holds every edge; a window
+    # at that width costs about 0.2 s of 65,537-segment fits
     def bits(a):
         return np.ascontiguousarray(a).view(np.int64)
 
@@ -741,8 +743,9 @@ def test_fit_windows_match_per_period_gather(width, examples):
                                        for p in stream.periods])
             ids = list(range(width))
         prepared, M = prepare(stream, ids, cfg.per_impression and width in (None, 1)), len(ids)
-        for hi in range(prepared.n_periods + 1):
-            lo = data.draw(st.integers(0, hi))
+        wide = M > 2**16
+        for hi in [prepared.n_periods] if wide else range(prepared.n_periods + 1):
+            lo = 0 if wide else data.draw(st.integers(0, hi))
             own, pooled = oracle.fit_windows(prepared.periods, lo, hi, M)
             seen = []
             with pytest.MonkeyPatch.context() as mp:

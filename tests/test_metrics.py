@@ -238,6 +238,26 @@ def test_hindsight_matches_lp_at_regret_scaling_size(T):
     assert hindsight_optimum(stream, budgets).value == pytest.approx(-lp.fun, rel=1e-9)
 
 
+@pytest.mark.parametrize("T, seed, value, assigned", [
+    (1000, 0, "0x1.0098c03ff68fcp+9", 911),        # criterion 4's first horizon
+    (500, 0, "0x1.f476013660e54p+7", 452),         # the per_impression workload's shape
+    (500, 1, "0x1.f226ee73e6820p+7", 456),
+    (500, 2, "0x1.ee22281344810p+7", 450),
+])
+def test_hindsight_optimum_is_pinned(T, seed, value, assigned):
+    # the solver's arithmetic is pure Python floats in a fixed arc order, so
+    # its bits do not depend on the platform's SIMD level; a refactor of the
+    # solver must keep them
+    specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=0.4,
+                          quality_model=BetaQualityModel(m, n))
+             for j, (sh, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12),
+                                                  ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))))]
+    stream = generate_stream(ScenarioConfig(num_periods=50, requests_per_period=T // 50,
+                                            campaigns=specs, seed=seed))
+    opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
+    assert (opt.value.hex(), opt.assigned) == (value, assigned)
+
+
 def test_import_leaves_scipy_optimize_unloaded():
     # scipy.optimize adds about 23 MB of resident memory and 80 ms to any
     # process that imports it; the package itself must not need it
