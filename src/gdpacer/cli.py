@@ -243,7 +243,7 @@ def cmd_ablate(args) -> int:
 def cmd_validate(args) -> int:
     from .theory import run_validation_suite
     try:
-        results = run_validation_suite(narrow=args.narrow)
+        results = run_validation_suite()
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ab.set_defaults(func=cmd_ablate)
 
     p_val = subs.add_parser("validate", help="numeric distribution/transform checks")
-    p_val.add_argument("--narrow", action="store_true", help="fast subset of checks")
     p_val.set_defaults(func=cmd_validate)
 
     p_rep = subs.add_parser("report", help="render a comparison table from rounds files")

@@ -6,7 +6,7 @@ dual steps in percentile space, and static/adaptive gradient clipping via
 the expected-participation function psi.
 
 Formula functions broadcast over numpy arrays so the delivery engine can
-apply them to whole campaign vectors; scalars map to scalars.
+apply them to whole campaign vectors, and return what numpy returns.
 """
 
 from __future__ import annotations
@@ -88,17 +88,14 @@ def init_base_ptr(ptr_exp: float, wr_glb: float) -> float:
 def fp(alpha_bar, p_ub: float, gain: float = FP_GAIN, decay: float = FP_DECAY):
     """Percentile-gap pass factor: boosts campaigns whose dual sits below the
     anchor p_ub and suppresses those above it; continuous, equal to 1 at p_ub."""
-    a = np.asarray(alpha_bar, dtype=float)
-    below = np.power(gain, (p_ub - a) / p_ub)
-    above = np.power(decay, (p_ub - a) / (p_ub - 1.0))
-    out = np.where(a <= p_ub, below, above)
-    return out if out.ndim else float(out)
+    below = np.power(gain, (p_ub - alpha_bar) / p_ub)
+    above = np.power(decay, (p_ub - alpha_bar) / (p_ub - 1.0))
+    return np.where(alpha_bar <= p_ub, below, above)
 
 
 def fv(alpha_bar, v_bar, slope_k: float):
     """Quality-gap pass factor k*(v_bar - alpha_bar) + 1, floored at 0."""
-    out = np.maximum(0.0, slope_k * (np.asarray(v_bar, dtype=float) - np.asarray(alpha_bar, dtype=float)) + 1.0)
-    return out if out.ndim else float(out)
+    return np.maximum(0.0, slope_k * (v_bar - alpha_bar) + 1.0)
 
 
 def update_eptr(eptr, spd, cap: float = 2.0):
@@ -107,20 +104,16 @@ def update_eptr(eptr, spd, cap: float = 2.0):
     spd = 0 maps to the full boost factor cap; growth per call never exceeds
     cap and the result stays in (0, 1] for eptr in (0, 1].
     """
-    s = np.asarray(spd, dtype=float)
-    e = np.asarray(eptr, dtype=float)
-    # speeds below cap/MAX_FLOAT would overflow the division; any s <= 1e-12
+    # speeds below cap/MAX_FLOAT would overflow the division; any spd <= 1e-12
     # already takes the capped branch, so the floor never alters the result
-    s_safe = np.maximum(np.where(s <= 0.0, 1.0, s), 1e-12)
-    factor = np.where(s <= 0.0, cap, np.minimum(cap, cap / s_safe))
-    out = np.minimum(1.0, e * factor)
-    return out if out.ndim else float(out)
+    s_safe = np.maximum(np.where(spd <= 0.0, 1.0, spd), 1e-12)
+    factor = np.where(spd <= 0.0, cap, np.minimum(cap, cap / s_safe))
+    return np.minimum(1.0, eptr * factor)
 
 
 def dual_step_euclidean(alpha_bar, g_tilde, eta: float):
     """Unclipped gradient step alpha_bar - eta * g_tilde, clamped to [0, 1]."""
-    out = np.clip(np.asarray(alpha_bar, dtype=float) - eta * np.asarray(g_tilde, dtype=float), 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return np.clip(alpha_bar - eta * g_tilde, 0.0, 1.0)
 
 
 def dual_step_itakura(alpha_bar, g_tilde, eta: float):
@@ -130,16 +123,13 @@ def dual_step_itakura(alpha_bar, g_tilde, eta: float):
     reaches 1 the gradient is rescaled so the product equals 0.5, which keeps
     the step finite and direction-preserving.  Result clamped to [0, 1].
     """
-    a = np.asarray(alpha_bar, dtype=float)
-    g = np.asarray(g_tilde, dtype=float)
-    w = 1.5 - a
-    prod = eta * g * w
+    w = 1.5 - alpha_bar
+    prod = eta * g_tilde * w
     bad = prod >= 1.0
     scale = np.where(bad, 0.5 / np.where(bad, prod, 1.0), 1.0)
-    g_eff = g * scale
+    g_eff = g_tilde * scale
     step = (w * w / (1.0 - eta * g_eff * w)) * eta * g_eff
-    out = np.clip(a - step, 0.0, 1.0)
-    return out if out.ndim else float(out)
+    return np.clip(alpha_bar - step, 0.0, 1.0)
 
 
 def dual_step(alpha_bar, g_tilde, params: PacingHyperParams):
@@ -156,22 +146,18 @@ def psi(alpha_bar, ptr_base, params: PacingHyperParams):
     with the emergency rate excluded.  Closed form: the integrand is linear
     in x with slope ptr_base*fp*k until it saturates at 1.
     """
-    a = np.asarray(alpha_bar, dtype=float)
-    base = np.asarray(ptr_base, dtype=float)
     k = float(params.slope_k)
-    c = base * fp(a, params.p_ub)          # integrand value at x = a
-    span = 1.0 - a
+    c = ptr_base * fp(alpha_bar, params.p_ub)   # integrand value at x = alpha_bar
+    span = 1.0 - alpha_bar
     slope = c * k
     full = c * span + 0.5 * slope * span * span
-    # distance from a to the saturation point of the integrand; a subnormal
+    # distance from alpha_bar to the saturation point of the integrand; a subnormal
     # slope overflows it to inf, which takes the unsaturated branch
     with np.errstate(over="ignore"):
         d = np.where(slope > 0.0, (1.0 - c) / np.where(slope > 0.0, slope, 1.0), np.inf)
     d_safe = np.where(np.isfinite(d), d, 0.0)   # branch below only used when d < span
     capped = c * d_safe + 0.5 * slope * d_safe * d_safe + (span - d_safe)
-    out = np.where(c >= 1.0, span, np.where(d >= span, full, capped))
-    out = np.maximum(out, 0.0)
-    return out if out.ndim else float(out)
+    return np.maximum(np.where(c >= 1.0, span, np.where(d >= span, full, capped)), 0.0)
 
 
 # psi_inverse returns what this many bisection steps on [0, 1] return
@@ -252,9 +238,7 @@ def psi_inverse(target, ptr_base, params: PacingHyperParams):
     result.  This relies on psi giving an element the same bits wherever it
     sits in an array, which the tests check.
     """
-    t = np.asarray(target, dtype=float)
-    base = np.asarray(ptr_base, dtype=float)
-    t_b, base_b = np.broadcast_arrays(t, base)
+    t_b, base_b = np.broadcast_arrays(target, ptr_base)
     t1 = t_b.ravel()
     base1 = base_b.ravel()
     grid_psi = psi(_GRID, base1[:, None], params)
@@ -283,8 +267,7 @@ def psi_inverse(target, ptr_base, params: PacingHyperParams):
             r = np.fmin(np.fmax(guess, np.where(right, mid, lo)),
                         np.nextafter(np.where(right, hi, mid), 0.0))
             idx, r, t1, base1, slope = (x[~done] for x in (idx, r, t1, base1, slope))
-    out = out.reshape(t_b.shape)
-    return out if out.ndim else float(out)
+    return out.reshape(t_b.shape)
 
 
 def psi_speed_bound(alpha_bar, ptr_base, spd, params: PacingHyperParams):
@@ -294,7 +277,7 @@ def psi_speed_bound(alpha_bar, ptr_base, spd, params: PacingHyperParams):
     underspending campaign (spd < 1) gets a bound below alpha_bar, an
     overspending one (spd > 1) a bound above it.  spd is floored at 1e-3.
     """
-    s = np.maximum(np.asarray(spd, dtype=float), SPEED_FLOOR)
+    s = np.maximum(spd, SPEED_FLOOR)
     return psi_inverse(psi(alpha_bar, ptr_base, params) / s, ptr_base, params)
 
 
@@ -305,15 +288,10 @@ def apply_dual_clip(alpha_bar, alpha_tilde, g_tilde, alpha_hat: float, psi_bound
     alpha_bar - alpha_hat, psi_bound}; for g_tilde < 0 the min-side mirror.
     With psi_bound None this is the pure static clip.  Result in [0, 1].
     """
-    a = np.asarray(alpha_bar, dtype=float)
-    at = np.asarray(alpha_tilde, dtype=float)
-    g = np.asarray(g_tilde, dtype=float)
-    down = np.maximum(at, a - alpha_hat)
-    up = np.minimum(at, a + alpha_hat)
+    down = np.maximum(alpha_tilde, alpha_bar - alpha_hat)
+    up = np.minimum(alpha_tilde, alpha_bar + alpha_hat)
     if psi_bound is not None:
-        pb = np.asarray(psi_bound, dtype=float)
-        down = np.maximum(down, pb)
-        up = np.minimum(up, pb)
-    out = np.clip(np.where(g >= 0.0, down, up), 0.0, 1.0)
-    return out if out.ndim else float(out)
+        down = np.maximum(down, psi_bound)
+        up = np.minimum(up, psi_bound)
+    return np.clip(np.where(g_tilde >= 0.0, down, up), 0.0, 1.0)
 

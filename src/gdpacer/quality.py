@@ -9,7 +9,7 @@ an auction threshold in quality units.
 `forward_transform` and `backward_transform` are the one map in each
 direction: the engine's throttle and threshold, and the `validate` round
 trip, all call them.  They take a fit as its parts (lambda, mu and the
-normal scale) and broadcast over numpy arrays; scalar in, scalar out.
+normal scale), broadcast over numpy arrays and return what numpy returns.
 """
 
 from __future__ import annotations
@@ -49,11 +49,17 @@ class BetaQualityModel:
 
 
 def boxcox(lam, v):
-    """Box-Cox power transform with a lambda per element of `v` (broadcast);
-    the log branch is taken where |lambda| < 1e-9."""
+    """Box-Cox power transform with a lambda per element of `v` (broadcast):
+    (v^lambda - 1) / lambda, computed in place, and ln v where |lambda| <
+    1e-9, computed only when some lambda takes that branch."""
     log_branch = np.abs(lam) < _LOG_BRANCH_EPS
-    safe_lam = np.where(log_branch, 1.0, lam)
-    return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
+    some_log = np.any(log_branch)
+    if some_log:
+        lam = np.where(log_branch, 1.0, lam)
+    t = np.power(v, lam)
+    t -= 1.0
+    t /= lam
+    return np.where(log_branch, np.log(v), t) if some_log else t
 
 
 MIN_LAMBDA_SAMPLES = 30
@@ -215,7 +221,8 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
                  lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and population std of each segment's Box-Cox transform at its
     own lambda, in one pass over the layout `v` of :func:`fit_boxcox_batch`
-    (slots at 1.0).  Each sum adds the segment to its slot's transform, 0,
+    (slots at 1.0), transformed by one `boxcox` call with a lambda per
+    element.  Each sum adds the segment to its slot's transform, 0,
     as `np.mean` and `np.std` do on `boxcox(lambda, segment)`, bit for bit.
     The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
     scalar-exponent fast paths in `boxcox` at one scalar lambda can round a
@@ -226,14 +233,8 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
     is returned as it is, and a NaN lambda gives NaN moments.
     """
     n = reps - 1.0
-    lam = np.repeat(lambdas, reps)
     with np.errstate(all="ignore"):
-        t = np.power(v, lam)
-        t -= 1.0
-        t /= lam
-        log_branch = np.abs(lam) < _LOG_BRANCH_EPS
-        if log_branch.any():
-            np.copyto(t, np.log(v), where=log_branch)
+        t = boxcox(np.repeat(lambdas, reps), v)
         mu = np.add.reduceat(t, starts) / n
         t -= np.repeat(mu, reps)
         t *= t
@@ -244,18 +245,14 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
 
 def normal_cdf(x):
     """Standard normal CDF via erf."""
-    arr = np.asarray(x, dtype=float)
-    out = 0.5 * (1.0 + special.erf(arr / _SQRT2))
-    return out if out.ndim else float(out)
+    return 0.5 * (1.0 + special.erf(x / _SQRT2))
 
 
 def normal_quantile(p):
     """Standard normal quantile on the open interval (0, 1)."""
-    arr = np.asarray(p, dtype=float)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if np.any((p <= 0.0) | (p >= 1.0)):
         raise DomainError("normal quantile defined on the open interval (0, 1)")
-    x = special.ndtri(arr)
-    return x if x.ndim else float(x)
+    return special.ndtri(p)
 
 
 def forward_transform(lam, mu, scale, v):
@@ -280,11 +277,9 @@ def backward_transform(lam, mu, scale, alpha_bar):
     representable quality range, so the inverse power base is floored at a
     tiny positive value instead of raising.
     """
-    a = np.clip(np.asarray(alpha_bar, dtype=float), PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
+    a = np.clip(alpha_bar, PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
     y = mu + normal_quantile(a) * scale
-    lam = np.asarray(lam, dtype=float)
     log_branch = np.abs(lam) < _LOG_BRANCH_EPS
     safe_lam = np.where(log_branch, 1.0, lam)
-    out = np.where(log_branch, np.exp(y),
-                   np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / safe_lam))
-    return out if out.ndim else float(out)
+    return np.where(log_branch, np.exp(y),
+                    np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / safe_lam))

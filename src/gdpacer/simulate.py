@@ -2,10 +2,11 @@
 driver that replays budget-scaled rounds across algorithms.
 
 Determinism contract: everything is derived from `ScenarioConfig.seed`
-through fixed-purpose substreams (stream generation, per-round budget
-scaling, per-(algorithm, round) runs), so identical configs reproduce
-identical traces byte for byte, and computing round k alone yields the same
-report as computing it within a longer round loop.
+through fixed-purpose substreams (stream generation, per round when the
+stream is regenerated, per-round budget scaling, per-(algorithm, round)
+runs), so identical configs reproduce identical traces byte for byte, and
+computing round k alone yields the same report as computing it within a
+longer round loop.
 """
 
 from __future__ import annotations
@@ -97,6 +98,9 @@ class ScenarioConfig:
             raise ConfigError(f"unknown algorithms {unknown}; choose from {sorted(RUNNERS)}")
         if self.drift_period is not None and not 0 <= self.drift_period < self.num_periods:
             raise ConfigError(f"drift_period {self.drift_period} outside the horizon")
+        if (self.drift_period is None) != (not self.drift_models):
+            raise ConfigError("drift_models needs a drift_period" if self.drift_period is None
+                              else "drift_period needs a non-empty drift_models")
 
     @property
     def total_requests(self) -> int:
@@ -136,8 +140,9 @@ def default_scenario(seed: int = 0, num_campaigns: int = 30, **overrides) -> Sce
     return cfg
 
 
-def generate_stream(config: ScenarioConfig, seed: int | None = None) -> ImpressionStream:
-    """Synthesize the request stream.
+def generate_stream(config: ScenarioConfig, round_index: int | None = None) -> ImpressionStream:
+    """Synthesize the request stream from the substream (seed, stream tag),
+    or (seed, stream tag, round_index) for a stream regenerated per round.
 
     Per period, recall flags are independent Bernoulli draws per (request,
     campaign); recalled pairs get a quality draw from the campaign's beta law
@@ -146,7 +151,8 @@ def generate_stream(config: ScenarioConfig, seed: int | None = None) -> Impressi
     stream file carries them exactly.
     """
     specs = sorted(config.campaigns, key=lambda s: s.id)
-    rng = _substream(seed if seed is not None else config.seed, _TAGS["stream"])
+    keys = (config.seed, _TAGS["stream"]) + (() if round_index is None else (round_index,))
+    rng = _substream(*keys)
     M = len(specs)
     R = config.requests_per_period
     p = np.array([s.recall_prob for s in specs])
@@ -181,8 +187,9 @@ def scale_budgets(specs: list[CampaignSpec], round_index: int, seed: int,
             for spec, f in zip(sorted(specs, key=lambda s: s.id), factors)]
 
 
-def _prepared_stream(config: ScenarioConfig, seed: int | None = None) -> PreparedStream:
-    return prepare(generate_stream(config, seed=seed), [c.id for c in config.campaigns])
+def _prepared_stream(config: ScenarioConfig, round_index: int | None = None) -> PreparedStream:
+    return prepare(generate_stream(config, round_index=round_index),
+                   [c.id for c in config.campaigns])
 
 
 def ablation_cells(config: ScenarioConfig) -> list[dict]:
@@ -206,7 +213,7 @@ def _run_rounds(config: ScenarioConfig, rounds: range, cells: list[dict],
     reports: list[list[MetricsReport]] = [[] for _ in cells]
     traces0: dict[str, DeliveryTrace] = {}
     for r in rounds:
-        stream = shared if shared is not None else _prepared_stream(config, config.seed + r)
+        stream = shared if shared is not None else _prepared_stream(config, r)
         specs = scale_budgets(config.campaigns, r, config.seed, config.budget_scale_range)
         for k, hyper in enumerate(params):
             for algo in config.algorithms:

@@ -143,10 +143,9 @@ def _check_normal_inverse() -> CheckResult:
     return CheckResult(name, True, "quantile inverts cdf to 1e-6 over |x| <= 6")
 
 
-def run_validation_suite(narrow: bool = False) -> list[CheckResult]:
-    """All distribution and transform checks; `narrow` trims the expensive
-    grid-sweep checks for a quick smoke pass."""
-    checks = [
+def run_validation_suite() -> list[CheckResult]:
+    """All distribution and transform checks, in their report order."""
+    return [
         _check_ratio_monotone("survival-ratio-monotonicity",
                               lambda m, n: fluctuation_ratio(m, n, ALPHA_GRID, 0.05),
                               f"non-decreasing over alpha grid for {len(SHAPE_GRID)} shape pairs"),
@@ -155,9 +154,7 @@ def run_validation_suite(narrow: bool = False) -> list[CheckResult]:
                               lambda m, n: participation_rate(m + 0.5, n, ALPHA_GRID)
                               / participation_rate(m, n, ALPHA_GRID),
                               "shape-shift ratio non-decreasing in alpha"),
+        _check_percentile_linear_bound(),
+        _check_transform_round_trip(),
+        _check_normal_inverse(),
     ]
-    if not narrow:
-        checks.append(_check_percentile_linear_bound())
-        checks.append(_check_transform_round_trip())
-    checks.append(_check_normal_inverse())
-    return checks

@@ -198,6 +198,18 @@ def test_run_rejects_bad_drift_models_key(tmp_path, key, needle, capsys):
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("drift, needle", [
+    ({"drift_models": {"0": {"m": 5, "n": 2}}}, "drift_models needs a drift_period"),
+    ({"drift_period": 2}, "drift_period needs a non-empty drift_models"),
+], ids=["models-without-period", "period-without-models"])
+def test_run_refuses_half_specified_drift(tmp_path, drift, needle, capsys):
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(dict(_config_dict(), **drift)))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert needle in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 _BIG = "1" + "0" * 400       # a 401-digit integer, past any float
 
 
@@ -322,19 +334,19 @@ def test_validate_passes(capsys):
     assert "survival-ratio-monotonicity" in out
 
 
-def test_validate_narrow(capsys):
-    assert main(["validate", "--narrow"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 4
-    assert "percentile-linear-bound" not in out
+def test_validate_has_no_narrow_subset(capsys):
+    # the full suite is the only one: `--narrow` is a usage error
+    assert main(["validate", "--narrow"]) == 1
+    assert "unrecognized arguments: --narrow" in capsys.readouterr().err
 
 
 def test_validate_broken_check_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(theory, "fluctuation_ratio",
                         lambda m, n, a, delta=0.05: 2.0 - a)
-    assert main(["validate", "--narrow"]) == 3
+    assert main(["validate"]) == 3
     out = capsys.readouterr().out
     assert "FAIL  survival-ratio-monotonicity" in out
+    assert out.count("PASS") == 5
 
 
 # --- ablate --------------------------------------------------------------------------

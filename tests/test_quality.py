@@ -61,6 +61,42 @@ def test_boxcox_log_branch_threshold():
     assert out[4] == pytest.approx((math.sqrt(v) - 1.0) / 0.5, abs=1e-12)
 
 
+def _two_branch_boxcox(lam, v):
+    """The form `boxcox` had before it took the log only when some lambda
+    needs it: both branches over every element, then a select."""
+    log_branch = np.abs(lam) < 1e-9
+    safe_lam = np.where(log_branch, 1.0, lam)
+    return np.where(log_branch, np.log(v), (np.power(v, safe_lam) - 1.0) / safe_lam)
+
+
+# inside the log branch, on its edge (|lambda| = 1e-9 takes the power form),
+# past it, and numpy's scalar-exponent fast-path values
+_EDGE_LAMBDAS = (0.0, -0.0, 1e-10, -1e-10, 1e-9, -1e-9, 1e-8, -1.0, 0.5, 2.0)
+
+
+def _bits(x) -> list[int]:
+    return np.asarray(x, dtype=float).view(np.int64).ravel().tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.lists(st.sampled_from(_EDGE_LAMBDAS) | st.floats(-2.0, 2.0), min_size=1,
+                    max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_boxcox_matches_the_two_branch_form_bit_for_bit(lam, seed):
+    lam = np.array(lam)
+    v = np.random.default_rng(seed).uniform(1e-6, 1.0, lam.size)
+    assert _bits(boxcox(lam, v)) == _bits(_two_branch_boxcox(lam, v))
+    # one lambda for every element, and one v for every lambda
+    assert _bits(boxcox(lam[0], v)) == _bits(_two_branch_boxcox(lam[0], v))
+    assert _bits(boxcox(lam, v[0])) == _bits(_two_branch_boxcox(lam, v[0]))
+
+
+@pytest.mark.parametrize("lam", _EDGE_LAMBDAS)
+def test_boxcox_of_one_scalar_pair(lam):
+    out = boxcox(lam, 0.37)
+    assert np.ndim(out) == 0 and _bits(out) == _bits(_two_branch_boxcox(lam, 0.37))
+
+
 # --- lambda fitting -----------------------------------------------------------
 
 def _loglik_grid_argmax(v: np.ndarray) -> float:

@@ -78,7 +78,8 @@ def test_generate_stream_shape_and_ids():
 def test_generate_stream_deterministic():
     cfg = _tiny_config()
     assert generate_stream(cfg) == generate_stream(cfg)
-    assert generate_stream(cfg).fingerprint() != generate_stream(cfg, seed=99).fingerprint()
+    assert generate_stream(cfg).fingerprint() != \
+        generate_stream(replace(cfg, seed=99)).fingerprint()
 
 
 def test_generate_stream_recall_fraction():
@@ -151,7 +152,7 @@ def test_generate_stream_matches_dense_matrix_generator(cfg):
     for p, q in zip(got.periods, ref.periods):
         for name in ("request_ids", "req", "camp", "v"):
             assert getattr(p, name).dtype == getattr(q, name).dtype, name
-    assert generate_stream(cfg, seed=5) == oracle.generate_stream(cfg, seed=5)
+    assert generate_stream(replace(cfg, seed=5)) == oracle.generate_stream(cfg, seed=5)
 
 
 # --- budget scaling ------------------------------------------------------------------
@@ -212,6 +213,25 @@ def test_run_experiment_detailed_returns_round0_traces():
     assert set(traces) == {"dmd", "rcpacing"}
     assert traces["dmd"].wins.shape == (3, 6)
     assert len(reports) == 4
+
+
+def test_regenerated_streams_are_keyed_on_seed_and_round(monkeypatch):
+    # round r's stream comes from the substream (seed, stream tag, r); with
+    # seed + r as its seed, seed 5 round 1 replayed seed 6 round 0
+    import gdpacer.simulate as simulate
+    ids, real = [], simulate._prepared_stream
+
+    def recorded(config, *args):
+        stream = real(config, *args)
+        ids.append((config.seed, stream.stream_id))
+        return stream
+    monkeypatch.setattr(simulate, "_prepared_stream", recorded)
+    for seed in (5, 6):
+        run_experiment(_tiny_config(seed=seed, algorithms=("dmd",),
+                                    regenerate_stream_per_round=True))
+    assert len({sid for _, sid in ids}) == len(ids) == 4
+    cfg = _tiny_config(seed=5)
+    assert ids[1] == (5, generate_stream(cfg, round_index=1).fingerprint())
 
 
 @pytest.mark.parametrize("regenerate", [False, True])
@@ -346,6 +366,22 @@ def test_scenario_from_dict_drift_models():
     data["drift_models"] = {"0": {"m": 8, "n": 2}}
     cfg = scenario_from_dict(data)
     assert cfg.drift_models[0].m == 8.0
+
+
+@pytest.mark.parametrize("drift, missing", [
+    ({"drift_models": {"0": {"m": 8, "n": 2}}}, "drift_period"),
+    ({"drift_period": None, "drift_models": {"0": {"m": 8, "n": 2}}}, "drift_period"),
+    ({"drift_period": 3}, "drift_models"),
+    ({"drift_period": 3, "drift_models": None}, "drift_models"),
+    ({"drift_period": 3, "drift_models": {}}, "drift_models"),
+], ids=["models-alone", "models-null-period", "period-alone", "period-null-models",
+        "period-empty-models"])
+def test_half_specified_drift_is_refused(drift, missing):
+    # either key alone used to pass and generate the undrifted stream
+    with pytest.raises(ConfigError, match=f"needs a (non-empty )?{missing}"):
+        scenario_from_dict(dict(_valid_dict(), **drift))
+    # no drift at all is the undrifted stream
+    scenario_from_dict(dict(_valid_dict(), drift_models={}))
 
 
 @pytest.mark.parametrize("mutate,msg", [
