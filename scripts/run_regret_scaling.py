@@ -29,12 +29,19 @@ RECALL = 0.4                                   # P(recalled by >= 1 campaign) = 
 RUNNERS = (("dmd", run_dmd), ("rcpacing", run_rcpacing))
 
 
-def run_once(T: int, seed: int, eta_coeff: float) -> dict[str, float]:
+def instance(T: int, seed: int) -> ScenarioConfig:
+    """The scenario at horizon T: campaign j has budget SHARES[j] * T, quality
+    law Beta(MODELS[j]) and recall RECALL, over 50 periods of T / 50 requests."""
     specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=RECALL,
                           quality_model=BetaQualityModel(m, n))
              for j, (sh, (m, n)) in enumerate(zip(SHARES, MODELS))]
-    cfg = ScenarioConfig(num_periods=50, requests_per_period=T // 50,
-                         campaigns=specs, seed=seed)
+    return ScenarioConfig(num_periods=50, requests_per_period=T // 50, campaigns=specs,
+                          seed=seed)
+
+
+def run_once(T: int, seed: int, eta_coeff: float) -> dict[str, float]:
+    cfg = instance(T, seed)
+    specs = cfg.campaigns
     stream = generate_stream(cfg)
     opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
     prepared = prepare(stream, [s.id for s in specs], per_impression=True)

@@ -58,6 +58,9 @@ class RunConfig:
     gradient_mode: str = "relative"
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) \
+                or self.seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.gradient_mode not in ("relative", "absolute"):
             raise DomainError(
                 f"gradient_mode must be 'relative' or 'absolute', got {self.gradient_mode!r}")
@@ -104,7 +107,6 @@ class CampaignArrays:
     remaining: np.ndarray
     rho: np.ndarray                 # per-period impression target = budget / periods
     audience: np.ndarray            # expected recalled requests over the horizon
-    ptr_exp: np.ndarray
     ptr_base: np.ndarray
     alpha_bar: np.ndarray           # dual in percentile space
     alpha: np.ndarray               # dual in quality space
@@ -132,28 +134,21 @@ def run_seed(scenario_seed: int, algorithm: str, round_index: int = 0) -> int:
     return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
-def init_campaign_states(specs, stream: ImpressionStream | PreparedStream,
+def init_campaign_states(specs, stream: PreparedStream,
                          params: PacingHyperParams) -> CampaignArrays:
-    """Fresh state in ascending campaign-id order."""
-    specs = sorted(specs, key=lambda s: s.id)
-    ids = np.array([s.id for s in specs], dtype=np.int64)
-    if np.unique(ids).size != ids.size:
-        raise DomainError("campaign ids must be unique")
-    T = max(1, stream.n_periods)
-    M = ids.size
+    """Fresh state of the campaigns `specs`, given in ascending-id order."""
+    M = len(specs)
     budget = np.array([float(s.budget) for s in specs])
     audience = np.array([float(s.recall_prob) for s in specs]) * stream.total_requests
-    ptr_exp = np.array([init_expected_ptr(b, a, params.p_ub) if a > 0 else 1.0
-                        for b, a in zip(budget, audience)])
+    ptr_exp = init_expected_ptr(budget, audience, params.p_ub)
     return CampaignArrays(
-        ids=ids,
+        ids=np.array([s.id for s in specs], dtype=np.int64),
         budget=budget,
         remaining=budget.copy(),
-        rho=budget / T,
+        rho=budget / stream.n_periods,
         audience=audience,
-        ptr_exp=ptr_exp,
-        ptr_base=np.array([init_base_ptr(p, params.wr_glb) for p in ptr_exp]),
-        alpha_bar=np.array([init_dual_percentile(p, params.p_ub) for p in ptr_exp]),
+        ptr_base=init_base_ptr(ptr_exp, params.wr_glb),
+        alpha_bar=init_dual_percentile(ptr_exp, params.p_ub),
         alpha=np.zeros(M),
         eptr=np.full(M, params.initial_trial_rate),
         exhausted=budget < 1.0,
@@ -344,8 +339,10 @@ def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False
     if len(set(ids)) != len(ids):
         raise DomainError("campaign ids must be unique")
     periods, total = _densify(stream, ids, per_impression), stream.total_requests
+    if not periods:
+        raise DomainError("the stream has no periods to run on")
     return PreparedStream(ids, per_impression, periods, stream.fingerprint(), total,
-                          stream.total_edges, total / max(1, len(periods)))
+                          stream.total_edges, total / len(periods))
 
 
 # --- the period loop -----------------------------------------------------------

@@ -23,6 +23,7 @@ ALGORITHM_ORDER = ("dmd", "smart", "rcpacing")
 
 METRIC_NAMES = ("delivery_rate", "unsmoothness", "avg_ctr", "regret")
 REGRET_TOLERANCE = 1e-9     # how far achieved quality may exceed the optimum in rounding
+MAX_EXACT_EDGES = 50_000    # the largest instance `hindsight_optimum` solves, in edges
 
 
 class InstanceTooLargeError(RuntimeError):
@@ -78,8 +79,7 @@ class HindsightOptimum:
     assigned: int = 0
 
 
-def hindsight_optimum(stream, budgets: dict[int, int],
-                      max_edges: int = 50_000) -> HindsightOptimum:
+def hindsight_optimum(stream, budgets: dict[int, int]) -> HindsightOptimum:
     """Exact maximum total quality subject to unit request capacities and
     campaign budgets.
 
@@ -99,8 +99,10 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     paths, and so fixes the optimum's bits.
 
     The instance is the one the runners see, laid out by `engine.prepare`:
-    edges of campaigns missing from `budgets` are dropped, and a stream whose
-    edges are not sorted by (request, campaign id) raises DomainError.
+    edges of campaigns missing from `budgets` are dropped, and a stream with
+    no periods, or whose edges are not sorted by (request, campaign id),
+    raises DomainError.  An instance of more than `MAX_EXACT_EDGES` edges
+    raises InstanceTooLargeError.
     """
     ids = sorted(budgets)
     if not ids:
@@ -109,9 +111,9 @@ def hindsight_optimum(stream, budgets: dict[int, int],
     SRC, SNK = M, M + 1
     inst = prepare(stream, ids)
     n_edges = sum(p.v.size for p in inst.periods)
-    if n_edges > max_edges:
+    if n_edges > MAX_EXACT_EDGES:
         raise InstanceTooLargeError(
-            f"{n_edges} edges exceed the exact-solver cap of {max_edges}")
+            f"{n_edges} edges exceed the exact-solver cap of {MAX_EXACT_EDGES}")
     frozen = tuple((cid, int(budgets[cid])) for cid in ids)
 
     # quality[request] = {campaign column: v}, columns ascending; free[j] is a

@@ -61,35 +61,29 @@ class PacingHyperParams:
             raise DomainError("eptr_speed_cap must exceed 1 and initial_trial_rate lie in (0, 1]")
 
 
-def init_expected_ptr(budget: float, audience: float, p_ub: float) -> float:
+def init_expected_ptr(budget, audience, p_ub: float):
     """Pass rate needed to spend the budget using only the top (1-p_ub) slice
-    of the campaign's recalled traffic."""
-    if budget <= 0.0 or audience <= 0.0:
-        raise DomainError("budget and audience must be positive")
-    return budget / ((1.0 - p_ub) * audience)
+    of the campaign's recalled traffic; 1 where the audience is 0."""
+    some = audience > 0.0
+    return np.where(some, budget / ((1.0 - p_ub) * np.where(some, audience, 1.0)), 1.0)
 
 
-def init_dual_percentile(ptr_exp: float, p_ub: float) -> float:
+def init_dual_percentile(ptr_exp, p_ub: float):
     """Initial percentile dual: anchor at p_ub while the top slice suffices,
     slide down proportionally once the campaign needs more traffic."""
-    if ptr_exp <= 0.0:
-        raise DomainError("ptr_exp must be positive")
-    a0 = p_ub if ptr_exp <= 1.0 else 1.0 - (1.0 - p_ub) * ptr_exp
-    return float(min(1.0, max(0.0, a0)))
+    return np.clip(np.where(ptr_exp <= 1.0, p_ub, 1.0 - (1.0 - p_ub) * ptr_exp), 0.0, 1.0)
 
 
-def init_base_ptr(ptr_exp: float, wr_glb: float) -> float:
+def init_base_ptr(ptr_exp, wr_glb: float):
     """Base pass rate after discounting by the assumed global win rate."""
-    if wr_glb <= 0.0:
-        raise DomainError("wr_glb must be positive")
-    return float(min(1.0, ptr_exp / wr_glb))
+    return np.minimum(1.0, ptr_exp / wr_glb)
 
 
-def fp(alpha_bar, p_ub: float, gain: float = FP_GAIN, decay: float = FP_DECAY):
+def fp(alpha_bar, p_ub: float):
     """Percentile-gap pass factor: boosts campaigns whose dual sits below the
     anchor p_ub and suppresses those above it; continuous, equal to 1 at p_ub."""
-    below = np.power(gain, (p_ub - alpha_bar) / p_ub)
-    above = np.power(decay, (p_ub - alpha_bar) / (p_ub - 1.0))
+    below = np.power(FP_GAIN, (p_ub - alpha_bar) / p_ub)
+    above = np.power(FP_DECAY, (p_ub - alpha_bar) / (p_ub - 1.0))
     return np.where(alpha_bar <= p_ub, below, above)
 
 

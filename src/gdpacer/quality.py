@@ -104,13 +104,12 @@ def fit_boxcox_batch(segments) -> np.ndarray:
     return out
 
 
-def _fit_lambdas(z: np.ndarray, reps: np.ndarray, low: float = -2.0, high: float = 2.0,
-                 tol: float = 1e-4) -> np.ndarray:
+def _fit_lambdas(z: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """Profile-likelihood lambda of each segment of the log layout `z` (the
     layout of :func:`fit_boxcox_batch` with its slots at 0; segment k and
     its slot span `reps[k]` entries), by one safeguarded Newton solve of the
-    profile score on [low, high] run on all segments at once.  `z` is
-    overwritten.
+    profile score on [low, high] = [-2, 2], to a width tol = 1e-4, run on all
+    segments at once.  `z` is overwritten.
 
     A segment's objective is -(N/2) ln Var(boxcox(lambda, v)) + (lambda-1) sum ln v,
     whose maximizer does not change when v is rescaled.  So the solve works
@@ -156,9 +155,10 @@ def _fit_lambdas(z: np.ndarray, reps: np.ndarray, low: float = -2.0, high: float
     score0 = zbar - cov / var
     slope0 = 2.0 * cov * cov / (var * var) - (0.25 * (z4 - z2 * z2) + (z4 - zbar * z3) / 3.0) / var
 
+    low, high, tol = -2.0, 2.0, 1e-4
     seg = np.arange(reps.size)      # the live segments
     out = np.empty(reps.size)
-    lam, a, b = np.zeros(seg.size), np.full(seg.size, float(low)), np.full(seg.size, float(high))
+    lam, a, b = np.zeros(seg.size), np.full(seg.size, low), np.full(seg.size, high)
     prev_lam = prev_slope = np.full(seg.size, np.nan)
     with np.errstate(all="ignore"):
         for _ in range(_MAX_STEPS):
@@ -227,7 +227,7 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
     The exception is a lambda of exactly -1, 0.5 or 2, where numpy's
     scalar-exponent fast paths in `boxcox` at one scalar lambda can round a
     transform one ulp apart.  A fitted lambda is a Newton point strictly
-    inside its bracket or the midpoint of a bracket narrower than `tol`, so
+    inside its bracket or the midpoint of a bracket narrower than 1e-4, so
     never 2 (or -2), and -1 or 0.5 only by a coincidence of rounding that
     the tests check does not happen on their samples.  A segment's sigma that is 0 or not finite
     is returned as it is, and a NaN lambda gives NaN moments.

@@ -132,11 +132,11 @@ def synth_campaigns(count: int, total_requests: int, seed: int = 0,
     return specs
 
 
-def default_scenario(seed: int = 0, num_campaigns: int = 30, **overrides) -> ScenarioConfig:
+def default_scenario(seed: int = 0, **overrides) -> ScenarioConfig:
     """Desk-scale default: 50 periods x 1200 requests, 30 campaigns whose
     total demand sits a little above a quarter of total supply."""
     cfg = ScenarioConfig(seed=seed, **overrides)
-    cfg.campaigns = synth_campaigns(num_campaigns, cfg.total_requests, seed=seed)
+    cfg.campaigns = synth_campaigns(30, cfg.total_requests, seed=seed)
     return cfg
 
 

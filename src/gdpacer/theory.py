@@ -17,6 +17,8 @@ from scipy import special
 from .quality import backward_transform, boxcox, forward_transform, normal_cdf, normal_quantile
 
 QUAD_TOL = 1e-8
+SHAPE_STEP = 0.5            # the shape increment of the participation-shape check
+LINEAR_BOUND_POINTS = 1000  # the grid on which K1 of the percentile bound is found
 SHAPE_GRID = ((2.0, 2.0), (3.0, 2.0), (2.0, 5.0))
 ALPHA_GRID = np.linspace(0.1, 0.9, 9)
 
@@ -60,13 +62,13 @@ def _check_ratio_monotone(name: str, ratio, holds: str) -> CheckResult:
     return CheckResult(name, True, holds)
 
 
-def _check_participation_shape_monotone(delta: float = 0.5) -> CheckResult:
+def _check_participation_shape_monotone() -> CheckResult:
     name = "participation-shape-monotonicity"
     for m, n in SHAPE_GRID:
         for a in ALPHA_GRID:
             base = participation_rate(m, n, a)
-            up_m = participation_rate(m + delta, n, a)
-            up_n = participation_rate(m, n + delta, a)
+            up_m = participation_rate(m + SHAPE_STEP, n, a)
+            up_n = participation_rate(m, n + SHAPE_STEP, a)
             if up_m - base < QUAD_TOL:
                 return CheckResult(name, False,
                                    f"not increasing in m at (m={m}, n={n}, alpha={a:.2f}): "
@@ -78,11 +80,11 @@ def _check_participation_shape_monotone(delta: float = 0.5) -> CheckResult:
     return CheckResult(name, True, "rate rises with m and falls with n at every grid point")
 
 
-def _check_percentile_linear_bound(grid_points: int = 1000) -> CheckResult:
+def _check_percentile_linear_bound() -> CheckResult:
     """CDF(alpha) <= K1 * alpha with a finite K1 attained strictly inside
     (0, 1); verified on an offset grid finer than the one K1 came from."""
     name = "percentile-linear-bound"
-    grid = np.linspace(1.0 / grid_points, 1.0, grid_points)
+    grid = np.linspace(1.0 / LINEAR_BOUND_POINTS, 1.0, LINEAR_BOUND_POINTS)
     probe = np.linspace(0.0007, 0.9993, 1000)
     for m, n in SHAPE_GRID:
         ratio = beta_cdf(m, n, grid) / grid
@@ -90,7 +92,7 @@ def _check_percentile_linear_bound(grid_points: int = 1000) -> CheckResult:
         arg = int(ratio.argmax())
         if not np.isfinite(k1):
             return CheckResult(name, False, f"K1 diverges for (m={m}, n={n})")
-        if arg in (0, grid_points - 1):
+        if arg in (0, grid.size - 1):
             return CheckResult(name, False,
                                f"K1 attained at the boundary alpha={grid[arg]:.4f} "
                                f"for (m={m}, n={n})")

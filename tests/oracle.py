@@ -6,7 +6,11 @@ The engine runs each policy vectorized over a whole period.  The functions
 here decide one request at a time and update one campaign at a time, over
 the same `CampaignArrays` state, so a replay with them pins the engine's
 sequential budget semantics, its draw-consumption order and its array
-period updates.  `boxcox` is the scalar-lambda Box-Cox transform, which
+period updates.  The replays start from `init_state`, a run's fresh state
+built campaign by campaign with the scalar set-up formulas
+(`init_expected_ptr`, `init_dual_percentile`, `init_base_ptr`, each raising
+outside its domain), against which `gdpacer.engine.init_campaign_states`
+is checked bit for bit.  `boxcox` is the scalar-lambda Box-Cox transform, which
 refuses a sample <= 0, and `BoxCoxFit` a fit's parts with its epsilon: the
 independent reference that the replays score with and that the per-edge
 `gdpacer.quality.forward_transform` is checked against.
@@ -27,21 +31,24 @@ and `generate_stream` the dense-matrix generator whose draws the flat-index
 `ImpressionRequest` records build hand-made streams (`from_requests`);
 `load_stream_csv` and `save_stream_csv` are the per-request, per-row CSV
 reference the columnar `gdpacer.streams` reader and writer are checked
-against, message for message and byte for byte.
+against, message for message and byte for byte.  `load_script` loads a
+script of `scripts/`, such as the regret-scaling instance the tests share.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAGS,
-                            CampaignArrays, RunConfig, _Smart, _substream, init_campaign_states)
+                            CampaignArrays, RunConfig, _Smart, _substream)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import _LOG_BRANCH_EPS, DomainError, backward_transform, normal_cdf
@@ -49,6 +56,7 @@ from gdpacer.simulate import _QUALITY_QUANTUM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
 SMART_PTR_FLOOR = 0.01
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 _CTR_DECIMAL = re.compile(r"[0-9]*\.?[0-9]{0,6}")
 
 
@@ -270,7 +278,7 @@ def resolve_winners(req, camp, score, elig, remaining) -> np.ndarray:
 def campaigns(n: int = 1, **fields) -> CampaignArrays:
     """Hand-made state for n campaigns with ids 0..n-1; each field is a
     scalar broadcast to all campaigns or a per-campaign sequence."""
-    base = dict(budget=100.0, rho=10.0, audience=1000.0, ptr_exp=1.0, ptr_base=1.0,
+    base = dict(budget=100.0, rho=10.0, audience=1000.0, ptr_base=1.0,
                 alpha_bar=0.9, alpha=0.0, eptr=1.0, exhausted=False,
                 lam=np.nan, mu=np.nan, scale=np.nan)
     base.update(fields)
@@ -278,6 +286,61 @@ def campaigns(n: int = 1, **fields) -> CampaignArrays:
     arrays = {k: np.array(np.broadcast_to(v, n), dtype=bool if k == "exhausted" else float)
               for k, v in base.items()}
     return CampaignArrays(ids=np.arange(n, dtype=np.int64), **arrays)
+
+
+def load_script(name: str):
+    """A fresh module of the script `scripts/<name>.py`."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# --- campaign set-up ---------------------------------------------------------------
+
+def init_expected_ptr(budget: float, audience: float, p_ub: float) -> float:
+    """Pass rate needed to spend the budget using only the top (1-p_ub) slice
+    of the campaign's recalled traffic."""
+    if budget <= 0.0 or audience <= 0.0:
+        raise DomainError("budget and audience must be positive")
+    return budget / ((1.0 - p_ub) * audience)
+
+
+def init_dual_percentile(ptr_exp: float, p_ub: float) -> float:
+    """Initial percentile dual: p_ub while ptr_exp <= 1, else 1 - (1-p_ub) ptr_exp,
+    clamped to [0, 1]."""
+    if ptr_exp <= 0.0:
+        raise DomainError("ptr_exp must be positive")
+    a0 = p_ub if ptr_exp <= 1.0 else 1.0 - (1.0 - p_ub) * ptr_exp
+    return float(min(1.0, max(0.0, a0)))
+
+
+def init_base_ptr(ptr_exp: float, wr_glb: float) -> float:
+    """Base pass rate after discounting by the assumed global win rate."""
+    if wr_glb <= 0.0:
+        raise DomainError("wr_glb must be positive")
+    return float(min(1.0, ptr_exp / wr_glb))
+
+
+def init_state(specs, stream: ImpressionStream, params: PacingHyperParams) -> CampaignArrays:
+    """Fresh state in ascending campaign-id order, campaign by campaign with
+    the scalar formulas above; the expected pass rate is 1 where the
+    audience is 0."""
+    specs = sorted(specs, key=lambda s: s.id)
+    rows = []
+    for s in specs:
+        budget = float(s.budget)
+        audience = float(s.recall_prob) * stream.total_requests
+        ptr_exp = init_expected_ptr(budget, audience, params.p_ub) if audience > 0.0 else 1.0
+        rows.append((budget, budget / stream.n_periods, audience,
+                     init_base_ptr(ptr_exp, params.wr_glb),
+                     init_dual_percentile(ptr_exp, params.p_ub), budget < 1.0))
+    budget, rho, audience, ptr_base, alpha_bar, exhausted = zip(*rows)
+    camps = campaigns(len(specs), budget=budget, rho=rho, audience=audience, ptr_base=ptr_base,
+                      alpha_bar=alpha_bar, alpha=0.0, eptr=params.initial_trial_rate,
+                      exhausted=exhausted)
+    camps.ids = np.array([s.id for s in specs], dtype=np.int64)
+    return camps
 
 
 @dataclass(frozen=True)
@@ -722,7 +785,7 @@ def replay(algorithm: str, stream, specs, config: RunConfig) -> Replay:
     if config.per_impression:
         stream = per_impression(stream)
     params = config.params
-    camps = init_campaign_states(specs, stream, params)
+    camps = init_state(specs, stream, params)
     M, T = camps.ids.size, stream.n_periods
     index = {int(c): i for i, c in enumerate(camps.ids)}
     avg = avg_requests_per_period(stream)

@@ -17,9 +17,9 @@ from gdpacer.metrics import aggregate_rounds, hindsight_optimum, regret, unsmoot
 from gdpacer.pacing import PacingHyperParams, fp, fv, psi, psi_inverse
 from gdpacer.quality import (BetaQualityModel, backward_transform, boxcox, forward_transform,
                              normal_cdf, normal_quantile)
-from gdpacer.simulate import (CampaignSpec, ScenarioConfig, default_scenario,
-                              generate_stream, run_ablation, run_experiment,
+from gdpacer.simulate import (default_scenario, generate_stream, run_ablation, run_experiment,
                               run_experiment_detailed)
+from oracle import load_script
 
 N_SEEDS = 20
 N_ROUNDS = 20
@@ -111,15 +111,11 @@ def test_criterion_3c_divergence_comparison():
 # criterion 4: per-impression regret grows sublinearly (ratio <= 3 per 4x T)
 def test_criterion_4_regret_sublinearity():
     t0 = time.perf_counter()
-    shares = (0.28, 0.24, 0.20, 0.16, 0.12)
-    models = ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))
+    scaling = load_script("run_regret_scaling")
     regrets = {"dmd": [], "rcpacing": []}
     for T in (1000, 4000, 16000):
-        specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=0.4,
-                              quality_model=BetaQualityModel(m, n))
-                 for j, (sh, (m, n)) in enumerate(zip(shares, models))]
-        cfg = ScenarioConfig(num_periods=50, requests_per_period=T // 50,
-                             campaigns=specs, seed=0)
+        cfg = scaling.instance(T, 0)
+        specs = cfg.campaigns
         stream = generate_stream(cfg)
         opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
         hyper = PacingHyperParams(eta=2.0 / np.sqrt(T), initial_trial_rate=1.0)

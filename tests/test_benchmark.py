@@ -19,6 +19,7 @@ import pytest
 from gdpacer import engine
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.streams import ImpressionStream, PeriodBatch
+from oracle import load_script
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,3 +84,12 @@ def test_workload_runs_one_pass(workloads, name, tmp_path, monkeypatch):
     # the instances the benchmark bounds the achieved quality with
     for stream, budgets in workload.instances():
         assert stream.total_edges > 0 and min(budgets.values()) >= 1
+
+
+def test_per_impression_workload_is_the_regret_scaling_instance(workloads, tmp_path):
+    # the benchmark keeps its own copy of the criterion-4 instance, which
+    # must not drift from the one the script and the tests share
+    script = load_script("run_regret_scaling")
+    wl = workloads.PerImpression
+    assert (wl.SHARES, wl.MODELS, wl.RECALL) == (script.SHARES, script.MODELS, script.RECALL)
+    assert wl(0, tmp_path).specs == script.instance(wl.HORIZON, 0).campaigns

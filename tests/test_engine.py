@@ -8,9 +8,11 @@ exactly.  That pins both the sequential budget semantics and the edge-order
 draw-consumption contract.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -23,7 +25,7 @@ from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
 from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch
 from gdpacer.simulate import CampaignSpec
-from gdpacer.streams import ImpressionStream, PeriodBatch
+from gdpacer.streams import ImpressionStream, PeriodBatch, load_stream_csv
 from oracle import BoxCoxFit, ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
 
 
@@ -327,6 +329,21 @@ def test_gradient_mode_validated():
         RunConfig(gradient_mode="bogus")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None, np.float64(3.0), np.int64(-2)])
+def test_run_config_refuses_a_bad_seed(seed):
+    # dmd used to run on any of these and write it into the trace, while
+    # rcpacing and smart failed mid-run
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+        RunConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, np.int64(3), np.uint64(2**63)])
+def test_run_config_takes_any_nonnegative_integer_seed(seed):
+    stream = _rand_stream(1, 2, 10, seed=1)
+    for runner in RUNNERS.values():
+        assert runner(stream, [_spec(0, 5)], RunConfig(seed=seed)).seed == seed
+
+
 def test_substream_tags_are_one_per_purpose():
     # the streams, runs, budget scales, priors and campaign populations each
     # draw from their own tag, at the values every pinned output was drawn with
@@ -344,10 +361,9 @@ def test_run_seed_stable_and_distinct():
 def test_init_campaign_states_values():
     stream = _rand_stream(1, 10, 200, seed=0, recall=1.0)   # 2000 requests
     specs = [_spec(0, budget=100, recall=0.5)]
-    c = init_campaign_states(specs, stream, PacingHyperParams())
+    c = init_campaign_states(specs, prepare(stream, [0]), PacingHyperParams())
     assert c.ids.size == 1
     # audience 1000, ptr_exp = 100 / (1000 * (1 - 0.9)) = 1.0
-    assert c.ptr_exp[0] == pytest.approx(1.0)
     assert c.alpha_bar[0] == pytest.approx(0.9)
     assert c.ptr_base[0] == pytest.approx(1.0)     # min{1, 1.0 / 0.15}
     assert c.rho[0] == pytest.approx(10.0)
@@ -355,11 +371,55 @@ def test_init_campaign_states_values():
     assert not c.exhausted[0]
 
 
-def test_init_campaign_states_rejects_duplicate_ids():
+def _no_edges(*sizes) -> ImpressionStream:
+    """Periods of `sizes` requests that recall no campaign."""
+    empty = np.empty(0, dtype=np.int64)
+    return ImpressionStream([PeriodBatch(np.arange(n, dtype=np.int64), empty, empty, np.empty(0))
+                             for n in sizes])
+
+
+@st.composite
+def _setups(draw):
+    """Campaigns of any budget and recall over periods of 0-400 requests
+    with no edges, so audiences run from 0 and ptr_exp from far below 1 to
+    far above it, under any p_ub and global win rate."""
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    specs = [_spec(j, draw(st.integers(1, 10**6)), recall=draw(st.floats(1e-6, 1.0)))
+             for j in ids]
+    stream = _no_edges(*draw(st.lists(st.integers(0, 400) | st.just(0), min_size=1, max_size=5)))
+    params = PacingHyperParams(p_ub=draw(st.floats(0.01, 0.99)),
+                               wr_glb=draw(st.floats(0.01, 1.0)),
+                               initial_trial_rate=draw(st.sampled_from([0.1, 1.0])))
+    return specs, stream, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(setup=_setups())
+# no requests, so every audience is 0 and ptr_exp is 1; and budgets 10 and
+# 1000 times the top slice of their audience: ptr_exp = 10 puts the dual at 0
+@example(setup=([_spec(3, 5), _spec(1, 10**6, recall=0.5)], _no_edges(0, 0), PacingHyperParams()))
+@example(setup=([_spec(0, 100), _spec(1, 10**4)], _no_edges(60, 40), PacingHyperParams()))
+def test_init_campaign_states_matches_scalar_reference(setup):
+    specs, stream, params = setup
+    specs = sorted(specs, key=lambda s: s.id)
+    got = init_campaign_states(specs, prepare(stream, [s.id for s in specs]), params)
+    ref = oracle.init_state(specs[::-1], stream, params)
+    for f in fields(got):
+        a, b = getattr(got, f.name), getattr(ref, f.name)
+        assert a.dtype == b.dtype, f.name
+        if a.dtype == float:
+            a, b = a.view(np.int64), b.view(np.int64)
+        assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("runner", RUNNERS.values())
+def test_runners_reject_duplicate_ids(runner):
     stream = _rand_stream(1, 2, 5, seed=0)
     specs = [_spec(0, 10), _spec(0, 20)]
     with pytest.raises(DomainError, match="unique"):
-        init_campaign_states(specs, stream, PacingHyperParams())
+        runner(stream, specs, RunConfig())
+    with pytest.raises(DomainError, match="prepared for campaigns"):
+        runner(prepare(stream, [0]), specs, RunConfig())
 
 
 # --- full runs: micro-scenarios ---------------------------------------------------
@@ -522,6 +582,27 @@ def test_no_campaigns_is_a_domain_error(per_impression):
     for runner in RUNNERS.values():
         with pytest.raises(DomainError, match="no campaigns"):
             runner(stream, [], RunConfig(per_impression=per_impression))
+
+
+def test_empty_stream_is_a_domain_error(tmp_path):
+    # every runner used to accept a stream with no periods, and its report
+    # gave a NaN unsmoothness; a stream of requests-free periods re-chunks
+    # into no periods at all
+    empty = np.empty(0, dtype=np.int64)
+    no_requests = ImpressionStream([PeriodBatch(empty, empty, empty, np.empty(0))])
+    cases = [(ImpressionStream([]), False), (ImpressionStream([]), True), (no_requests, True)]
+    for stream, per_impression in cases:
+        with pytest.raises(DomainError, match="no periods"):
+            prepare(stream, [0], per_impression=per_impression)
+        for runner in RUNNERS.values():
+            with pytest.raises(DomainError, match="no periods"):
+                runner(stream, [_spec(0, 5)], RunConfig(per_impression=per_impression))
+    with pytest.raises(DomainError, match="no periods"):
+        hindsight_optimum(ImpressionStream([]), {0: 5})
+    # the reader still returns the empty stream a header-only file holds
+    path = tmp_path / "empty.csv"
+    path.write_text("request_id,period,campaign_id,ctr\n", encoding="utf-8")
+    assert load_stream_csv(path).n_periods == 0
 
 
 def _period(req, camp, v, n_requests=None) -> PeriodBatch:

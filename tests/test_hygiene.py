@@ -10,6 +10,14 @@ read outside its own definition somewhere in `src/gdpacer`, `scripts/` or
 `perfbench/`, or be exported in `gdpacer.__all__`.  A read is a loaded name,
 an attribute or an imported name; names are matched by name alone, so a
 read of a same-named definition elsewhere also counts.
+
+Each parameter default of a top-level function of a package module must
+be overridden by some call of the function in `src/gdpacer`, `scripts/` or
+`perfbench/`, if it has any call there: a default that no caller sets is a
+constant, not an option.  A call overrides a default when a positional
+argument or a keyword reaches it, and overrides every default when it
+passes `*args` or `**kwargs`.  Calls are matched by the name called, bare
+or as an attribute.
 """
 
 import ast
@@ -104,3 +112,60 @@ def test_unread_definitions_are_found():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_test_only_definitions(path):
     assert unread_definitions(path.read_text(encoding="utf-8"), package_reads()) == []
+
+
+def defaulted_parameters(source: str) -> dict[str, tuple[list[str], list[str]]]:
+    """Each top-level function's positional parameters, in order, and its
+    parameters that have a default."""
+    out = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = stmt.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out[stmt.name] = (positional, with_default)
+    return out
+
+
+def calls_by_name(sources) -> dict[str, list[ast.Call]]:
+    """The calls in `sources`, keyed by the name called."""
+    out: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                out.setdefault(name, []).append(node)
+    return out
+
+
+def unset_defaults(source: str, calls: dict[str, list[ast.Call]]) -> list[str]:
+    """The defaults of the module's called functions that no call overrides."""
+    out = []
+    for name, (positional, with_default) in defaulted_parameters(source).items():
+        unset = set(with_default) if name in calls else set()
+        for call in calls.get(name, ()):
+            if any(isinstance(a, ast.Starred) for a in call.args) or \
+                    any(k.arg is None for k in call.keywords):
+                unset = set()
+            unset -= set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+        out += [f"{name}({p})" for p in with_default if p in unset]
+    return out
+
+
+def test_unset_defaults_are_found():
+    lib = ("def f(a, b=1, *, c=2):\n    pass\n\ndef g(x=0, y=0):\n    pass\n\n"
+           "def h(z=0):\n    pass\n\ndef k(w=0):\n    pass\n")
+    calls = calls_by_name(["f(1, 2)\ng(y=3)\nobj.h(*args)\n", "g(**opts)\nf(0)\n"])
+    assert unset_defaults(lib, calls) == ["f(c)"]
+    assert unset_defaults(lib, calls_by_name(["g(1)\nk()\n"])) == ["g(y)", "k(w)"]
+
+
+@functools.cache
+def package_calls() -> dict[str, list[ast.Call]]:
+    return calls_by_name(path.read_text(encoding="utf-8") for path in READERS)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_default_is_set_by_a_caller(path):
+    assert unset_defaults(path.read_text(encoding="utf-8"), package_calls()) == []

@@ -16,13 +16,14 @@ import numpy as np
 import pytest
 
 import oracle
+from gdpacer import metrics
 from gdpacer.engine import RunConfig, prepare, run_dmd, run_rcpacing, run_smart_baseline
 from gdpacer.metrics import (ALGORITHM_ORDER, HindsightOptimum, InstanceMismatchError,
                              InstanceTooLargeError, MetricsReport, aggregate_rounds,
                              average_ctr, build_report, delivery_rate,
                              hindsight_optimum, regret, unsmoothness)
 from gdpacer.quality import BetaQualityModel, DomainError
-from gdpacer.simulate import CampaignSpec, ScenarioConfig, generate_stream
+from gdpacer.simulate import CampaignSpec, generate_stream
 from gdpacer.streams import ImpressionStream, PeriodBatch
 from oracle import ImpressionRequest, from_requests
 
@@ -139,23 +140,26 @@ def test_hindsight_budget_binds_to_top_values():
 
 
 def test_hindsight_empty_inputs():
-    stream = from_requests([])
+    stream = from_requests([ImpressionRequest(0, 0, {})])
     assert hindsight_optimum(stream, {0: 3}).value == 0.0
     with pytest.raises(ValueError, match="no campaign budgets"):
         hindsight_optimum(stream, {})
+    with pytest.raises(DomainError, match="no periods"):
+        hindsight_optimum(from_requests([]), {0: 3})
 
 
-def test_hindsight_edge_cap():
+def test_hindsight_edge_cap(monkeypatch):
     stream = from_requests([
         ImpressionRequest(i, 0, {0: 0.5, 1: 0.5}) for i in range(3)
     ])
-    with pytest.raises(InstanceTooLargeError):
-        hindsight_optimum(stream, {0: 1, 1: 1}, max_edges=5)
+    monkeypatch.setattr(metrics, "MAX_EXACT_EDGES", 5)
+    with pytest.raises(InstanceTooLargeError, match="6 edges exceed the exact-solver cap of 5"):
+        hindsight_optimum(stream, {0: 1, 1: 1})
 
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_hindsight_drops_unbudgeted_campaigns_as_runners_do(seed):
+def test_hindsight_drops_unbudgeted_campaigns_as_runners_do(seed, monkeypatch):
     # campaign 1 has no budget: the optimum drops its edges as `prepare`
     # does for a run, so the edge cap counts the runners' edges, the value
     # is the brute force over campaigns 0 and 2, and the optimum carries the
@@ -168,11 +172,13 @@ def test_hindsight_drops_unbudgeted_campaigns_as_runners_do(seed):
     budgets = {0: int(rng.integers(1, 4)), 2: int(rng.integers(1, 4))}
     prepared = prepare(stream, sorted(budgets))
     edges = sum(p.v.size for p in prepared.periods)
-    opt = hindsight_optimum(stream, budgets, max_edges=edges)
+    monkeypatch.setattr(metrics, "MAX_EXACT_EDGES", edges)
+    opt = hindsight_optimum(stream, budgets)
     assert opt.value == pytest.approx(brute_force_opt(stream, budgets), abs=1e-9)
     assert opt.stream_id == prepared.stream_id
+    monkeypatch.setattr(metrics, "MAX_EXACT_EDGES", edges - 1)
     with pytest.raises(InstanceTooLargeError):
-        hindsight_optimum(stream, budgets, max_edges=edges - 1)
+        hindsight_optimum(stream, budgets)
     specs = [CampaignSpec(id=j, budget=b, recall_prob=0.6, quality_model=BetaQualityModel(2, 4))
              for j, b in budgets.items()]
     assert regret(run_dmd(stream, specs, RunConfig()), opt) >= 0.0
@@ -218,13 +224,9 @@ def test_hindsight_matches_lp_at_regret_scaling_size(T):
     # integral one; this checks the flow solver far beyond brute-force size
     from scipy import sparse
     from scipy.optimize import linprog
-    specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=0.4,
-                          quality_model=BetaQualityModel(m, n))
-             for j, (sh, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12),
-                                                  ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))))]
-    stream = generate_stream(ScenarioConfig(num_periods=50, requests_per_period=T // 50,
-                                            campaigns=specs, seed=T))
-    budgets = {s.id: s.budget for s in specs}
+    cfg = oracle.load_script("run_regret_scaling").instance(T, T)
+    stream = generate_stream(cfg)
+    budgets = {s.id: s.budget for s in cfg.campaigns}
     offsets = np.cumsum([0] + [p.n_requests for p in stream.periods])
     req = np.concatenate([p.req + o for p, o in zip(stream.periods, offsets)])
     camp = np.concatenate([p.camp for p in stream.periods])
@@ -248,13 +250,8 @@ def test_hindsight_optimum_is_pinned(T, seed, value, assigned):
     # the solver's arithmetic is pure Python floats in a fixed arc order, so
     # its bits do not depend on the platform's SIMD level; a refactor of the
     # solver must keep them
-    specs = [CampaignSpec(id=j, budget=max(1, round(sh * T)), recall_prob=0.4,
-                          quality_model=BetaQualityModel(m, n))
-             for j, (sh, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12),
-                                                  ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))))]
-    stream = generate_stream(ScenarioConfig(num_periods=50, requests_per_period=T // 50,
-                                            campaigns=specs, seed=seed))
-    opt = hindsight_optimum(stream, {s.id: s.budget for s in specs})
+    cfg = oracle.load_script("run_regret_scaling").instance(T, seed)
+    opt = hindsight_optimum(generate_stream(cfg), {s.id: s.budget for s in cfg.campaigns})
     assert (opt.value.hex(), opt.assigned) == (value, assigned)
 
 

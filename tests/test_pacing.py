@@ -38,7 +38,7 @@ def psi_oracle(alpha_bar: float, ptr_base: float, params: PacingHyperParams,
 
 
 def _state(**kw):
-    base = dict(budget=100.0, rho=2.0, audience=1000.0, ptr_exp=0.5, ptr_base=1.0,
+    base = dict(budget=100.0, rho=2.0, audience=1000.0, ptr_base=1.0,
                 alpha_bar=0.9, alpha=0.5, eptr=1.0)
     base.update(kw)
     return campaigns(1, **base)
@@ -47,30 +47,31 @@ def _state(**kw):
 # --- initialization formulas ----------------------------------------------------
 
 def test_init_expected_ptr_values():
-    assert init_expected_ptr(1000, 100_000, 0.9) == pytest.approx(0.1)
-    assert init_expected_ptr(10_000, 100_000, 0.9) == pytest.approx(1.0)
-    assert init_expected_ptr(20_000, 100_000, 0.9) == pytest.approx(2.0)
+    budget = np.array([1000.0, 10_000.0, 20_000.0, 10.0])
+    audience = np.array([100_000.0, 100_000.0, 100_000.0, 0.0])
+    # 1 where the audience is 0
+    assert init_expected_ptr(budget, audience, 0.9) == pytest.approx([0.1, 1.0, 2.0, 1.0])
+    assert oracle.init_expected_ptr(1000, 100_000, 0.9) == pytest.approx(0.1)
     with pytest.raises(DomainError):
-        init_expected_ptr(0.0, 100.0, 0.9)
+        oracle.init_expected_ptr(0.0, 100.0, 0.9)
     with pytest.raises(DomainError):
-        init_expected_ptr(10.0, 0.0, 0.9)
+        oracle.init_expected_ptr(10.0, 0.0, 0.9)
 
 
 def test_init_dual_percentile_values():
-    assert init_dual_percentile(0.1, 0.9) == pytest.approx(0.9)
-    assert init_dual_percentile(2.0, 0.9) == pytest.approx(0.8)
     # 1 - 0.1*12 = -0.2 clamps to the percentile floor
-    assert init_dual_percentile(12.0, 0.9) == pytest.approx(0.0)
+    assert init_dual_percentile(np.array([0.1, 2.0, 12.0]), 0.9) == pytest.approx([0.9, 0.8, 0.0])
+    assert oracle.init_dual_percentile(2.0, 0.9) == pytest.approx(0.8)
     with pytest.raises(DomainError):
-        init_dual_percentile(0.0, 0.9)
+        oracle.init_dual_percentile(0.0, 0.9)
 
 
 def test_init_base_ptr_values():
-    assert init_base_ptr(0.1, 0.15) == pytest.approx(0.6667, abs=1e-4)
-    assert init_base_ptr(0.2, 0.15) == pytest.approx(1.0)
-    assert init_base_ptr(0.15, 1.0) == pytest.approx(0.15)
+    assert init_base_ptr(np.array([0.1, 0.2]), 0.15) == pytest.approx([0.6667, 1.0], abs=1e-4)
+    assert init_base_ptr(np.array([0.15]), 1.0) == pytest.approx([0.15])
+    assert oracle.init_base_ptr(0.1, 0.15) == pytest.approx(0.6667, abs=1e-4)
     with pytest.raises(DomainError):
-        init_base_ptr(0.1, 0.0)
+        oracle.init_base_ptr(0.1, 0.0)
 
 
 def test_hyperparam_validation():

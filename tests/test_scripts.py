@@ -1,19 +1,12 @@
 """Smoke tests for the standing experiment scripts."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from oracle import load_script
 
 
 def _regret_scaling():
-    spec = importlib.util.spec_from_file_location("run_regret_scaling",
-                                                  SCRIPTS / "run_regret_scaling.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+    return load_script("run_regret_scaling")
 
 
 def test_run_regret_scaling_writes_csv(tmp_path, capsys, monkeypatch):

@@ -286,19 +286,10 @@ def test_loader_matches_the_reference_loader(text):
 
 # --- the writer ------------------------------------------------------------------
 
-def _per_impression_shape(seed: int = 0) -> ScenarioConfig:
-    # the per-impression benchmark's instances: 5 campaigns, recall 0.4, T = 500
-    models = ((2, 5), (2, 2), (5, 2), (3, 3), (2, 8))
-    specs = [CampaignSpec(id=j, budget=max(1, round(share * 500)), recall_prob=0.4,
-                          quality_model=BetaQualityModel(m, n))
-             for j, (share, (m, n)) in enumerate(zip((0.28, 0.24, 0.20, 0.16, 0.12), models))]
-    return ScenarioConfig(num_periods=50, requests_per_period=10, campaigns=specs, seed=seed)
-
-
 def test_save_refuses_a_request_without_edges(tmp_path):
     # the reference writer drops such requests: 44 of 500 are lost on a
     # stream of the per-impression benchmark's shape
-    s = generate_stream(_per_impression_shape())
+    s = generate_stream(oracle.load_script("run_regret_scaling").instance(500, 0))
     ref = tmp_path / "ref.csv"
     oracle.save_stream_csv(s, ref)
     assert load_stream_csv(ref).total_requests == 456 < s.total_requests == 500
