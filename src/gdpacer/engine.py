@@ -167,7 +167,8 @@ def _period_gradient(rho: np.ndarray, cost: np.ndarray, n_requests: int,
     rho_bar = rho / avg_requests
     g = rho_bar - cost / max(1, n_requests)
     if gradient_mode == "relative":
-        g = np.where(rho_bar > 0.0, g / np.where(rho_bar > 0.0, rho_bar, 1.0), 0.0)
+        targeted = rho_bar > 0.0
+        g = np.where(targeted, g / np.where(targeted, rho_bar, 1.0), 0.0)
     return g
 
 
@@ -194,18 +195,17 @@ def rcp_period_update(camps: CampaignArrays, cost: np.ndarray, n_requests: int,
     a = camps.alpha_bar
     active = camps.rho > 0.0
     g = _period_gradient(camps.rho, cost, n_requests, avg_requests, gradient_mode)
-    a_tilde = dual_step(a, g, params)
-    spd = np.where(active, cost / np.where(active, camps.rho, 1.0), 1.0)
-
-    a_new = a_tilde                 # dual_step already clamps to [0, 1]
-    if params.clip_enabled:
-        adaptive = params.adaptive_clip_enabled and period_scale
-        bound = psi_speed_bound(a, camps.ptr_base, spd, params) if adaptive else None
-        a_new = apply_dual_clip(a, a_tilde, g, params.alpha_hat, bound)
-    camps.alpha_bar = np.where(active, a_new, a)
+    a_new = dual_step(a, g, params)     # already clamped to [0, 1]
+    bound = None
     if period_scale:
+        spd = np.where(active, cost / np.where(active, camps.rho, 1.0), 1.0)
+        if params.clip_enabled and params.adaptive_clip_enabled:
+            bound = psi_speed_bound(a, camps.ptr_base, spd, params)
         camps.eptr = np.where(active, update_eptr(camps.eptr, spd, params.eptr_speed_cap),
                               camps.eptr)
+    if params.clip_enabled:
+        a_new = apply_dual_clip(a, a_new, g, params.alpha_hat, bound)
+    camps.alpha_bar = np.where(active, a_new, a)
 
 
 # --- the prepared stream ---------------------------------------------------------
@@ -366,7 +366,7 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
     if dp.n_requests == 1:
         s = np.where(elig, score, -np.inf)
         top = s.max()
-        first = np.flatnonzero(elig & (s == top))[:1]
+        first = (elig & (s == top)).nonzero()[0][:1]
         if remaining[dp.camp[first[0]]] >= 1 if first.size else not math.isnan(top):
             return first            # a winner that can pay, or no eligible edge
     e = np.flatnonzero(elig)
@@ -522,14 +522,17 @@ class _RCPacing:
         camps, params = self.camps, self.config.params
         self.fits.assign_fits(camps, t)
         camps.alpha = backward_transform(camps.lam, camps.mu, camps.scale, camps.alpha_bar)
-        c = dp.camp
-        v_bar = forward_transform(camps.lam[c], camps.mu[c], camps.scale[c], dp.v)
-        raw = camps.ptr_base[c] * fp(camps.alpha_bar, params.p_ub)[c] \
-            * fv(camps.alpha_bar[c], v_bar, params.slope_k)
-        ptr = np.minimum(1.0, raw) * camps.eptr[c]
-        passed = self.rng.random(dp.v.size) < ptr
-        bid = dp.v - camps.alpha[c]
-        return bid, passed & (bid > 0.0)
+        u = self.rng.random(dp.v.size)
+        bid = dp.v - camps.alpha[dp.camp]
+        passed = bid > 0.0          # every edge draws; only a positive bid can pass
+        pos = passed.nonzero()[0]
+        if pos.size:
+            c = dp.camp[pos]
+            v_bar = forward_transform(camps.lam[c], camps.mu[c], camps.scale[c], dp.v[pos])
+            raw = camps.ptr_base[c] * fp(camps.alpha_bar, params.p_ub)[c] \
+                * fv(camps.alpha_bar[c], v_bar, params.slope_k)
+            passed[pos] = u[pos] < np.minimum(1.0, raw) * camps.eptr[c]
+        return bid, passed
 
     def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
         rcp_period_update(self.camps, cost, dp.n_requests, self.avg_requests,

@@ -82,9 +82,9 @@ def init_base_ptr(ptr_exp, wr_glb: float):
 def fp(alpha_bar, p_ub: float):
     """Percentile-gap pass factor: boosts campaigns whose dual sits below the
     anchor p_ub and suppresses those above it; continuous, equal to 1 at p_ub."""
-    below = np.power(FP_GAIN, (p_ub - alpha_bar) / p_ub)
-    above = np.power(FP_DECAY, (p_ub - alpha_bar) / (p_ub - 1.0))
-    return np.where(alpha_bar <= p_ub, below, above)
+    gap = p_ub - alpha_bar
+    return np.where(alpha_bar <= p_ub, np.power(FP_GAIN, gap / p_ub),
+                    np.power(FP_DECAY, gap / (p_ub - 1.0)))
 
 
 def fv(alpha_bar, v_bar, slope_k: float):
@@ -100,14 +100,21 @@ def update_eptr(eptr, spd, cap: float = 2.0):
     """
     # speeds below cap/MAX_FLOAT would overflow the division; any spd <= 1e-12
     # already takes the capped branch, so the floor never alters the result
-    s_safe = np.maximum(np.where(spd <= 0.0, 1.0, spd), 1e-12)
-    factor = np.where(spd <= 0.0, cap, np.minimum(cap, cap / s_safe))
+    stopped = spd <= 0.0
+    s_safe = np.maximum(np.where(stopped, 1.0, spd), 1e-12)
+    factor = np.where(stopped, cap, np.minimum(cap, cap / s_safe))
     return np.minimum(1.0, eptr * factor)
+
+
+def _unit(x):
+    """x clamped to [0, 1]: `np.clip(x, 0.0, 1.0)`, but it may map -0.0 to
+    +0.0, which the duals never are; a difference a - b is -0.0 only if a is."""
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
 def dual_step_euclidean(alpha_bar, g_tilde, eta: float):
     """Unclipped gradient step alpha_bar - eta * g_tilde, clamped to [0, 1]."""
-    return np.clip(alpha_bar - eta * g_tilde, 0.0, 1.0)
+    return _unit(alpha_bar - eta * g_tilde)
 
 
 def dual_step_itakura(alpha_bar, g_tilde, eta: float):
@@ -116,14 +123,17 @@ def dual_step_itakura(alpha_bar, g_tilde, eta: float):
     Valid while eta * g_tilde * (1.5 - alpha_bar) < 1; where the product
     reaches 1 the gradient is rescaled so the product equals 0.5, which keeps
     the step finite and direction-preserving.  Result clamped to [0, 1].
+    The rescale is skipped when no product reaches 1: its factor would be
+    1.0 everywhere, and g * 1.0 == g.
     """
     w = 1.5 - alpha_bar
     prod = eta * g_tilde * w
-    bad = prod >= 1.0
-    scale = np.where(bad, 0.5 / np.where(bad, prod, 1.0), 1.0)
-    g_eff = g_tilde * scale
-    step = (w * w / (1.0 - eta * g_eff * w)) * eta * g_eff
-    return np.clip(alpha_bar - step, 0.0, 1.0)
+    bad = np.greater_equal(prod, 1.0)     # a numpy bool for Python floats too
+    if bad.any():
+        g_tilde = g_tilde * np.where(bad, 0.5 / np.where(bad, prod, 1.0), 1.0)
+        prod = eta * g_tilde * w
+    step = (w * w / (1.0 - prod)) * eta * g_tilde
+    return _unit(alpha_bar - step)
 
 
 def dual_step(alpha_bar, g_tilde, params: PacingHyperParams):
@@ -287,5 +297,5 @@ def apply_dual_clip(alpha_bar, alpha_tilde, g_tilde, alpha_hat: float, psi_bound
     if psi_bound is not None:
         down = np.maximum(down, psi_bound)
         up = np.minimum(up, psi_bound)
-    return np.clip(np.where(g_tilde >= 0.0, down, up), 0.0, 1.0)
+    return _unit(np.where(g_tilde >= 0.0, down, up))
 

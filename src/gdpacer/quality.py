@@ -53,7 +53,7 @@ def boxcox(lam, v):
     (v^lambda - 1) / lambda, computed in place, and ln v where |lambda| <
     1e-9, computed only when some lambda takes that branch."""
     log_branch = np.abs(lam) < _LOG_BRANCH_EPS
-    some_log = np.any(log_branch)
+    some_log = log_branch.any()
     if some_log:
         lam = np.where(log_branch, 1.0, lam)
     t = np.power(v, lam)
@@ -249,8 +249,9 @@ def normal_cdf(x):
 
 
 def normal_quantile(p):
-    """Standard normal quantile on the open interval (0, 1)."""
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    """Standard normal quantile on the open interval (0, 1); anything else,
+    NaN included, is a DomainError."""
+    if not np.all((p > 0.0) & (p < 1.0)):
         raise DomainError("normal quantile defined on the open interval (0, 1)")
     return special.ndtri(p)
 
@@ -271,15 +272,19 @@ def backward_transform(lam, mu, scale, alpha_bar):
     """Percentile -> quality threshold, the inverse of :func:`forward_transform`
     on the same fit parts, broadcast over per-campaign fits.
 
-    The percentile is clamped to [1e-6, 1 - 1e-6] before inversion.  A
+    The percentile is clamped to [1e-6, 1 - 1e-6] before inversion, so it
+    needs no domain check; a NaN percentile gives a NaN threshold.  A
     clamped percentile near 0 or 1 can still land outside the Box-Cox image
     for the fitted lambda; the threshold there is the edge of the
     representable quality range, so the inverse power base is floored at a
-    tiny positive value instead of raising.
+    tiny positive value instead of raising.  ln's inverse, exp, is computed
+    only when some lambda takes that branch.
     """
-    a = np.clip(alpha_bar, PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
-    y = mu + normal_quantile(a) * scale
+    a = np.minimum(np.maximum(alpha_bar, PERCENTILE_FLOOR), 1.0 - PERCENTILE_FLOOR)
+    y = mu + special.ndtri(a) * scale
     log_branch = np.abs(lam) < _LOG_BRANCH_EPS
-    safe_lam = np.where(log_branch, 1.0, lam)
-    return np.where(log_branch, np.exp(y),
-                    np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / safe_lam))
+    some_log = log_branch.any()
+    if some_log:
+        lam = np.where(log_branch, 1.0, lam)
+    t = np.power(np.maximum(lam * y + 1.0, 1e-12), 1.0 / lam)
+    return np.where(log_branch, np.exp(y), t) if some_log else t

@@ -24,6 +24,11 @@ search to a bracket of width tol, is its accuracy reference, and
 engine's one-sort window gather is checked.  `psi_inverse` is the sequential
 bisection that `gdpacer.pacing.psi_inverse` computes as a verified
 predicted path, and the replayed adaptive clip runs on it.
+`rcp_throttle` is the full-edge throttle of one `rcpacing` period, every
+recalled edge given a pass probability, against which the engine's
+positive-bid-only throttle is checked; `position_mismatches` checks that
+the maps it applies give an element the same bits wherever it sits in its
+array, which that check and the subset rely on.
 `resolve_winners` is the request-by-request auction of one period that
 `gdpacer.engine._resolve_winners` resolves with optimistic passes and cuts,
 and `generate_stream` the dense-matrix generator whose draws the flat-index
@@ -46,12 +51,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
 from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAGS,
                             CampaignArrays, RunConfig, _Smart, _substream)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
-from gdpacer.quality import _LOG_BRANCH_EPS, DomainError, backward_transform, normal_cdf
+from gdpacer.quality import (_LOG_BRANCH_EPS, PERCENTILE_FLOOR, DomainError, backward_transform,
+                             forward_transform, normal_cdf)
 from gdpacer.simulate import _QUALITY_QUANTUM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
@@ -273,6 +280,54 @@ def resolve_winners(req, camp, score, elig, remaining) -> np.ndarray:
         left[camp[best]] -= 1
         winners.append(best)
     return np.array(winners, dtype=np.int64)
+
+
+def rcp_throttle(camps: CampaignArrays, camp: np.ndarray, v: np.ndarray, u: np.ndarray,
+                 params: PacingHyperParams):
+    """The quality-space duals, the bids and the pass mask of one `rcpacing`
+    period with edges (`camp`, `v`) and throttle draws `u`, in array form:
+    every dual inverted with both Box-Cox branches taken, and every recalled
+    edge given its pass probability, whether or not it bids.  An edge passes
+    when its draw is below that probability and its bid is positive."""
+    a = np.clip(camps.alpha_bar, PERCENTILE_FLOOR, 1.0 - PERCENTILE_FLOOR)
+    y = camps.mu + special.ndtri(a) * camps.scale
+    log_branch = np.abs(camps.lam) < _LOG_BRANCH_EPS
+    safe_lam = np.where(log_branch, 1.0, camps.lam)
+    alpha = np.where(log_branch, np.exp(y),
+                     np.power(np.maximum(camps.lam * y + 1.0, 1e-12), 1.0 / safe_lam))
+    v_bar = forward_transform(camps.lam[camp], camps.mu[camp], camps.scale[camp], v)
+    raw = camps.ptr_base[camp] * fp(camps.alpha_bar, params.p_ub)[camp] \
+        * fv(camps.alpha_bar[camp], v_bar, params.slope_k)
+    ptr = np.minimum(1.0, raw) * camps.eptr[camp]
+    bid = v - alpha[camp]
+    return alpha, bid, (u < ptr) & (bid > 0.0)
+
+
+def position_mismatches(seed: int) -> list[str]:
+    """The throttle's per-edge maps (`forward_transform`, `fp`, `fv`) that
+    give some element other bits in a random subset, a permutation or a
+    one-element slice of its array than in the whole array.  The arrays
+    hold 1 to 257 elements, lambdas on both Box-Cox branches and at the
+    exponents -1, 0.5, 1 and 2, and duals on both sides of p_ub."""
+    rng = np.random.default_rng(seed)
+    out = set()
+    for n in (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 257):
+        lam = rng.uniform(-2.0, 2.0, n)
+        special_lam = rng.random(n) < 0.3
+        lam[special_lam] = rng.choice([0.0, 1e-10, -1.0, 0.5, 1.0, 2.0], special_lam.sum())
+        mu, scale = rng.normal(-0.5, 0.5, n), rng.uniform(0.05, 1.0, n)
+        v, a = rng.uniform(1e-6, 1.0 - 1e-6, n), rng.uniform(0.0, 1.0, n)
+        v_bar, p_ub = rng.uniform(0.0, 1.0, n), float(rng.uniform(0.05, 0.95))
+        maps = {"forward_transform": lambda i: forward_transform(lam[i], mu[i], scale[i], v[i]),
+                "fp": lambda i: fp(a[i], p_ub),
+                "fv": lambda i: fv(a[i], v_bar[i], 10.0)}
+        picks = [np.flatnonzero(rng.random(n) < 0.5), rng.permutation(n)]
+        picks += [np.array([j]) for j in range(n)]
+        for name, f in maps.items():
+            whole = f(np.arange(n)).view(np.int64)
+            if any(not np.array_equal(f(i).view(np.int64), whole[i]) for i in picks):
+                out.add(name)
+    return sorted(out)
 
 
 def campaigns(n: int = 1, **fields) -> CampaignArrays:

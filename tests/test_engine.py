@@ -23,7 +23,7 @@ from gdpacer.engine import (_ALGO_TAGS, _TAGS, _DensePeriod, _FitManager, RUNNER
                             run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
-from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch
+from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch, forward_transform
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionStream, PeriodBatch, load_stream_csv
 from oracle import BoxCoxFit, ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
@@ -498,14 +498,18 @@ def test_throttle_monotone_in_trial_rate():
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """The forward-transform values v_bar of each period of the rcpacing runs,
-    recorded from the engine's `forward_transform` calls; clear it between runs."""
-    original, recorded = gdpacer.engine.forward_transform, []
+    """The forward-transform values v_bar of each period of the rcpacing runs:
+    every recalled edge mapped through the fits the period applied, recorded
+    after each `_RCPacing.score` call (the throttle itself maps only the
+    edges that bid); clear it between runs."""
+    original, recorded = gdpacer.engine._RCPacing.score, []
 
-    def recording(*args):
-        recorded.append(original(*args))
-        return recorded[-1]
-    monkeypatch.setattr(gdpacer.engine, "forward_transform", recording)
+    def recording(self, t, dp):
+        out = original(self, t, dp)
+        c = self.camps
+        recorded.append(forward_transform(c.lam[dp.camp], c.mu[dp.camp], c.scale[dp.camp], dp.v))
+        return out
+    monkeypatch.setattr(gdpacer.engine._RCPacing, "score", recording)
     return recorded
 
 
@@ -788,6 +792,93 @@ def test_runners_match_scalar_oracles(inst):
             _assert_matches_replay(trace, oracle.replay(algo, stream, specs, cfg))
             assert np.all(trace.wins.sum(axis=1) <= trace.budgets)
             assert trace.total_quality <= opt.value + 1e-9
+
+
+def _twin(rng):
+    """A generator in the state `rng` is in now."""
+    out = np.random.Generator(np.random.Philox())
+    out.bit_generator.state = rng.bit_generator.state
+    return out
+
+
+def _throttle_against_reference(stream, specs, cfg):
+    """Run `rcpacing` with every period's `_RCPacing.score` checked against
+    `oracle.rcp_throttle` on the same state and draws: the same duals, bids
+    and pass mask, bit for bit, and one draw per recalled edge.  Returns how
+    many periods were empty, had no positive bid, or recalled an exhausted
+    campaign."""
+    seen = dict.fromkeys(("periods", "empty", "no bid", "exhausted"), 0)
+    original = gdpacer.engine._RCPacing.score
+
+    def checked(self, t, dp):
+        before = _twin(self.rng)
+        bid, passed = original(self, t, dp)
+        u = before.random(dp.v.size)
+        assert _twin(self.rng).random() == before.random(), f"period {t}: draw count"
+        alpha, ref_bid, ref_passed = oracle.rcp_throttle(self.camps, dp.camp, dp.v, u,
+                                                         self.config.params)
+        assert np.array_equal(self.camps.alpha.view(np.int64), alpha.view(np.int64)), t
+        assert np.array_equal(bid.view(np.int64), ref_bid.view(np.int64)), t
+        assert passed.dtype == bool and np.array_equal(passed, ref_passed), t
+        seen["periods"] += 1
+        seen["empty"] += dp.v.size == 0
+        seen["no bid"] += dp.v.size > 0 and not (ref_bid > 0.0).any()
+        seen["exhausted"] += bool(self.camps.exhausted[dp.camp].any())
+        return bid, passed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gdpacer.engine._RCPacing, "score", checked)
+        run_rcpacing(stream, specs, cfg)
+    return seen
+
+
+@pytest.mark.parametrize("per_impression", [False, True])
+def test_throttle_matches_full_edge_reference(per_impression):
+    # a period of requests that recall nothing, a request whose one quality
+    # sits far below any threshold, and budgets that run out mid-run
+    reqs = [ImpressionRequest(r.request_id, r.period, r.qualities)
+            for r in oracle.iter_requests(_rand_stream(3, 6, 40, seed=12))]
+    reqs += [ImpressionRequest(240 + i, 6, {}) for i in range(5)]
+    reqs += [ImpressionRequest(245, 7, {1: 1e-6})]
+    specs = [_spec(0, 3, m=2, n=5), _spec(1, 25, m=3, n=3), _spec(2, 200, m=5, n=2)]
+    for eps in (0.0, 0.1):
+        cfg = RunConfig(seed=13, per_impression=per_impression,
+                        params=PacingHyperParams(epsilon=eps))
+        seen = _throttle_against_reference(from_requests(reqs), specs, cfg)
+        assert min(seen.values()) > 0, seen
+
+
+def test_throttle_passes_no_bid_of_zero():
+    # an edge exactly at its campaign's threshold bids 0 and never passes;
+    # one a ulp above passes a throttle whose probability is 1
+    specs = [_spec(0, 30), _spec(1, 30)]
+    cfg = RunConfig(seed=1, params=PacingHyperParams(initial_trial_rate=1.0))
+    prepared = prepare(_rand_stream(2, 3, 20, seed=3), [0, 1])
+    camps = init_campaign_states(specs, prepared, cfg.params)
+    camps.ptr_base[:] = 1e6
+    pol = gdpacer.engine._RCPacing(camps, specs, cfg, prepared)
+    pol.score(0, prepared.periods[0])
+    v = np.concatenate([camps.alpha, np.nextafter(camps.alpha, 2.0)])
+    dp = _DensePeriod(2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), v)
+    bid, passed = pol.score(0, dp)
+    assert np.array_equal(bid, [0.0, 0.0, *(v[2:] - camps.alpha)])
+    assert passed.tolist() == [False, False, True, True]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(inst=_instances())
+def test_throttle_matches_full_edge_reference_on_small_instances(inst):
+    stream, specs, cfg = inst
+    seen = _throttle_against_reference(stream, specs, cfg)
+    assert seen["periods"] == prepare(stream, [s.id for s in specs],
+                                      cfg.per_impression).n_periods
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_throttle_maps_give_an_element_its_bits_anywhere(seed):
+    # the positive-bid throttle maps a subset of a period's edges, and a
+    # one-request period's edges alone; each must keep its full-array bits
+    assert oracle.position_mismatches(seed) == []
 
 
 @pytest.mark.parametrize("width,examples", [(None, 60), (1, 10), (256, 10), (257, 10),

@@ -8,6 +8,10 @@ x86-64 host at that level or above, and prints the sha256 of:
   and backward transforms return;
 - the CSVs that a small `gdpacer run` and `gdpacer ablate` write.
 
+The child also runs `oracle.position_mismatches`, which checks that the
+throttle's per-edge maps give an element the same bits wherever it sits in
+its array, at the dispatch the pins belong to.
+
 The trace bytes are pinned, not only the CSVs, which round to 10
 significant digits and would hide a one-ulp move.  The pins were taken with
 numpy 2.4.6 on an x86-64 host whose `exp` and `log` float64 kernels ran at
@@ -15,8 +19,8 @@ numpy 2.4.6 on an x86-64 host whose `exp` and `log` float64 kernels ran at
 lists the old and new digests in CHANGES.md.
 
 Run as a script, this file is the child: `python tests/test_golden.py DIR`
-prints the platform and the digests as JSON, writing the CLI outputs
-under DIR.
+prints the platform, the digests and the position check's mismatches as
+JSON, writing the CLI outputs under DIR.
 """
 
 import json
@@ -33,11 +37,11 @@ PINS = {
     "period/dmd": "1b5a2d231c44d75e8fadf5e20dca2b2dcc5f6196686e500c9a873b2a422533ab",
     "period/rcpacing": "2bc313f9d574ab20b1f008892fba5ed23e0af4188a2b49be9c40e450b627ba53",
     "period/smart": "bb1c3a54bd457bce860a50dafbcefed20132623fe57bcfe1ca3958dfed901410",
-    "period/transforms": "f856e3d493cb4915d375add44f9eaa1a5e8f469f7554178ea785641170b40332",
+    "period/transforms": "b16f6e58ae89b553db33b4218962158c120b383f5732fcb88d44226e04d2739d",
     "per_impression/dmd": "3e1ac79349e7092c83749cf44fec05a6f70166d54e29468fb7b6ceb266bb9e83",
     "per_impression/rcpacing": "993bb31d4cf977378ff49aef7b5493f1b7caaf1d7d7399b9da34cddf7bf0b0cb",
     "per_impression/smart": "b38cddabe5703c87dadaa914c776e421c5346b5cb4fec55d581dc8b34bf167c2",
-    "per_impression/transforms": "141eedbc02c8a1c9039a66a912b5de78e8f3ecd46920ab11c6454c626cdb8400",
+    "per_impression/transforms": "c959ab09244f4d9fdf9e67eeeee9c01729a50f033a289381cc8f5014f8039c66",
     "ablate/ablation.csv": "d5d6acb2a53c2c54a5d43b318ebb413f24946cc515d8ca46702e09715fc8acf4",
     "run/aggregate.csv": "38a700155ae8409a2b2b8591d650773cf8ad83ad6a8a80bbf765ccb234413a2b",
     "run/rounds.csv": "4ad5d757ce769bc14f7af5c7c63cef14ddfe1e86244197730b0e85d36c6ccd24",
@@ -127,8 +131,11 @@ def test_outputs_match_the_pins(tmp_path):
     moved = {k: v for k, v in got["digests"].items() if PINS.get(k) != v}
     assert not moved and set(got["digests"]) == set(PINS), (
         f"output bits moved on {got['platform']}: {moved}")
+    assert got["position"] == [], f"position-dependent bits on {got['platform']}"
 
 
 if __name__ == "__main__":
-    print(json.dumps({"platform": _platform(), "digests": _digests(Path(sys.argv[1]))},
-                     indent=1))
+    from oracle import position_mismatches
+    position = sorted({name for seed in range(3) for name in position_mismatches(seed)})
+    print(json.dumps({"platform": _platform(), "digests": _digests(Path(sys.argv[1])),
+                      "position": position}, indent=1))

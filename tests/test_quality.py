@@ -347,6 +347,17 @@ def test_normal_round_trip_and_domain():
             normal_quantile(bad)
 
 
+def test_normal_quantile_refuses_nan():
+    # used to return NaN: the domain test (p <= 0) | (p >= 1) is False for NaN
+    for bad in (math.nan, np.float64(np.nan), np.array([0.3, np.nan])):
+        with pytest.raises(DomainError):
+            normal_quantile(bad)
+    # the threshold map clamps its percentile and checks no domain, so a NaN
+    # dual still gives a NaN threshold
+    out = backward_transform(np.array([1.0, 0.0]), -0.5, 0.1, np.array([np.nan, 0.5]))
+    assert np.isnan(out[0]) and out[1] == pytest.approx(math.exp(-0.5))
+
+
 # --- forward/backward percentile maps ------------------------------------------
 
 def test_forward_transform_frozen_examples():
