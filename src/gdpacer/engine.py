@@ -32,11 +32,9 @@ import numpy as np
 from .pacing import (PacingHyperParams, apply_dual_clip, dual_step, fp, fv, init_base_ptr,
                      init_dual_percentile, init_expected_ptr, psi_speed_bound, update_eptr)
 from .quality import (MIN_LAMBDA_SAMPLES, DomainError, backward_transform, fit_boxcox_batch,
-                      forward_transform)
+                      fit_boxcox_beta, forward_transform)
 from .streams import ImpressionStream
 
-_PRIOR_CHUNK = 8                # campaigns per batched prior fit
-_PRIOR_SAMPLES = 4096           # draws per prior fit
 _REFIT_WINDOW = 2               # periods of logs per transform refit
 _ALGO_TAGS = {"dmd": 0, "rcpacing": 1, "smart": 2}
 
@@ -119,8 +117,9 @@ class CampaignArrays:
     scale: np.ndarray
 
 
-# the key after the seed of each substream: one tag per purpose, so no two collide
-_TAGS = {"stream": 1, "run": 2, "scale": 3, "prior": 4, "synth": 5}
+# the key after the seed of each substream: one tag per purpose, so no two
+# collide (4 drew the sampled priors of earlier versions and stays unused)
+_TAGS = {"stream": 1, "run": 2, "scale": 3, "synth": 5}
 
 
 def _substream(*keys: int) -> np.random.Generator:
@@ -291,7 +290,7 @@ class PreparedStream:
     wins.  The memo keeps only their lambda, mu and sigma; each window is
     gathered from the densified periods it spans when its fit is first
     needed, and the periods are the only copy of the qualities.  Epsilon and
-    the seed-dependent prior fallback are applied per run.
+    the prior fallback are applied per run.
     """
 
     campaign_ids: list[int]         # ascending
@@ -461,36 +460,31 @@ class _FitManager:
 
     At period t, a campaign uses its own logged qualities from the last
     `_REFIT_WINDOW` periods when they have a fit (`quality.fit_boxcox_batch`),
-    else the pooled logs of all campaigns over the same window, else a fit
-    sampled once from the campaign's generating quality model; the last
-    resort is a fixed neutral fit (lambda=1 around a uniform quality prior).
-    The own and pooled fits come from the prepared stream's memo; the prior
-    fits depend on the run seed and are made here, and epsilon widens every
-    fit's scale here.  A period whose memo entry is the one applied last
-    keeps the fits in place.
+    else the pooled logs of all campaigns over the same window, else the
+    exact fit of the campaign's generating quality model; the last resort is
+    a fixed neutral fit (lambda=1 around a uniform quality prior).  The own
+    and pooled fits come from the prepared stream's memo; the prior fits are
+    made here once per run, and epsilon widens every fit's scale here.  A
+    period whose memo entry is the one applied last keeps the fits in place.
     """
 
     def __init__(self, specs, config: RunConfig, stream: PreparedStream):
-        self.specs, self.config, self.stream = specs, config, stream
+        self.specs, self.stream = specs, stream
         self.eps = config.params.epsilon
         self.memo = stream.fit_memo
         self.applied = None         # the period fits now in the campaign arrays
 
     @functools.cached_property
     def priors(self) -> np.ndarray:
-        """(3, M) prior lambda, mu and sigma: campaign i fits
-        `_PRIOR_SAMPLES` draws from its quality model on its own substream
-        (seed, prior tag, i), batched `_PRIOR_CHUNK` campaigns at a time; the
-        neutral fit where a campaign has no model or its samples no fit."""
-        seed = self.config.seed
+        """(3, M) prior lambda, mu and sigma: the exact Box-Cox fit of each
+        campaign's quality model (`quality.fit_boxcox_beta`), the same for
+        every run seed and campaign index; the neutral fit where a campaign
+        has no model."""
         models = [getattr(s, "quality_model", None) for s in self.specs]
-        out = np.empty((3, len(models)))
-        for lo in range(0, len(models), _PRIOR_CHUNK):
-            out[:, lo:lo + _PRIOR_CHUNK] = fit_boxcox_batch([
-                np.empty(0) if m is None
-                else _substream(seed, _TAGS["prior"], i).beta(m.m, m.n, size=_PRIOR_SAMPLES)
-                for i, m in enumerate(models[lo:lo + _PRIOR_CHUNK], lo)])
-        return np.where(np.isnan(out[2]), _NEUTRAL_FIT, out)
+        has = [m is not None for m in models]
+        out = np.tile(_NEUTRAL_FIT, len(models))
+        out[:, has] = fit_boxcox_beta([m.m for m in models if m], [m.n for m in models if m])
+        return out
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
         fits = self.memo[t] or self.stream.window_fits(t)

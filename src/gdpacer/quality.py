@@ -4,7 +4,9 @@ Campaign impression quality is modeled as a beta law.  A fitted Box-Cox
 power transform composed with the standard normal CDF maps raw qualities
 into percentile space, where the pacing controller keeps its dual
 variables, and the inverse composition maps a percentile dual back into
-an auction threshold in quality units.
+an auction threshold in quality units.  A fit comes from logged samples
+(`fit_boxcox_batch`) or, for a campaign's prior, in closed form from its
+beta law (`fit_boxcox_beta`).
 
 `forward_transform` and `backward_transform` are the one map in each
 direction: the engine's throttle and threshold, and the `validate` round
@@ -241,6 +243,78 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
         t[starts] = 0.0
         sigma = np.sqrt(np.add.reduceat(t, starts) / n)
     return mu, sigma
+
+
+_BETA_TOL = 1e-9                # Newton step or bracket width at which a law's fit stops
+
+
+def fit_boxcox_beta(m, n) -> np.ndarray:
+    """(3, k) Box-Cox lambda, mean and population std of each of k
+    Beta(m, n) laws (`m` and `n` broadcast to one dimension): the exact fit
+    that :func:`fit_boxcox_batch` tends to on ever more samples of the law.
+
+    For V ~ Beta(m, n) and s > -m, E[V^s] = exp(betaln(m + s, n) -
+    betaln(m, n)), and its derivative in s is E[V^s ln V] = E[V^s] (psi(m + s)
+    - psi(m + n + s)).  With K = E[V^(2 lambda)] - E[V^lambda]^2, the variance
+    of boxcox(lambda, V) times lambda^2, the population profile likelihood
+    -(1/2) ln K + ln|lambda| + (lambda - 1) E[ln V] has the score
+    1/lambda - K'/(2K) + E[ln V], and its slope, in closed form from
+    `betaln`, `digamma` and psi' = `zeta(2, .)`.  Below |lambda| = 1e-3,
+    where 1/lambda cancels against K'/(2K), the score is its first-order
+    series at 0, -k3/(2 k2) + lambda (6 k3^2 - 7 k2 k4 - 18 k2^3) / (12 k2^2),
+    from the cumulants k_j = psi^(j-1)(m) - psi^(j-1)(m + n) of ln V
+    (`polygamma`).
+
+    The solve runs on [max(-2, -m/2), 2]: K is infinite at lambda <= -m/2.
+    Each law starts at lambda = 0, where the score -k3/(2 k2) is positive
+    (psi'' increases, so k3 < 0), and takes safeguarded Newton steps as
+    :func:`_fit_lambdas` does: a Newton point past 2 is evaluated at 2, and
+    one outside the bracket, or taken where the slope is not negative,
+    becomes a bisection.  Where the score stays positive up to 2 the bracket
+    closes on its end, and lambda is 2.  A law stops once its Newton step or
+    its bracket is at most 1e-9 wide, and every operation is elementwise, so
+    a law's fit is the same bit for bit fitted alone or in a batch.  Then
+    mu = (E[V^lambda] - 1)/lambda and sigma = sqrt(K)/|lambda|.
+    """
+    m, n = np.broadcast_arrays(np.atleast_1d(np.asarray(m, dtype=float)),
+                               np.asarray(n, dtype=float))
+    b0, mean_log = special.betaln(m, n), special.digamma(m) - special.digamma(m + n)
+    k2, k3, k4 = special.polygamma([[1], [2], [3]], m) - special.polygamma([[1], [2], [3]], m + n)
+    score0 = -k3 / (2.0 * k2)
+    slope0 = (6.0 * k3 * k3 - 7.0 * k2 * k4 - 18.0 * k2 ** 3) / (12.0 * k2 * k2)
+
+    high = 2.0
+    a, b = np.maximum(-2.0, -0.5 * m), np.full(m.shape, high)
+    lam, out, live = np.zeros(m.shape), np.empty(m.shape), np.ones(m.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_STEPS):
+            near0 = np.abs(lam) < _SERIES_LAMBDA
+            score, slope = score0 + slope0 * lam, slope0
+            if not near0.all():
+                x = m + np.multiply.outer((1.0, 2.0), lam)      # rows lambda and 2 lambda
+                e = np.exp(special.betaln(x, n) - b0)           # E[V^s]
+                d = special.digamma(x) - special.digamma(x + n)     # E[V^s ln V] / E[V^s]
+                t = special.zeta(2.0, x) - special.zeta(2.0, x + n)  # d' in s
+                u = e[0] * e[0]
+                k = e[1] - u
+                r = (e[1] * d[1] - u * d[0]) / k                # K'/(2K)
+                r1 = (2.0 * e[1] * (d[1] * d[1] + t[1]) - u * (2.0 * d[0] * d[0] + t[0])) / k
+                score = np.where(near0, score, 1.0 / lam - r + mean_log)
+                slope = np.where(near0, slope, 2.0 * r * r - r1 - 1.0 / (lam * lam))
+            a, b = np.where(score > 0.0, lam, a), np.where(score < 0.0, lam, b)
+            raw = lam - score / slope
+            nxt = np.minimum(raw, high)
+            newton = (slope < 0.0) & (nxt > a) & (nxt <= b)
+            nxt = np.where(newton, nxt, 0.5 * (a + b))
+            stop = live & (newton & (np.abs(raw - lam) <= _BETA_TOL) | (b - a <= _BETA_TOL))
+            out[stop] = nxt[stop]
+            live &= ~stop
+            if not live.any():
+                break
+            lam = np.where(live, nxt, lam)
+        out[live] = 0.5 * (a + b)[live]
+        e = np.exp(special.betaln(m + np.multiply.outer((1.0, 2.0), out), n) - b0)
+    return np.array([out, (e[0] - 1.0) / out, np.sqrt(e[1] - e[0] * e[0]) / np.abs(out)])
 
 
 def normal_cdf(x):

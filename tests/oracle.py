@@ -20,6 +20,10 @@ independent reference that the replays score with and that the per-edge
 bit for bit and the replays fit with.  `golden_lambda`, a golden-section
 search to a bracket of width tol, is its accuracy reference, and
 `fit_moments` is the scalar reference of the batch's moment pass.
+`beta_lambda` is the population twin of `golden_lambda`: the same search on
+a Beta law's likelihood, its moments integrated by quadrature, against
+which the closed-form prior fit `gdpacer.quality.fit_boxcox_beta` is
+checked.
 `fit_windows` gathers fit windows period by period, against which the
 engine's one-sort window gather is checked.  `psi_inverse` is the sequential
 bisection that `gdpacer.pacing.psi_inverse` computes as a verified
@@ -51,14 +55,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
+from scipy import integrate, special
 
-from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _PRIOR_SAMPLES, _REFIT_WINDOW, _TAGS,
-                            CampaignArrays, RunConfig, _Smart, _substream)
+from gdpacer.engine import (_ALGO_TAGS, _NEUTRAL_SIGMA, _REFIT_WINDOW, _TAGS, CampaignArrays,
+                            RunConfig, _Smart, _substream)
 from gdpacer.pacing import (BISECTION_STEPS, SPEED_FLOOR, PacingHyperParams,
                             apply_dual_clip, dual_step, fp, fv, psi, update_eptr)
 from gdpacer.quality import (_LOG_BRANCH_EPS, PERCENTILE_FLOOR, DomainError, backward_transform,
-                             forward_transform, normal_cdf)
+                             fit_boxcox_beta, forward_transform, normal_cdf)
 from gdpacer.simulate import _QUALITY_QUANTUM
 from gdpacer.streams import ImpressionStream, PeriodBatch, StreamFormatError
 
@@ -563,6 +567,25 @@ def _check_lambda_samples(v: np.ndarray) -> None:
         raise DegenerateSampleError("all samples identical; lambda is unidentifiable")
 
 
+def _golden_max(f, a: float, b: float, tol: float) -> float:
+    """Golden-section search for the maximizer of f on [a, b], to a bracket of
+    width tol: within tol/2 of the optimum of a unimodal f."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def golden_lambda(samples, low: float = -2.0, high: float = 2.0,
                   tol: float = 1e-4) -> float:
     """Golden-section search for the profile-likelihood lambda of one sample:
@@ -570,22 +593,30 @@ def golden_lambda(samples, low: float = -2.0, high: float = 2.0,
     v = np.asarray(samples, dtype=float)
     _check_lambda_samples(v)
     log_sum = float(np.sum(np.log(v)))
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(low), float(high)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _profile_loglik(c, v, log_sum)
-    fd = _profile_loglik(d, v, log_sum)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _profile_loglik(c, v, log_sum)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _profile_loglik(d, v, log_sum)
-    return 0.5 * (a + b)
+    return _golden_max(lambda lmbda: _profile_loglik(lmbda, v, log_sum), float(low), float(high),
+                       tol)
+
+
+def beta_lambda(m: float, n: float, tol: float = 1e-8) -> float:
+    """The population profile-likelihood lambda of Beta(m, n) on
+    [max(-2, -m/2), 2], by golden-section search: the scalar reference of
+    `gdpacer.quality.fit_boxcox_beta`.  The likelihood per sample is
+    -(1/2) ln Var(boxcox(lambda, V)) + (lambda - 1) E[ln V], each moment a
+    `scipy.integrate.quad` integral against the Beta density, whose
+    normalizing constant is a quad integral too."""
+    def integral(g):
+        return integrate.quad(lambda v: g(v) * v ** (m - 1.0) * (1.0 - v) ** (n - 1.0), 0.0, 1.0,
+                              epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    norm = integral(lambda v: 1.0)
+    mean_log = integral(math.log) / norm
+
+    def loglik(lmbda: float) -> float:
+        mu = integral(lambda v: (v ** lmbda - 1.0) / lmbda) / norm
+        var = integral(lambda v: ((v ** lmbda - 1.0) / lmbda - mu) ** 2) / norm
+        return -0.5 * math.log(var) + (lmbda - 1.0) * mean_log
+
+    return _golden_max(loglik, max(-2.0, -0.5 * m), 2.0, tol)
 
 
 def fit_boxcox_lambda(samples, low: float = -2.0, high: float = 2.0,
@@ -703,8 +734,8 @@ def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None
     """The fit chain of `_FitManager.assign_fits` one campaign at a time, with
     the scalar search, over `window`, a list of periods each holding one
     quality array per campaign: the campaign's own window when it has a fit,
-    else the pooled window, else a fit of samples drawn from the campaign's
-    quality model, else the neutral fit."""
+    else the pooled window, else the exact fit of the campaign's quality
+    model (`fit_boxcox_beta` on that model alone), else the neutral fit."""
     eps = config.params.epsilon
     M = camps.ids.size
     window = list(window) or [[np.empty(0)] * M]
@@ -714,8 +745,7 @@ def assign_fits(window, specs, config: RunConfig, camps: CampaignArrays) -> None
         fit = _scalar_fit(own, eps) or _scalar_fit(pooled, eps)
         model = specs[i].quality_model
         if fit is None and model is not None:
-            rng = _substream(config.seed, _TAGS["prior"], i)
-            fit = _scalar_fit(rng.beta(model.m, model.n, size=_PRIOR_SAMPLES), eps)
+            fit = BoxCoxFit(*fit_boxcox_beta(model.m, model.n)[:, 0], eps)
         fit = fit or BoxCoxFit(1.0, -0.5, _NEUTRAL_SIGMA, eps)
         camps.lam[i], camps.mu[i], camps.scale[i] = fit.lambda_star, fit.mu, fit.scale
 

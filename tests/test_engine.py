@@ -23,7 +23,8 @@ from gdpacer.engine import (_ALGO_TAGS, _TAGS, _DensePeriod, _FitManager, RUNNER
                             run_rcpacing, run_seed, run_smart_baseline)
 from gdpacer.metrics import hindsight_optimum
 from gdpacer.pacing import PacingHyperParams, psi_speed_bound
-from gdpacer.quality import BetaQualityModel, DomainError, fit_boxcox_batch, forward_transform
+from gdpacer.quality import (BetaQualityModel, DomainError, fit_boxcox_batch, fit_boxcox_beta,
+                             forward_transform)
 from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionStream, PeriodBatch, load_stream_csv
 from oracle import BoxCoxFit, ImpressionRequest, campaigns, dmd_decide, from_requests, rcp_decide
@@ -279,6 +280,17 @@ def test_empty_first_window_falls_back_to_priors():
         assert (c.lam[i], c.mu[i]) == (_prior_fit(fits, i).lambda_star, _prior_fit(fits, i).mu)
 
 
+def test_priors_depend_on_neither_run_seed_nor_campaign_index():
+    # a prior is the exact fit of the campaign's own model: neither the run
+    # seed nor a campaign added below the others may move it
+    specs = [_spec(3, 10, m=2, n=5), _spec(5, 10, m=6, n=2)]
+    priors = [_logged(specs, RunConfig(seed=seed), [])[0].priors for seed in (0, 1, 99)]
+    assert all(np.array_equal(p, priors[0]) for p in priors)
+    grown = _logged([_spec(1, 10, m=3, n=3)] + specs, RunConfig(seed=0), [])[0].priors
+    assert np.array_equal(grown[:, 1:], priors[0])
+    assert np.array_equal(grown[:, :1], fit_boxcox_beta(3.0, 3.0))
+
+
 @pytest.mark.parametrize("own_size", [10, 30, 60])
 @pytest.mark.parametrize("nonpositive", [False, True])
 def test_assign_fits_matches_per_campaign_chain(nonpositive, own_size):
@@ -345,9 +357,10 @@ def test_run_config_takes_any_nonnegative_integer_seed(seed):
 
 
 def test_substream_tags_are_one_per_purpose():
-    # the streams, runs, budget scales, priors and campaign populations each
-    # draw from their own tag, at the values every pinned output was drawn with
-    assert _TAGS == {"stream": 1, "run": 2, "scale": 3, "prior": 4, "synth": 5}
+    # the streams, runs, budget scales and campaign populations each draw
+    # from their own tag, at the values every pinned output was drawn with
+    # (the priors are exact fits and draw nothing)
+    assert _TAGS == {"stream": 1, "run": 2, "scale": 3, "synth": 5}
 
 
 def test_run_seed_stable_and_distinct():

@@ -35,14 +35,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PLATFORM = {"machine": "x86_64", "exp": "X86_V3", "log": "X86_V3"}
 PINS = {
     "period/dmd": "1b5a2d231c44d75e8fadf5e20dca2b2dcc5f6196686e500c9a873b2a422533ab",
-    "period/rcpacing": "2bc313f9d574ab20b1f008892fba5ed23e0af4188a2b49be9c40e450b627ba53",
+    "period/rcpacing": "0782e7777451c32fb9f78a1b005920722336298478e18ad25b9ce1f783d6bf07",
     "period/smart": "bb1c3a54bd457bce860a50dafbcefed20132623fe57bcfe1ca3958dfed901410",
-    "period/transforms": "b16f6e58ae89b553db33b4218962158c120b383f5732fcb88d44226e04d2739d",
+    "period/transforms": "52be96440a4fe6bcc18a5b9789e6601737034250d89d678e99c22f94d7a1038d",
     "per_impression/dmd": "3e1ac79349e7092c83749cf44fec05a6f70166d54e29468fb7b6ceb266bb9e83",
     "per_impression/rcpacing": "993bb31d4cf977378ff49aef7b5493f1b7caaf1d7d7399b9da34cddf7bf0b0cb",
     "per_impression/smart": "b38cddabe5703c87dadaa914c776e421c5346b5cb4fec55d581dc8b34bf167c2",
-    "per_impression/transforms": "c959ab09244f4d9fdf9e67eeeee9c01729a50f033a289381cc8f5014f8039c66",
-    "ablate/ablation.csv": "d5d6acb2a53c2c54a5d43b318ebb413f24946cc515d8ca46702e09715fc8acf4",
+    "per_impression/transforms": "6541c3d51d8f4c7514ed4c5434b720ed2755c1d2889c78ba2392355b570b561b",
+    "ablate/ablation.csv": "afbaa957ecbd91b521188de180314457cbf36480d40aa49d11c61f5ec451b821",
     "run/aggregate.csv": "38a700155ae8409a2b2b8591d650773cf8ad83ad6a8a80bbf765ccb234413a2b",
     "run/rounds.csv": "4ad5d757ce769bc14f7af5c7c63cef14ddfe1e86244197730b0e85d36c6ccd24",
     "run/series.csv": "48aec4af5e5a1bb6b9c2818e7be37b4dd15ce3916358115736cd9f379e184918",

@@ -5,7 +5,7 @@ dense-grid likelihood scans, the scalar twin of the Newton lambda solve
 and the golden-section search of `oracle.py`, and scipy's Box-Cox maximum
 likelihood for the lambda fit, scipy's erf/ndtr pair and direct density
 quadrature for the normal helpers, and beta-moment quadrature for the
-sampling checks.
+sampling checks and for the exact fit of a Beta law.
 """
 
 import math
@@ -18,8 +18,8 @@ from scipy import integrate, special, stats
 
 import oracle
 from gdpacer.quality import (BetaQualityModel, DomainError, _fit_moments, backward_transform,
-                             boxcox, fit_boxcox_batch, forward_transform, normal_cdf,
-                             normal_quantile)
+                             boxcox, fit_boxcox_batch, fit_boxcox_beta, forward_transform,
+                             normal_cdf, normal_quantile)
 from oracle import BoxCoxFit, DegenerateSampleError, fit_moments
 
 RT_LAMBDAS = (-1.0, 0.0, 0.5, 1.0)
@@ -312,6 +312,54 @@ def test_beta_model_validation_and_mean():
     with pytest.raises(DomainError):
         BetaQualityModel(2.0, 1.99)
     assert BetaQualityModel(3.0, 2.0).mean == pytest.approx(0.6)
+
+
+# --- exact fit of a Beta law --------------------------------------------------
+
+_BETA_GRID = (2.0, 3.0, 4.5, 6.0, 8.0, 10.0, 12.0)
+
+
+@pytest.mark.parametrize("m", _BETA_GRID)
+def test_fit_boxcox_beta_matches_quadrature_reference(m):
+    # the grid holds laws whose optimum is pinned at lambda = 2 (Beta(8, 2))
+    # and m = 2, where the bracket's floor -m/2 sits at -1
+    lam, mu, sigma = fit_boxcox_beta(m, _BETA_GRID)
+    for k, n in enumerate(_BETA_GRID):
+        ref = oracle.beta_lambda(m, n)
+        assert abs(lam[k] - ref) <= 1e-6, (m, n)
+        if ref > 2.0 - 1e-6:
+            assert lam[k] == 2.0, (m, n)
+
+        def mean(g):
+            return integrate.quad(lambda v: g(v) * stats.beta.pdf(v, m, n), 0.0, 1.0,
+                                  epsabs=1e-13)[0]
+        ref_mu = mean(lambda v: (v ** lam[k] - 1.0) / lam[k])
+        ref_var = mean(lambda v: ((v ** lam[k] - 1.0) / lam[k] - ref_mu) ** 2)
+        assert mu[k] == pytest.approx(ref_mu, abs=1e-9)
+        assert sigma[k] == pytest.approx(math.sqrt(ref_var), rel=1e-8)
+    assert fit_boxcox_beta(8.0, 2.0)[0, 0] == 2.0
+
+
+@pytest.mark.parametrize("m,n", [(2.0, 5.0), (5.0, 2.0), (3.0, 3.0), (8.0, 2.0), (2.0, 12.0),
+                                 (2.5, 9.5)])
+def test_fit_boxcox_beta_is_the_limit_of_sample_fits(m, n):
+    v = np.random.default_rng(41).beta(m, n, size=2 ** 18)
+    exact, sampled = fit_boxcox_beta(m, n)[:, 0], fit_boxcox_batch([v])[:, 0]
+    assert np.abs(exact - sampled).max() <= 1e-2
+
+
+@settings(max_examples=40, deadline=None)
+@given(laws=st.lists(st.tuples(st.floats(2.0, 60.0), st.floats(2.0, 60.0)), min_size=1,
+                     max_size=30))
+def test_fit_boxcox_beta_laws_stop_on_their_own(laws):
+    # each law's solve is elementwise and stops on its own: alone or in a
+    # batch, its fit has the same bits
+    m, n = np.array(laws).T
+    batch = fit_boxcox_beta(m, n)
+    alone = np.concatenate([fit_boxcox_beta(mk, nk) for mk, nk in laws], axis=1)
+    assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
+    assert np.isfinite(batch).all() and (batch[0] > 0.0).all() and (batch[0] <= 2.0).all()
+    assert (batch[2] > 0.0).all()
 
 
 # --- normal helpers -----------------------------------------------------------
