@@ -8,6 +8,8 @@ a policy supplies only its per-edge score and throttle step and its
 end-of-period update.  The work that depends on the stream alone (the
 densified periods, the fingerprint and the per-period transform fits) is
 done once by `prepare` and shared by every run on the prepared stream.
+`prepare` and `init_campaign_states` are the one gate for an instance, and
+the loop guards against nothing they refuse; a budget left is an int64.
 
 The loop is vectorized per period.  Budget feasibility is still resolved
 with sequential semantics: winners are computed optimistically for the whole
@@ -102,14 +104,13 @@ class CampaignArrays:
 
     ids: np.ndarray                 # (M,) campaign ids
     budget: np.ndarray
-    remaining: np.ndarray
+    remaining: np.ndarray           # int64; a campaign is live while it is > 0
     rho: np.ndarray                 # per-period impression target = budget / periods
     audience: np.ndarray            # expected recalled requests over the horizon
     ptr_base: np.ndarray
     alpha_bar: np.ndarray           # dual in percentile space
     alpha: np.ndarray               # dual in quality space
     eptr: np.ndarray
-    exhausted: np.ndarray           # bool
     # current transform fit: Box-Cox lambda, mean and normal scale
     # sigma * (1 + epsilon); NaN until the first refit
     lam: np.ndarray
@@ -133,27 +134,34 @@ def run_seed(scenario_seed: int, algorithm: str, round_index: int = 0) -> int:
     return int(np.random.SeedSequence(keys).generate_state(1, np.uint64)[0])
 
 
+def whole_budgets(ids, budgets) -> np.ndarray:
+    """`budgets` of the campaigns `ids` as int64; DomainError unless each is whole, in int64."""
+    for cid, b in zip(ids, budgets):
+        if not -2 ** 63 <= b < 2 ** 63 or b != int(b):
+            raise DomainError(f"campaign {cid}: budget {b!r} is not a whole number within int64")
+    return np.array(budgets, dtype=np.int64)
+
+
 def init_campaign_states(specs, stream: PreparedStream,
                          params: PacingHyperParams) -> CampaignArrays:
     """Fresh state of the campaigns `specs`, given in ascending-id order."""
-    M = len(specs)
-    budget = np.array([float(s.budget) for s in specs])
+    remaining = whole_budgets([s.id for s in specs], [s.budget for s in specs])
+    budget = remaining.astype(float)
     audience = np.array([float(s.recall_prob) for s in specs]) * stream.total_requests
     ptr_exp = init_expected_ptr(budget, audience, params.p_ub)
     return CampaignArrays(
         ids=np.array([s.id for s in specs], dtype=np.int64),
         budget=budget,
-        remaining=budget.copy(),
+        remaining=remaining,
         rho=budget / stream.n_periods,
         audience=audience,
         ptr_base=init_base_ptr(ptr_exp, params.wr_glb),
         alpha_bar=init_dual_percentile(ptr_exp, params.p_ub),
-        alpha=np.zeros(M),
-        eptr=np.full(M, params.initial_trial_rate),
-        exhausted=budget < 1.0,
-        lam=np.full(M, np.nan),
-        mu=np.full(M, np.nan),
-        scale=np.full(M, np.nan),
+        alpha=np.zeros_like(budget),
+        eptr=np.full_like(budget, params.initial_trial_rate),
+        lam=np.full_like(budget, np.nan),
+        mu=np.full_like(budget, np.nan),
+        scale=np.full_like(budget, np.nan),
     )
 
 
@@ -226,7 +234,7 @@ def _densify(stream: ImpressionStream, spec_ids: list[int],
              per_impression: bool = False) -> list[_DensePeriod]:
     """Each period's edges of the campaigns `spec_ids` (ascending), or with
     `per_impression` one period of views per request; DomainError unless a
-    period's (request, campaign id) pairs strictly increase over its requests."""
+    period's (request, campaign id) pairs strictly increase and its qualities are finite."""
     id_arr, M = np.asarray(spec_ids, dtype=np.int64), len(spec_ids)
     zero = np.zeros(M, dtype=np.int64)
     zeros = [zero[:k] for k in range(M + 1)]    # shared `req` of a request's <= M edges
@@ -241,6 +249,8 @@ def _densify(stream: ImpressionStream, spec_ids: list[int],
         if req.size and (req[0] < 0 or req[-1] >= p.n_requests or np.any(
                 (req[1:] < req[:-1]) | ~new[1:] & (camp[1:] <= camp[:-1]))):
             raise DomainError(f"period {t}: edges not sorted by (request, campaign id)")
+        if not np.isfinite(v).all():
+            raise DomainError(f"period {t}: a quality is not finite")
         if not per_impression:
             out.append(_DensePeriod(p.n_requests, req, camp, v))
             continue
@@ -338,8 +348,8 @@ def prepare(stream: ImpressionStream, campaign_ids, per_impression: bool = False
     if len(set(ids)) != len(ids):
         raise DomainError("campaign ids must be unique")
     periods, total = _densify(stream, ids, per_impression), stream.total_requests
-    if not periods:
-        raise DomainError("the stream has no periods to run on")
+    if not total:
+        raise DomainError("the stream has no requests to run on")
     return PreparedStream(ids, per_impression, periods, stream.fingerprint(), total,
                           stream.total_edges, total / len(periods))
 
@@ -350,24 +360,21 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
                      remaining: np.ndarray) -> np.ndarray:
     """Edge indices of period winners under sequential budget semantics.
 
-    Request by request, a campaign competes while it has budget left; the
-    first of a request's eligible live edges of top score wins, and none
-    does when one of them scores NaN.  The pass over the eligible edges is
-    optimistic, every campaign live all period; it departs from the
-    sequential one first where a campaign acts (wins, or blocks with a NaN)
+    Request by request, a campaign competes while it has budget left, and
+    the first of a request's eligible live edges of top score wins; no
+    eligible edge scores NaN, since `prepare` refuses non-finite qualities.
+    The pass over the eligible edges is optimistic, every campaign live all
+    period; it departs from the sequential one first where a campaign wins
     after its budget is spent.  That campaign is cut there and the period
     re-resolved, one cut per pass, so the prefix before it is already
     sequentially correct.  In a one-request period whose winner can pay,
     that is the first pass's pick.
     """
-    if dp.req.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if dp.n_requests == 1:
+    if dp.n_requests == 1 and elig.any():
         s = np.where(elig, score, -np.inf)
-        top = s.max()
-        first = (elig & (s == top)).nonzero()[0][:1]
-        if remaining[dp.camp[first[0]]] >= 1 if first.size else not math.isnan(top):
-            return first            # a winner that can pay, or no eligible edge
+        first = (elig & (s == s.max())).nonzero()[0][:1]
+        if remaining[dp.camp[first[0]]] >= 1:
+            return first            # a winner that can pay
     e = np.flatnonzero(elig)
     while e.size:
         req, camp, s = dp.req[e], dp.camp[e], score[e]
@@ -376,16 +383,11 @@ def _resolve_winners(dp: _DensePeriod, score: np.ndarray, elig: np.ndarray,
         cand = np.flatnonzero(s == top)
         first = cand[_firsts(req[cand])]
         wcamp = camp[first]
-        over = np.bincount(wcamp, minlength=remaining.size) > remaining
-        late = {j: first[wcamp == j][remaining[j]] for j in np.flatnonzero(over).tolist()}
-        for i in np.flatnonzero(np.isnan(s)).tolist():     # a spent campaign's NaN must not block
-            j = camp[i]
-            if np.count_nonzero(first[wcamp == j] < i) >= remaining[j]:
-                late[j] = min(late.get(j, i), i)
-        if not late:
+        over = np.flatnonzero(np.bincount(wcamp, minlength=remaining.size) > remaining)
+        if not over.size:
             return e[first]
-        j = min(late, key=late.get)
-        e = e[(camp != j) | (req < req[late[j]])]
+        late = min(first[wcamp == j][remaining[j]] for j in over.tolist())   # first unpaid win
+        e = e[(camp != camp[late]) | (req < req[late])]
     return e
 
 
@@ -396,10 +398,10 @@ def _drive(stream: ImpressionStream | PreparedStream, specs, config: RunConfig,
     `stream` is raw or prepared; a raw one is prepared here for this run
     alone.  Per period t: `policy.score(t, dp)` gives each recalled edge its
     auction score and its throttle outcome (True where the policy does not
-    throttle), non-exhausted passers compete in the budget-feasible auction,
-    wins are charged and recorded, and `policy.update(dp, cost)` moves the
-    policy's controls from the period's spend.  The trace records the
-    campaign-array field named by `policy.dual` as each period's dual.
+    throttle), passers with budget left compete in the budget-feasible
+    auction, wins are charged and recorded, and `policy.update(dp, cost)`
+    moves the policy's controls from the period's int64 spend.  The trace
+    records the field named by `policy.dual` as each period's dual.
     """
     specs = sorted(specs, key=lambda s: s.id)
     ids = [s.id for s in specs]
@@ -419,20 +421,19 @@ def _drive(stream: ImpressionStream | PreparedStream, specs, config: RunConfig,
 
     for t, dp in enumerate(stream.periods):
         score, passed = pol.score(t, dp)
-        elig = passed & ~camps.exhausted[dp.camp]
-        winner_edges = _resolve_winners(dp, score, elig, camps.remaining.astype(np.int64))
+        elig = passed & (camps.remaining[dp.camp] > 0)
+        winner_edges = _resolve_winners(dp, score, elig, camps.remaining)
         won = dp.camp[winner_edges]
-        cost = np.bincount(won, minlength=M).astype(float)
+        cost = np.bincount(won, minlength=M)
         wins[:, t] = cost
         quality_sum[:, t] = np.bincount(won, weights=dp.v[winner_edges], minlength=M)
         duals[:, t] = getattr(camps, pol.dual)
         eptr[:, t] = camps.eptr
         camps.remaining -= cost
-        camps.exhausted |= camps.remaining < 1.0
         pol.update(dp, cost)
 
     return DeliveryTrace(pol.name, camps.ids.tolist(), camps.budget, wins, quality_sum,
-                         camps.remaining, duals, eptr, stream.stream_id, config.seed)
+                         camps.remaining.astype(float), duals, eptr, stream.stream_id, config.seed)
 
 
 class _Dmd:
@@ -479,12 +480,12 @@ class _FitManager:
         """(3, M) prior lambda, mu and sigma: the exact Box-Cox fit of each
         campaign's quality model (`quality.fit_boxcox_beta`), the same for
         every run seed and campaign index; the neutral fit where a campaign
-        has no model."""
+        has no model or its model's fit is not finite with sigma > 0."""
         models = [getattr(s, "quality_model", None) for s in self.specs]
         has = [m is not None for m in models]
         out = np.tile(_NEUTRAL_FIT, len(models))
         out[:, has] = fit_boxcox_beta([m.m for m in models if m], [m.n for m in models if m])
-        return out
+        return np.where(np.isfinite(out).all(axis=0) & (out[2] > 0.0), out, _NEUTRAL_FIT)
 
     def assign_fits(self, camps: CampaignArrays, t: int) -> None:
         fits = self.memo[t] or self.stream.window_fits(t)
@@ -548,9 +549,7 @@ class _Smart:
     def __init__(self, camps: CampaignArrays, specs, config: RunConfig, stream: PreparedStream):
         self.camps = camps
         camps.eptr[:] = 1.0
-        aud = camps.audience
-        init = np.where(aud > 0, np.minimum(
-            1.0, camps.budget / np.where(aud > 0, aud * config.params.wr_glb, 1.0)), 1.0)
+        init = np.minimum(1.0, camps.budget / (camps.audience * config.params.wr_glb))
         self.layer_ptr = np.repeat(init[:, None], self.LAYERS, axis=1)
         self.rng = _substream(config.seed, _TAGS["run"], _ALGO_TAGS["smart"])
 
@@ -563,7 +562,7 @@ class _Smart:
     def update(self, dp: _DensePeriod, cost: np.ndarray) -> None:
         camps, lp, floor = self.camps, self.layer_ptr, self.PTR_FLOOR
         L = lp.shape[1]
-        active = (camps.rho > 0.0) & ~camps.exhausted
+        active = camps.remaining > 0         # so the budget, and rho, are > 0 too
         spd = cost / np.where(active, camps.rho, 1.0)
         # underspending: boost the highest layer that is not fully open
         rows = np.flatnonzero(active & (spd < 1.0) & (lp < 1.0).any(axis=1))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import prepare
+from .engine import prepare, whole_budgets
 
 ALGORITHM_ORDER = ("dmd", "smart", "rcpacing")
 
@@ -99,10 +99,10 @@ def hindsight_optimum(stream, budgets: dict[int, int]) -> HindsightOptimum:
     paths, and so fixes the optimum's bits.
 
     The instance is the one the runners see, laid out by `engine.prepare`:
-    edges of campaigns missing from `budgets` are dropped, and a stream with
-    no periods, or whose edges are not sorted by (request, campaign id),
-    raises DomainError.  An instance of more than `MAX_EXACT_EDGES` edges
-    raises InstanceTooLargeError.
+    edges of campaigns missing from `budgets` are dropped, and the runners'
+    DomainErrors stand (a stream with no requests, unsorted edges or a
+    non-finite quality, a budget that is not a whole number within int64).
+    An instance of more than `MAX_EXACT_EDGES` edges raises InstanceTooLargeError.
     """
     ids = sorted(budgets)
     if not ids:
@@ -114,7 +114,7 @@ def hindsight_optimum(stream, budgets: dict[int, int]) -> HindsightOptimum:
     if n_edges > MAX_EXACT_EDGES:
         raise InstanceTooLargeError(
             f"{n_edges} edges exceed the exact-solver cap of {MAX_EXACT_EDGES}")
-    frozen = tuple((cid, int(budgets[cid])) for cid in ids)
+    frozen = tuple(zip(ids, whole_budgets(ids, [budgets[cid] for cid in ids]).tolist()))
 
     # quality[request] = {campaign column: v}, columns ascending; free[j] is a
     # heap of (-v_rj, request) over the requests j recalls, and moves[a, b] one

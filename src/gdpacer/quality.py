@@ -33,16 +33,16 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class BetaQualityModel:
-    """Beta(m, n) quality law; shapes >= 2 keep the density unimodal with
-    vanishing mass at both endpoints."""
+    """Beta(m, n) quality law; finite shapes >= 2 keep the density unimodal
+    with vanishing mass at both endpoints."""
 
     m: float
     n: float
 
     def __post_init__(self):
-        if not (self.m >= 2.0 and self.n >= 2.0):
+        if not (2.0 <= self.m < math.inf and 2.0 <= self.n < math.inf):
             raise DomainError(
-                f"beta shape parameters must both be >= 2, got ({self.m}, {self.n})"
+                f"beta shape parameters must both be finite and >= 2, got ({self.m}, {self.n})"
             )
 
     @property
@@ -248,6 +248,7 @@ def _fit_moments(v: np.ndarray, starts: np.ndarray, reps: np.ndarray,
 _BETA_TOL = 1e-9                # Newton step or bracket width at which a law's fit stops
 
 
+@np.errstate(all="ignore")
 def fit_boxcox_beta(m, n) -> np.ndarray:
     """(3, k) Box-Cox lambda, mean and population std of each of k
     Beta(m, n) laws (`m` and `n` broadcast to one dimension): the exact fit
@@ -286,34 +287,33 @@ def fit_boxcox_beta(m, n) -> np.ndarray:
     high = 2.0
     a, b = np.maximum(-2.0, -0.5 * m), np.full(m.shape, high)
     lam, out, live = np.zeros(m.shape), np.empty(m.shape), np.ones(m.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_STEPS):
-            near0 = np.abs(lam) < _SERIES_LAMBDA
-            score, slope = score0 + slope0 * lam, slope0
-            if not near0.all():
-                x = m + np.multiply.outer((1.0, 2.0), lam)      # rows lambda and 2 lambda
-                e = np.exp(special.betaln(x, n) - b0)           # E[V^s]
-                d = special.digamma(x) - special.digamma(x + n)     # E[V^s ln V] / E[V^s]
-                t = special.zeta(2.0, x) - special.zeta(2.0, x + n)  # d' in s
-                u = e[0] * e[0]
-                k = e[1] - u
-                r = (e[1] * d[1] - u * d[0]) / k                # K'/(2K)
-                r1 = (2.0 * e[1] * (d[1] * d[1] + t[1]) - u * (2.0 * d[0] * d[0] + t[0])) / k
-                score = np.where(near0, score, 1.0 / lam - r + mean_log)
-                slope = np.where(near0, slope, 2.0 * r * r - r1 - 1.0 / (lam * lam))
-            a, b = np.where(score > 0.0, lam, a), np.where(score < 0.0, lam, b)
-            raw = lam - score / slope
-            nxt = np.minimum(raw, high)
-            newton = (slope < 0.0) & (nxt > a) & (nxt <= b)
-            nxt = np.where(newton, nxt, 0.5 * (a + b))
-            stop = live & (newton & (np.abs(raw - lam) <= _BETA_TOL) | (b - a <= _BETA_TOL))
-            out[stop] = nxt[stop]
-            live &= ~stop
-            if not live.any():
-                break
-            lam = np.where(live, nxt, lam)
-        out[live] = 0.5 * (a + b)[live]
-        e = np.exp(special.betaln(m + np.multiply.outer((1.0, 2.0), out), n) - b0)
+    for _ in range(_MAX_STEPS):
+        near0 = np.abs(lam) < _SERIES_LAMBDA
+        score, slope = score0 + slope0 * lam, slope0
+        if not near0.all():
+            x = m + np.multiply.outer((1.0, 2.0), lam)      # rows lambda and 2 lambda
+            e = np.exp(special.betaln(x, n) - b0)           # E[V^s]
+            d = special.digamma(x) - special.digamma(x + n)     # E[V^s ln V] / E[V^s]
+            t = special.zeta(2.0, x) - special.zeta(2.0, x + n)  # d' in s
+            u = e[0] * e[0]
+            k = e[1] - u
+            r = (e[1] * d[1] - u * d[0]) / k                # K'/(2K)
+            r1 = (2.0 * e[1] * (d[1] * d[1] + t[1]) - u * (2.0 * d[0] * d[0] + t[0])) / k
+            score = np.where(near0, score, 1.0 / lam - r + mean_log)
+            slope = np.where(near0, slope, 2.0 * r * r - r1 - 1.0 / (lam * lam))
+        a, b = np.where(score > 0.0, lam, a), np.where(score < 0.0, lam, b)
+        raw = lam - score / slope
+        nxt = np.minimum(raw, high)
+        newton = (slope < 0.0) & (nxt > a) & (nxt <= b)
+        nxt = np.where(newton, nxt, 0.5 * (a + b))
+        stop = live & (newton & (np.abs(raw - lam) <= _BETA_TOL) | (b - a <= _BETA_TOL))
+        out[stop] = nxt[stop]
+        live &= ~stop
+        if not live.any():
+            break
+        lam = np.where(live, nxt, lam)
+    out[live] = 0.5 * (a + b)[live]
+    e = np.exp(special.betaln(m + np.multiply.outer((1.0, 2.0), out), n) - b0)
     return np.array([out, (e[0] - 1.0) / out, np.sqrt(e[1] - e[0] * e[0]) / np.abs(out)])
 
 

@@ -267,15 +267,13 @@ def resolve_winners(req, camp, score, elig, remaining) -> np.ndarray:
     """The winning edges of one period's edges (`req`, `camp`, sorted by
     request, then campaign), auctioned one request at a time.  A campaign is
     live while it has budget left after this period's earlier wins.  A
-    request with a NaN score on an eligible live edge has no winner;
-    otherwise its top score wins, -inf included, and a tie goes to the
-    lowest campaign."""
+    request's top score on an eligible live edge wins, -inf included, and a
+    tie goes to the lowest campaign; no score is NaN."""
     left = [int(x) for x in remaining]
     winners = []
     for r in sorted(set(int(x) for x in req)):
-        live = [i for i in range(len(req))
-                if req[i] == r and elig[i] and left[camp[i]] >= 1]
-        if not live or any(math.isnan(score[i]) for i in live):
+        live = [i for i in range(len(req)) if req[i] == r and elig[i] and left[camp[i]] > 0]
+        if not live:
             continue
         best = live[0]
         for i in live[1:]:
@@ -338,11 +336,10 @@ def campaigns(n: int = 1, **fields) -> CampaignArrays:
     """Hand-made state for n campaigns with ids 0..n-1; each field is a
     scalar broadcast to all campaigns or a per-campaign sequence."""
     base = dict(budget=100.0, rho=10.0, audience=1000.0, ptr_base=1.0,
-                alpha_bar=0.9, alpha=0.0, eptr=1.0, exhausted=False,
-                lam=np.nan, mu=np.nan, scale=np.nan)
+                alpha_bar=0.9, alpha=0.0, eptr=1.0, lam=np.nan, mu=np.nan, scale=np.nan)
     base.update(fields)
     base.setdefault("remaining", base["budget"])
-    arrays = {k: np.array(np.broadcast_to(v, n), dtype=bool if k == "exhausted" else float)
+    arrays = {k: np.array(np.broadcast_to(v, n), dtype=np.int64 if k == "remaining" else float)
               for k, v in base.items()}
     return CampaignArrays(ids=np.arange(n, dtype=np.int64), **arrays)
 
@@ -393,11 +390,10 @@ def init_state(specs, stream: ImpressionStream, params: PacingHyperParams) -> Ca
         ptr_exp = init_expected_ptr(budget, audience, params.p_ub) if audience > 0.0 else 1.0
         rows.append((budget, budget / stream.n_periods, audience,
                      init_base_ptr(ptr_exp, params.wr_glb),
-                     init_dual_percentile(ptr_exp, params.p_ub), budget < 1.0))
-    budget, rho, audience, ptr_base, alpha_bar, exhausted = zip(*rows)
+                     init_dual_percentile(ptr_exp, params.p_ub)))
+    budget, rho, audience, ptr_base, alpha_bar = zip(*rows)
     camps = campaigns(len(specs), budget=budget, rho=rho, audience=audience, ptr_base=ptr_base,
-                      alpha_bar=alpha_bar, alpha=0.0, eptr=params.initial_trial_rate,
-                      exhausted=exhausted)
+                      alpha_bar=alpha_bar, alpha=0.0, eptr=params.initial_trial_rate)
     camps.ids = np.array([s.id for s in specs], dtype=np.int64)
     return camps
 
@@ -411,15 +407,13 @@ class Decision:
 
 
 def _live(camps: CampaignArrays, i: int) -> bool:
-    return not camps.exhausted[i] and camps.remaining[i] >= 1.0
+    return camps.remaining[i] > 0
 
 
 def _award(request, camps: CampaignArrays, best, best_bid, throttled=()) -> Decision:
     if best is None:
         return Decision(request.request_id, None, None, frozenset(throttled))
-    camps.remaining[best] -= 1.0
-    if camps.remaining[best] < 1.0:
-        camps.exhausted[best] = True
+    camps.remaining[best] -= 1
     return Decision(request.request_id, int(camps.ids[best]), float(best_bid),
                     frozenset(throttled))
 
@@ -441,7 +435,7 @@ def compute_ptr(camps: CampaignArrays, i: int, params: PacingHyperParams,
 
 
 def dmd_decide(request, camps: CampaignArrays) -> Decision:
-    """Highest premium v - alpha among non-exhausted recalled campaigns wins;
+    """Highest premium v - alpha among live recalled campaigns wins;
     no positivity requirement; ties break to the lowest campaign id."""
     best, best_bid = None, -np.inf
     for i, v in _recalled(request, camps):
@@ -458,7 +452,7 @@ def rcp_decide(request, camps: CampaignArrays, params: PacingHyperParams,
     """Throttled premium auction.
 
     One uniform draw is consumed per recalled campaign in ascending-id order,
-    whether or not the campaign is exhausted.  Winner is the highest strictly
+    whether or not the campaign has budget left.  Winner is the highest strictly
     positive premium among campaigns that passed their draw; ties break to
     the lowest id.
     """
@@ -827,17 +821,16 @@ def rcp_update(camps: CampaignArrays, cost, n_requests: int, avg_requests: float
 def smart_init(camps: CampaignArrays, params: PacingHyperParams, layers: int) -> np.ndarray:
     layer_ptr = np.empty((camps.ids.size, layers))
     for i in range(camps.ids.size):
-        aud = camps.audience[i]
-        layer_ptr[i, :] = min(1.0, camps.budget[i] / (aud * params.wr_glb)) if aud > 0 else 1.0
+        layer_ptr[i, :] = min(1.0, camps.budget[i] / (camps.audience[i] * params.wr_glb))
     return layer_ptr
 
 
 def smart_update(camps: CampaignArrays, layer_ptr: np.ndarray, cost) -> None:
     """Open the highest closed layer when underspending, shrink the lowest
-    open layer when overspending; exhausted campaigns are left alone."""
+    open layer when overspending; campaigns with no budget left are left alone."""
     L = layer_ptr.shape[1]
     for i in range(camps.ids.size):
-        if camps.rho[i] <= 0.0 or camps.exhausted[i]:
+        if camps.rho[i] <= 0.0 or camps.remaining[i] <= 0:
             continue
         spd = cost[i] / camps.rho[i]
         if spd < 1.0:

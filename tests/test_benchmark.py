@@ -18,6 +18,8 @@ import pytest
 
 from gdpacer import engine
 from gdpacer.metrics import hindsight_optimum
+from gdpacer.quality import BetaQualityModel
+from gdpacer.simulate import CampaignSpec
 from gdpacer.streams import ImpressionStream, PeriodBatch
 from oracle import load_script
 
@@ -64,6 +66,29 @@ def test_tracer_counts_a_real_optimum(tracer):
     assert counts == {"metrics.hindsight_optimum.edges": 5,
                       "metrics.hindsight_optimum.augmentations": 3}
     assert opt.assigned == 3 and opt.value == pytest.approx(0.5 + 0.6 + 0.2)
+
+
+def test_tracer_counts_the_winners_and_exhaustions_of_a_run(tracer):
+    # the resolve counter reads the period's budgets left after the call
+    # returns, before the loop charges the period; they are the loop's own
+    # array, no longer a copy, so a charge or an exhaustion update made
+    # before the counter runs would show here.  Every request recalls all 3
+    # campaigns, and campaigns 0 and 1 run out mid-period
+    rng = np.random.default_rng(3)
+    R, M = 30, 3
+    req, camp = np.repeat(np.arange(R), M), np.tile(np.arange(M), R)
+    stream = ImpressionStream([PeriodBatch(np.arange(t * R, (t + 1) * R), req, camp,
+                                           rng.uniform(0.05, 0.95, R * M)) for t in range(4)])
+    specs = [CampaignSpec(id=j, budget=b, recall_prob=1.0, quality_model=BetaQualityModel(2, 5))
+             for j, b in enumerate([7, 13, 500])]
+    traced = tracer.Tracer()
+    with tracer.Installed(traced):
+        trace = engine.run_dmd(stream, specs, engine.RunConfig())
+    counts = traced.counts
+    assert trace.remaining.tolist()[:2] == [0.0, 0.0]
+    assert counts["engine._resolve_winners.winners"] == trace.wins.sum() == R * 4
+    assert counts["engine._resolve_winners.exhaustions"] == np.sum(trace.remaining == 0) == 2
+    assert traced.uncounted == set()
 
 
 @pytest.mark.parametrize("name", ["desk", "cli_run", "per_impression"])

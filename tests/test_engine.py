@@ -77,15 +77,15 @@ def test_dmd_decide_tie_breaks_to_lowest_id():
 
 
 def test_dmd_decide_skips_exhausted():
-    c = campaigns(2, exhausted=[True, False], remaining=[100.0, 0.5])
+    c = campaigns(2, remaining=[0, 0])
     d = dmd_decide(ImpressionRequest(0, 0, {0: 0.9, 1: 0.9}), c)
     assert d.winner is None and d.bid is None
 
 
 def test_dmd_decide_exhausts_on_last_unit():
-    c = campaigns(1, remaining=1.0)
+    c = campaigns(1, remaining=1)
     d = dmd_decide(ImpressionRequest(0, 0, {0: 0.2}), c)
-    assert d.winner == 0 and c.exhausted[0]
+    assert d.winner == 0 and c.remaining[0] == 0
 
 
 def test_dmd_decide_shift_invariance():
@@ -116,7 +116,8 @@ def test_rcp_decide_draw_consumed_even_when_exhausted():
     req = ImpressionRequest(0, 0, {0: 0.6, 1: 0.6})
     outcomes = []
     for exhausted in (False, True):
-        c = campaigns(2, alpha=0.1, alpha_bar=0.5, exhausted=[exhausted, False], **NEUTRAL_FIT)
+        c = campaigns(2, alpha=0.1, alpha_bar=0.5, remaining=[0 if exhausted else 100, 100],
+                      **NEUTRAL_FIT)
         rng = _substream(123)
         rcp_decide(req, c, params, rng)
         outcomes.append(float(rng.random()))
@@ -255,6 +256,26 @@ def test_fit_fallback_keeps_each_campaigns_own_prior():
     assert c.lam[0] != c.lam[1]
 
 
+def test_a_prior_that_is_not_finite_falls_back_to_the_neutral_fit():
+    # the exact fits of these laws are not finite with sigma > 0 in doubles:
+    # sigma NaN, sigma 0, and (0, NaN, NaN); they used to enter the run
+    laws = [(1e6, 2.0), (1e12, 2.0), (1e300, 1e300), (3.0, 3.0)]
+    specs = [_spec(j, 10, m=m, n=n) for j, (m, n) in enumerate(laws)]
+    priors = _logged(specs, RunConfig(), [])[0].priors
+    neutral = np.array([1.0, -0.5, 1.0 / np.sqrt(12.0)])
+    assert all(np.array_equal(priors[:, j], neutral) for j in range(3))
+    assert np.array_equal(priors[:, 3], fit_boxcox_beta(3.0, 3.0)[:, 0])
+
+
+def test_a_campaign_with_a_failed_prior_still_delivers():
+    # one-request periods of one edge never reach a 30-quality fit window,
+    # so the prior paces the whole run; a NaN prior won nothing
+    stream = _rand_stream(1, 1, 400, seed=26, recall=1.0)
+    cfg = RunConfig(seed=5, per_impression=True)
+    trace = run_rcpacing(stream, [_spec(0, 100, m=1e300, n=1e300)], cfg)
+    assert trace.total_wins > 0
+
+
 def test_fit_prefers_own_then_pooled_window():
     rng = np.random.default_rng(5)
     specs = [_spec(0, 10), _spec(1, 10)]
@@ -381,7 +402,7 @@ def test_init_campaign_states_values():
     assert c.ptr_base[0] == pytest.approx(1.0)     # min{1, 1.0 / 0.15}
     assert c.rho[0] == pytest.approx(10.0)
     assert c.eptr[0] == PacingHyperParams().initial_trial_rate
-    assert not c.exhausted[0]
+    assert c.remaining.dtype == np.int64 and c.remaining[0] == 100
 
 
 def _no_edges(*sizes) -> ImpressionStream:
@@ -393,13 +414,15 @@ def _no_edges(*sizes) -> ImpressionStream:
 
 @st.composite
 def _setups(draw):
-    """Campaigns of any budget and recall over periods of 0-400 requests
-    with no edges, so audiences run from 0 and ptr_exp from far below 1 to
-    far above it, under any p_ub and global win rate."""
+    """Campaigns of any budget and recall over periods of 0-400 requests,
+    at least one in all, with no edges, so audiences run from 1e-6 and
+    ptr_exp from far below 1 to far above it, under any p_ub and global win
+    rate."""
     ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
     specs = [_spec(j, draw(st.integers(1, 10**6)), recall=draw(st.floats(1e-6, 1.0)))
              for j in ids]
-    stream = _no_edges(*draw(st.lists(st.integers(0, 400) | st.just(0), min_size=1, max_size=5)))
+    stream = _no_edges(*draw(st.lists(st.integers(0, 400) | st.just(0), min_size=1, max_size=5)
+                             .filter(lambda sizes: sum(sizes) > 0)))
     params = PacingHyperParams(p_ub=draw(st.floats(0.01, 0.99)),
                                wr_glb=draw(st.floats(0.01, 1.0)),
                                initial_trial_rate=draw(st.sampled_from([0.1, 1.0])))
@@ -408,9 +431,9 @@ def _setups(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(setup=_setups())
-# no requests, so every audience is 0 and ptr_exp is 1; and budgets 10 and
-# 1000 times the top slice of their audience: ptr_exp = 10 puts the dual at 0
-@example(setup=([_spec(3, 5), _spec(1, 10**6, recall=0.5)], _no_edges(0, 0), PacingHyperParams()))
+# one request, so a budget far above the audience; and budgets 10 and 1000
+# times the top slice of their audience: ptr_exp = 10 puts the dual at 0
+@example(setup=([_spec(3, 5), _spec(1, 10**6, recall=0.5)], _no_edges(0, 1), PacingHyperParams()))
 @example(setup=([_spec(0, 100), _spec(1, 10**4)], _no_edges(60, 40), PacingHyperParams()))
 def test_init_campaign_states_matches_scalar_reference(setup):
     specs, stream, params = setup
@@ -604,18 +627,18 @@ def test_no_campaigns_is_a_domain_error(per_impression):
 def test_empty_stream_is_a_domain_error(tmp_path):
     # every runner used to accept a stream with no periods, and its report
     # gave a NaN unsmoothness; a stream of requests-free periods re-chunks
-    # into no periods at all
-    empty = np.empty(0, dtype=np.int64)
-    no_requests = ImpressionStream([PeriodBatch(empty, empty, empty, np.empty(0))])
-    cases = [(ImpressionStream([]), False), (ImpressionStream([]), True), (no_requests, True)]
+    # into no periods at all, and in period mode dmd and rcpacing divided by
+    # its average of 0 requests a period and recorded inf and NaN duals
+    cases = [(stream, per_impression) for stream in (ImpressionStream([]), _no_edges(0, 0))
+             for per_impression in (False, True)]
     for stream, per_impression in cases:
-        with pytest.raises(DomainError, match="no periods"):
+        with pytest.raises(DomainError, match="no requests"):
             prepare(stream, [0], per_impression=per_impression)
         for runner in RUNNERS.values():
-            with pytest.raises(DomainError, match="no periods"):
+            with pytest.raises(DomainError, match="no requests"):
                 runner(stream, [_spec(0, 5)], RunConfig(per_impression=per_impression))
-    with pytest.raises(DomainError, match="no periods"):
-        hindsight_optimum(ImpressionStream([]), {0: 5})
+        with pytest.raises(DomainError, match="no requests"):
+            hindsight_optimum(stream, {0: 5})
     # the reader still returns the empty stream a header-only file holds
     path = tmp_path / "empty.csv"
     path.write_text("request_id,period,campaign_id,ctr\n", encoding="utf-8")
@@ -647,6 +670,38 @@ def test_unsorted_period_edges_are_refused():
                 run_dmd(ImpressionStream([bad]), specs, RunConfig(per_impression=per_impression))
 
 
+@pytest.mark.parametrize("quality", [float("nan"), float("inf"), float("-inf")])
+def test_a_quality_that_is_not_finite_is_refused(quality):
+    # these used to run: with a NaN, dmd left its request unsold under a
+    # rule of `_resolve_winners`'s own, and with inf the optimum was inf
+    stream = ImpressionStream([_period([0, 1], [0, 1], [0.5, 0.5]),
+                               _period([0, 0, 1], [0, 1, 1], [0.4, quality, 0.6])])
+    specs = [_spec(0, 5), _spec(1, 5)]
+    for per_impression in (False, True):
+        with pytest.raises(DomainError, match="period 1: a quality is not finite"):
+            prepare(stream, [0, 1], per_impression=per_impression)
+        for runner in RUNNERS.values():
+            with pytest.raises(DomainError, match="period 1: a quality is not finite"):
+                runner(stream, specs, RunConfig(per_impression=per_impression))
+    with pytest.raises(DomainError, match="period 1: a quality is not finite"):
+        hindsight_optimum(stream, {0: 5, 1: 5})
+    # a campaign outside the run is not part of the instance
+    assert hindsight_optimum(stream, {0: 5}).assigned == 2
+
+
+@pytest.mark.parametrize("budget", [10.7, 2 ** 63, float("inf"), float("nan")])
+def test_a_budget_that_is_not_whole_is_refused(budget):
+    # a budget of 10.7 used to run: dmd won 10 impressions and reported the
+    # budget as 10.7 with 0.7 left over
+    stream = _rand_stream(2, 3, 20, seed=25, recall=1.0)
+    specs = [_spec(0, 5), _spec(1, budget)]
+    for runner in RUNNERS.values():
+        with pytest.raises(DomainError, match="campaign 1: budget .* not a whole number"):
+            runner(stream, specs, RunConfig())
+        whole = [runner(stream, [_spec(0, 5), _spec(1, b)], RunConfig()) for b in (10, 10.0)]
+        assert whole[0].tobytes() == whole[1].tobytes()
+
+
 def test_per_impression_prepare_matches_densified_rechunk():
     # requests with no recall, and requests and periods whose only edges
     # belong to campaigns outside the run, empty periods with and without
@@ -672,15 +727,12 @@ def test_per_impression_prepare_matches_densified_rechunk():
                 assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
-_NAN, _INF = float("nan"), float("inf")
+_INF = float("inf")
 
 
 @pytest.mark.parametrize("score,elig,remaining", [
     ([0.3, 0.5, 0.5], [1, 1, 1], [2, 2, 2]),            # tie: the lower campaign wins
     ([0.3, 0.9, 0.5], [1, 0, 1], [2, 2, 2]),            # the top score is not eligible
-    ([0.3, _NAN, 0.5], [1, 1, 1], [2, 2, 2]),           # a NaN score: no winner
-    ([0.3, _NAN, 0.5], [1, 0, 1], [2, 2, 2]),           # ... unless it is not eligible
-    ([0.3, _NAN, 0.5], [1, 1, 1], [2, 0, 2]),           # ... or its campaign cannot pay
     ([-_INF, -_INF, 0.5], [1, 1, 0], [2, 2, 2]),        # -inf scores still win
     ([0.3, 0.9, 0.5], [0, 0, 0], [2, 2, 2]),            # no eligible edge
     ([0.3, 0.9, 0.5], [1, 1, 1], [2, 0, 2]),            # the top campaign cannot pay
@@ -836,7 +888,7 @@ def _throttle_against_reference(stream, specs, cfg):
         seen["periods"] += 1
         seen["empty"] += dp.v.size == 0
         seen["no bid"] += dp.v.size > 0 and not (ref_bid > 0.0).any()
-        seen["exhausted"] += bool(self.camps.exhausted[dp.camp].any())
+        seen["exhausted"] += bool((self.camps.remaining[dp.camp] == 0).any())
         return bid, passed
 
     with pytest.MonkeyPatch.context() as mp:
@@ -955,15 +1007,15 @@ def test_fit_windows_match_per_period_gather(width, examples):
 def _auctions(draw):
     """One period's edges, scores, eligibility and budgets: up to 8 requests
     (none, one, some recalling nothing), scores on a coarse grid so they tie,
-    with -inf and NaN among them, and budgets of 0 to 3 so campaigns run out
+    with -inf among them, and budgets of 0 to 3 so campaigns run out
     mid-period or never take part."""
     M, R = draw(st.integers(1, 4)), draw(st.integers(0, 8))
     mask = np.array(draw(st.lists(st.booleans(), min_size=R * M, max_size=R * M)),
                     dtype=bool).reshape(R, M)
     req, camp = np.nonzero(mask)
     n = req.size
-    scores = [0.1, 0.5, 0.9, -_INF] + ([_NAN] if draw(st.booleans()) else [])
-    score = np.array(draw(st.lists(st.sampled_from(scores), min_size=n, max_size=n)))
+    score = np.array(draw(st.lists(st.sampled_from([0.1, 0.5, 0.9, -_INF]), min_size=n,
+                                   max_size=n)))
     elig = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
     remaining = np.array(draw(st.lists(st.integers(0, 3), min_size=M, max_size=M)))
     return _DensePeriod(R, req, camp, np.ones(n)), score, elig, remaining

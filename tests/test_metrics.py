@@ -144,7 +144,7 @@ def test_hindsight_empty_inputs():
     assert hindsight_optimum(stream, {0: 3}).value == 0.0
     with pytest.raises(ValueError, match="no campaign budgets"):
         hindsight_optimum(stream, {})
-    with pytest.raises(DomainError, match="no periods"):
+    with pytest.raises(DomainError, match="no requests"):
         hindsight_optimum(from_requests([]), {0: 3})
 
 
@@ -193,6 +193,15 @@ def test_hindsight_refuses_an_unsorted_stream_as_runners_do():
         hindsight_optimum(unsorted, {0: 1, 1: 1})
     with pytest.raises(DomainError, match="not sorted"):
         run_dmd(unsorted, specs, RunConfig())
+
+
+@pytest.mark.parametrize("budget", [10.7, 2 ** 63, float("inf"), float("nan")])
+def test_hindsight_refuses_a_budget_that_is_not_whole(budget):
+    # `int(budget)` used to solve 10.7 as a budget of 10 without a word
+    stream = from_requests([ImpressionRequest(i, 0, {0: 0.5}) for i in range(12)])
+    with pytest.raises(DomainError, match="campaign 0: budget .* not a whole number"):
+        hindsight_optimum(stream, {0: budget})
+    assert hindsight_optimum(stream, {0: 10.0}) == hindsight_optimum(stream, {0: 10})
 
 def _micro_instance(seed):
     """1-3 campaigns over 20 requests; every other seed quantizes qualities

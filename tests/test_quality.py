@@ -314,6 +314,15 @@ def test_beta_model_validation_and_mean():
     assert BetaQualityModel(3.0, 2.0).mean == pytest.approx(0.6)
 
 
+@pytest.mark.parametrize("m,n", [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0),
+                                 (3.0, math.nan)])
+def test_beta_model_refuses_a_shape_that_is_not_finite(m, n):
+    # inf >= 2 is true, so Beta(inf, 2) used to build; the config reader
+    # refused it, the API did not
+    with pytest.raises(DomainError, match="finite and >= 2"):
+        BetaQualityModel(m, n)
+
+
 # --- exact fit of a Beta law --------------------------------------------------
 
 _BETA_GRID = (2.0, 3.0, 4.5, 6.0, 8.0, 10.0, 12.0)
@@ -360,6 +369,15 @@ def test_fit_boxcox_beta_laws_stop_on_their_own(laws):
     assert np.array_equal(batch.view(np.int64), alone.view(np.int64))
     assert np.isfinite(batch).all() and (batch[0] > 0.0).all() and (batch[0] <= 2.0).all()
     assert (batch[2] > 0.0).all()
+
+
+def test_fit_boxcox_beta_warns_of_nothing_on_laws_too_narrow_for_doubles():
+    # the fits are not finite with sigma > 0 (the engine falls back to the
+    # neutral fit there), but the set-up and the final moments used to warn
+    # outside the solve's errstate, and `gdpacer run` printed RuntimeWarnings
+    lam, mu, sigma = fit_boxcox_beta([1e6, 1e12, 1e300, 3.0], [2.0, 2.0, 1e300, 3.0])
+    ok = np.isfinite(lam) & np.isfinite(mu) & np.isfinite(sigma) & (sigma > 0.0)
+    assert ok.tolist() == [False, False, False, True]
 
 
 # --- normal helpers -----------------------------------------------------------
